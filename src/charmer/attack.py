@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .oracle import CountingOracle, Oracle, cw_loss
-from .sentence import XI, Alphabet, contract, expand, levenshtein
+from .sentence import XI, Alphabet, contract, expand, generate_neighbors
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
 
@@ -384,11 +384,20 @@ def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfi
     return _greedy_attack(oracle, s, y, config, picker)
 
 
-def exhaustive_k1(oracle: Oracle, s: str, y: int, alphabet: Alphabet) -> tuple[str, float]:
-    """Score the full single-edit neighborhood and return the loss maximizer."""
-    from .sentence import generate_neighbors
-
-    neighbors = generate_neighbors(s, alphabet)
-    losses = [cw_loss(row, y) for row in oracle.score_batch(neighbors)]
+def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
+    """Score the full single-edit neighborhood and move to the loss maximizer."""
+    counting = CountingOracle(oracle)
+    start = time.perf_counter()
+    neighbors = generate_neighbors(s, config.alphabet)
+    losses = [cw_loss(row, y) for row in counting.score_batch(neighbors)]
     j = max(range(len(losses)), key=lambda idx: (losses[idx], -idx))
-    return neighbors[j], losses[j]
+    return AttackOutcome(
+        original=s,
+        adversarial=neighbors[j],
+        success=losses[j] >= 0,
+        edits_used=int(neighbors[j] != s),  # every neighbor is within one edit
+        final_loss=losses[j],
+        queries=counting.queries,
+        elapsed=time.perf_counter() - start,
+        trace=[TraceStep(position=None, char=None, loss=losses[j])],
+    )

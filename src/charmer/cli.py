@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
     )
     config = AttackConfig(
         alphabet=alphabet,
-        n=1 if args.attack == "charmer-fast" else args.n,
+        n=args.n,
         k=args.k,
         constraints=constraints,
         segment_preselect=args.segments,

@@ -15,6 +15,8 @@ everywhere to avoid confusion with embedding-based similarity scores.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -26,12 +28,11 @@ from typing import Optional, Sequence
 from .attack import (
     AttackConfig,
     AttackOutcome,
-    TraceStep,
     charmer_attack,
     exhaustive_k1,
     random_position_baseline,
 )
-from .classifier import BuiltinOracle
+from .classifier import BuiltinClassifier, BuiltinOracle
 from .oracle import Oracle, OracleError, PairedOracle, cw_loss
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
 from .sentence import XI, Alphabet, L_MAX, levenshtein
@@ -40,8 +41,6 @@ log = logging.getLogger("charmer")
 
 TRANSCRIPT_SCHEMA = 1
 REPORT_SCHEMA = 1
-
-ATTACK_NAMES = ("charmer", "charmer-fast", "random", "exhaustive-k1", "pga")
 
 
 class DatasetError(ValueError):
@@ -70,7 +69,8 @@ def load_dataset(
     cap: Optional[int] = 1000,
     l_max: int = L_MAX,
 ) -> list[DatasetRecord]:
-    """Read records in file order; ids default to the row index.
+    """Read records in file order; ids default to the row index and must be
+    unique.
 
     Texts longer than ``l_max`` are truncated (a warning totals them up) and
     at most ``cap`` records are retained.
@@ -78,6 +78,7 @@ def load_dataset(
     if format not in ("jsonl", "csv"):
         raise DatasetError(f"unknown dataset format: {format!r}")
     records: list[DatasetRecord] = []
+    ids: set[str] = set()
     truncated = 0
 
     def add(row_no: int, obj: dict) -> None:
@@ -102,6 +103,9 @@ def load_dataset(
         else:
             paired = None
         rid = str(obj.get("id")) if obj.get("id") not in (None, "") else str(len(records))
+        if rid in ids:
+            raise DatasetError(f"{where}: duplicate id {rid!r}")
+        ids.add(rid)
         records.append(DatasetRecord(id=rid, text=text, label=label, paired_text=paired))
 
     with open(path, encoding="utf-8") as fh:
@@ -141,9 +145,13 @@ def extract_alphabet(records: Sequence[DatasetRecord], test_char: str = " ") -> 
     return Alphabet.from_texts((r.text for r in records), test_char=test_char)
 
 
+def _edit_sim(d_lev: int, a: str, b: str) -> float:
+    return 1.0 - d_lev / max(len(a), len(b), 1)
+
+
 def similarity(a: str, b: str) -> float:
     """Normalized edit similarity in [0, 1]; reported as ``edit_sim``."""
-    return 1.0 - levenshtein(a, b) / max(len(a), len(b), 1)
+    return _edit_sim(levenshtein(a, b), a, b)
 
 
 def config_fingerprint(attack: str, config: AttackConfig, pga_config: Optional[PgaConfig]) -> str:
@@ -171,24 +179,30 @@ def config_fingerprint(attack: str, config: AttackConfig, pga_config: Optional[P
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _outcome_from_exhaustive(oracle: Oracle, s: str, y: int, alphabet: Alphabet) -> AttackOutcome:
-    import time
+def _pga(
+    oracle: Oracle,
+    s: str,
+    y: int,
+    config: AttackConfig,
+    *,
+    classifier: BuiltinClassifier,
+    pga_config: PgaConfig,
+) -> AttackOutcome:
+    if isinstance(oracle, PairedOracle):
+        raise GradientUnavailableError("pga cannot score a paired_text premise")
+    return pga_attack(classifier, s, y, pga_config, config.alphabet)
 
-    from .oracle import CountingOracle
 
-    counting = CountingOracle(oracle)
-    start = time.perf_counter()
-    adversarial, loss = exhaustive_k1(counting, s, y, alphabet)
-    return AttackOutcome(
-        original=s,
-        adversarial=adversarial,
-        success=loss >= 0,
-        edits_used=levenshtein(s, adversarial),
-        final_loss=loss,
-        queries=counting.queries,
-        elapsed=time.perf_counter() - start,
-        trace=[TraceStep(position=None, char=None, loss=loss)],
-    )
+# every attack is fn(oracle, s, y, config) -> AttackOutcome; pga's extra
+# inputs are bound in run_attack_suite
+ATTACKS = {
+    "charmer": charmer_attack,
+    "charmer-fast": charmer_attack,  # with n=1, set in run_attack_suite
+    "random": random_position_baseline,
+    "exhaustive-k1": exhaustive_k1,
+    "pga": _pga,
+}
+ATTACK_NAMES = tuple(ATTACKS)
 
 
 def run_attack_suite(
@@ -205,15 +219,21 @@ def run_attack_suite(
     Oracle failures on individual samples are recorded and the suite
     continues.
     """
-    if attack not in ATTACK_NAMES:
+    if attack not in ATTACKS:
         raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACK_NAMES}")
+    run = ATTACKS[attack]
+    if attack == "charmer-fast":
+        config = dataclasses.replace(config, n=1)
     if attack == "pga":
-        if pga_config is None:
-            pga_config = PgaConfig(k=min(config.k, 2), seed=config.seed)
         if not isinstance(oracle, BuiltinOracle):
             raise GradientUnavailableError("the pga attack needs a builtin oracle")
+        if pga_config is None:
+            pga_config = PgaConfig(k=min(config.k, 2), seed=config.seed)
+        run = functools.partial(run, classifier=oracle.classifier, pga_config=pga_config)
+    else:
+        pga_config = None
 
-    fingerprint = config_fingerprint(attack, config, pga_config if attack == "pga" else None)
+    fingerprint = config_fingerprint(attack, config, pga_config)
     alpha_fp = config.alphabet.fingerprint()
 
     out_fh = open(transcript_path, "a", encoding="utf-8") if transcript_path else None
@@ -231,6 +251,7 @@ def run_attack_suite(
                 if record.paired_text is not None
                 else oracle
             )
+            # skipped and errored records keep these unattacked values
             entry = {
                 "schema": TRANSCRIPT_SCHEMA,
                 "id": record.id,
@@ -239,6 +260,15 @@ def run_attack_suite(
                 "config_fingerprint": fingerprint,
                 "alphabet_fingerprint": alpha_fp,
                 "error": None,
+                "skipped": False,
+                "adversarial": record.text,
+                "success": False,
+                "edits_used": 0,
+                "d_lev": 0,
+                "final_loss": None,
+                "queries": 0,
+                "elapsed": 0.0,
+                "trace": [],
             }
             try:
                 clean_loss = cw_loss(scoring.score_batch([record.text])[0], record.label)
@@ -246,60 +276,16 @@ def run_attack_suite(
                 entry["clean_loss"] = clean_loss
                 if clean_loss >= 0:
                     skipped += 1
-                    entry.update(
-                        skipped=True,
-                        adversarial=record.text,
-                        success=False,
-                        edits_used=0,
-                        d_lev=0,
-                        final_loss=clean_loss,
-                        queries=0,
-                        elapsed=0.0,
-                        trace=[],
-                    )
+                    entry.update(skipped=True, final_loss=clean_loss)
                 else:
-                    if attack in ("charmer", "charmer-fast"):
-                        run_cfg = config
-                        if attack == "charmer-fast" and config.n != 1:
-                            run_cfg = AttackConfig(
-                                alphabet=config.alphabet,
-                                n=1,
-                                k=config.k,
-                                constraints=config.constraints,
-                                segment_preselect=config.segment_preselect,
-                                budget=config.budget,
-                                seed=config.seed,
-                            )
-                        outcome = charmer_attack(scoring, record.text, record.label, run_cfg)
-                    elif attack == "random":
-                        outcome = random_position_baseline(
-                            scoring, record.text, record.label, config
-                        )
-                    elif attack == "exhaustive-k1":
-                        outcome = _outcome_from_exhaustive(
-                            scoring, record.text, record.label, config.alphabet
-                        )
-                    else:  # pga
-                        outcome = pga_attack(
-                            oracle.classifier,
-                            record.text,
-                            record.label,
-                            pga_config,
-                            config.alphabet,
-                        )
-                    d_lev = levenshtein(record.text, outcome.adversarial)
+                    outcome = run(scoring, record.text, record.label, config)
                     queries_total += outcome.queries
                     elapsed_all.append(outcome.elapsed)
-                    if outcome.success:
-                        successes += 1
-                        dlev_ok.append(d_lev)
-                        sim_ok.append(similarity(record.text, outcome.adversarial))
                     entry.update(
-                        skipped=False,
                         adversarial=outcome.adversarial,
                         success=outcome.success,
                         edits_used=outcome.edits_used,
-                        d_lev=d_lev,
+                        d_lev=levenshtein(record.text, outcome.adversarial),
                         final_loss=outcome.final_loss
                         if outcome.final_loss is not None
                         else clean_loss,
@@ -309,35 +295,27 @@ def run_attack_suite(
                     )
             except OracleError as exc:
                 errors += 1
-                entry.update(
-                    skipped=False,
-                    adversarial=record.text,
-                    success=False,
-                    edits_used=0,
-                    d_lev=0,
-                    final_loss=None,
-                    queries=0,
-                    elapsed=0.0,
-                    trace=[],
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+                entry["error"] = f"{type(exc).__name__}: {exc}"
                 log.warning("record %s failed: %s", record.id, exc)
 
             if out_fh is not None:
                 out_fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
                 out_fh.flush()
-            per_sample.append(
-                {
-                    "id": entry["id"],
-                    "skipped": entry["skipped"],
-                    "success": entry["success"],
-                    "d_lev": entry["d_lev"],
-                    "edit_sim": similarity(record.text, entry["adversarial"]),
-                    "queries": entry["queries"],
-                    "final_loss": entry["final_loss"],
-                    "error": entry["error"],
-                }
-            )
+            row = {
+                "id": entry["id"],
+                "skipped": entry["skipped"],
+                "success": entry["success"],
+                "d_lev": entry["d_lev"],
+                "edit_sim": _edit_sim(entry["d_lev"], record.text, entry["adversarial"]),
+                "queries": entry["queries"],
+                "final_loss": entry["final_loss"],
+                "error": entry["error"],
+            }
+            per_sample.append(row)
+            if row["success"]:
+                successes += 1
+                dlev_ok.append(row["d_lev"])
+                sim_ok.append(row["edit_sim"])
     finally:
         if out_fh is not None:
             out_fh.close()

@@ -28,14 +28,6 @@ class BallBudgetError(RuntimeError):
     """An edit-ball enumeration would exceed its candidate budget."""
 
 
-def check_sentence(s: str, l_max: int = L_MAX) -> str:
-    if XI in s:
-        raise SentenceError("sentence contains the reserved sentinel U+0000")
-    if len(s) > l_max:
-        raise SentenceError(f"sentence length {len(s)} exceeds maximum {l_max}")
-    return s
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """Finite character set plus the sentinel and the probe test character."""

@@ -139,8 +139,9 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
     for record in eval_records:
         config = AttackConfig(alphabet=alphabet, n=2 * len(record.text) + 1, k=1)
         outcome = charmer_attack(oracle, record.text, record.label, config)
-        best_sentence, best_loss = exhaustive_k1(oracle, record.text, record.label, alphabet)
-        if outcome.adversarial != best_sentence or abs(outcome.final_loss - best_loss) > 1e-12:
+        best = exhaustive_k1(oracle, record.text, record.label, config)
+        same_loss = abs(outcome.final_loss - best.final_loss) <= 1e-12
+        if outcome.adversarial != best.adversarial or not same_loss:
             ok = False
             lines.append(f"FAIL equivalence on record {record.id}: {record.text!r}")
             break

@@ -1,31 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the production code paths: the distance is the
-textbook recursion with memoization, balls are brute-force enumerations over
-all short strings, and the simplex projection is an active-set search over
-every support.
+These deliberately avoid the production code paths: balls are brute-force
+enumerations over all short strings, measured with the full-matrix distance
+table of ``charmer.verify``, and gradients are central finite differences.
+The simplex-projection reference is ``charmer.verify``'s active-set search.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
-
-def ref_levenshtein(a: str, b: str) -> int:
-    @lru_cache(maxsize=None)
-    def rec(i: int, j: int) -> int:
-        if i == len(a):
-            return len(b) - j
-        if j == len(b):
-            return len(a) - i
-        if a[i] == b[j]:
-            return rec(i + 1, j + 1)
-        return 1 + min(rec(i + 1, j + 1), rec(i + 1, j), rec(i, j + 1))
-
-    return rec(0, 0)
+from charmer.verify import reference_levenshtein
 
 
 def brute_force_ball(s: str, chars: tuple[str, ...], k: int) -> set[str]:
@@ -34,35 +21,9 @@ def brute_force_ball(s: str, chars: tuple[str, ...], k: int) -> set[str]:
     for length in range(len(s) + k + 1):
         for combo in itertools.product(chars, repeat=length):
             cand = "".join(combo)
-            if ref_levenshtein(s, cand) <= k:
+            if reference_levenshtein(s, cand) <= k:
                 out.add(cand)
     return out
-
-
-def ref_project_simplex(u_hat: np.ndarray) -> np.ndarray:
-    """Active-set enumeration over every nonempty support."""
-    m = len(u_hat)
-    best, best_dist = None, None
-    for r in range(1, m + 1):
-        for support in itertools.combinations(range(m), r):
-            lam = (sum(u_hat[i] for i in support) - 1.0) / r
-            u = np.zeros(m)
-            ok = True
-            for i in range(m):
-                if i in support:
-                    u[i] = u_hat[i] - lam
-                    if u[i] < -1e-12:
-                        ok = False
-                        break
-                elif u_hat[i] - lam > 1e-12:
-                    ok = False
-                    break
-            if ok:
-                dist = float(np.sum((u - u_hat) ** 2))
-                if best_dist is None or dist < best_dist:
-                    best, best_dist = u, dist
-    assert best is not None, "no feasible KKT point found"
-    return best
 
 
 def central_difference_gradient(fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -316,11 +316,9 @@ class TestEquivalenceAndBaselines:
             n_full = 2 * len(record.text) + 1
             config = AttackConfig(alphabet=desk_alphabet, n=n_full, k=1)
             greedy = charmer_attack(desk_oracle, record.text, record.label, config)
-            best, best_loss = exhaustive_k1(
-                desk_oracle, record.text, record.label, desk_alphabet
-            )
-            assert greedy.adversarial == best
-            assert greedy.final_loss == pytest.approx(best_loss, abs=1e-12)
+            best = exhaustive_k1(desk_oracle, record.text, record.label, config)
+            assert greedy.adversarial == best.adversarial
+            assert greedy.final_loss == pytest.approx(best.final_loss, abs=1e-12)
 
     def test_random_baseline_deterministic(self, desk_oracle, desk_alphabet, attackable_records):
         record = attackable_records[0]

@@ -12,9 +12,10 @@ from charmer.harness import (
     run_attack_suite,
     similarity,
 )
-from charmer.oracle import Oracle
+from charmer.oracle import Oracle, PairedOracle, cw_loss
 from charmer.pga import GradientUnavailableError
 from charmer.sentence import XI, single_edit
+from charmer.verify import reference_levenshtein
 
 
 def write_jsonl(path, rows):
@@ -66,6 +67,7 @@ class TestLoadJsonl:
             ({"text": "a", "label": "x"}, "not an integer"),
             ({"text": "a", "label": -1}, "nonnegative"),
             ({"text": "a" + XI, "label": 0}, "reserved"),
+            ({"id": "0", "text": "a", "label": 0}, "duplicate"),
         ],
     )
     def test_bad_rows_name_the_line(self, tmp_path, row, fragment):
@@ -198,12 +200,30 @@ class TestSuite:
         assert a["timing"].keys() == {"mean_time", "std_time", "total_time"}
         assert b"timing" not in report_body(a)
 
-    def test_all_attacks_run(self, suite_records, desk_oracle, desk_alphabet):
+    def test_all_attacks_run(self, tmp_path, suite_records, desk_oracle, desk_alphabet):
         config = AttackConfig(alphabet=desk_alphabet, n=5, k=2)
         for attack in ("charmer", "charmer-fast", "random", "exhaustive-k1", "pga"):
-            report = run_attack_suite(suite_records[:2], desk_oracle, attack, config)
+            transcript = tmp_path / f"{attack}.jsonl"
+            report = run_attack_suite(
+                suite_records[:2], desk_oracle, attack, config, transcript_path=transcript
+            )
             assert report["attack"] == attack
             assert report["counts"]["total"] == 2
+            lines = [json.loads(l) for l in transcript.read_text().splitlines()]
+            for line, row in zip(lines, report["per_sample"], strict=True):
+                a, b = line["original"], line["adversarial"]
+                assert line["d_lev"] == row["d_lev"] == reference_levenshtein(a, b)
+                assert row["edit_sim"] == 1 - line["d_lev"] / max(len(a), len(b))
+
+    def test_charmer_fast_report_ignores_n(self, suite_records, desk_oracle, desk_alphabet):
+        a, b = (
+            run_attack_suite(
+                suite_records[:3], desk_oracle, "charmer-fast",
+                AttackConfig(alphabet=desk_alphabet, n=n, k=2),
+            )
+            for n in (1, 5)
+        )
+        assert report_body(a) == report_body(b)
 
     def test_exhaustive_k1_dlev_at_most_one(self, suite_records, desk_oracle, desk_alphabet):
         config = AttackConfig(alphabet=desk_alphabet, n=5, k=2)
@@ -227,6 +247,21 @@ class TestSuite:
         config = AttackConfig(alphabet=desk_alphabet)
         with pytest.raises(GradientUnavailableError):
             run_attack_suite(suite_records[:1], Fake(), "pga", config)
+
+    def test_pga_reports_paired_text_as_error(self, desk_oracle, desk_alphabet, attackable_records):
+        premise = "irrelevant premise"
+        scoring = PairedOracle(desk_oracle, premise)
+        paired = [
+            DatasetRecord(r.id, r.text, r.label, paired_text=premise)
+            for r in attackable_records
+            if cw_loss(scoring.score_batch([r.text])[0], r.label) < 0
+        ][:2]
+        assert paired
+        config = AttackConfig(alphabet=desk_alphabet, n=5, k=2)
+        report = run_attack_suite(paired, desk_oracle, "pga", config)
+        assert report["counts"]["errors"] == len(paired)
+        for row in report["per_sample"]:
+            assert row["error"].startswith("GradientUnavailableError")
 
     def test_all_skipped(self, desk_oracle, desk_alphabet, desk_corpus):
         # flip every label so the clean prediction is always "wrong"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from charmer.classifier import BuiltinClassifier, TrainConfig, train_builtin
 from charmer.pga import GradientUnavailableError, PgaConfig, pga_attack, project_simplex
 from charmer.sentence import Alphabet, levenshtein
-from reference import ref_project_simplex
+from charmer.verify import reference_simplex_projection
 
 finite_vec = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
@@ -38,7 +38,7 @@ class TestProjection:
         got = project_simplex(u_hat)
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(got >= 0)
-        np.testing.assert_allclose(got, ref_project_simplex(u_hat), atol=1e-9)
+        np.testing.assert_allclose(got, reference_simplex_projection(u_hat), atol=1e-9)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
