@@ -9,7 +9,6 @@ from .attack import (
     AttackConfig,
     AttackOutcome,
     PjcConstraints,
-    build_candidates,
     charmer_attack,
     exhaustive_k1,
     preselect_segments,
@@ -43,6 +42,7 @@ from .sentence import (
     generate_neighbors,
     levenshtein,
     single_edit,
+    single_edits,
 )
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "TrainConfig",
     "XI",
     "ball_size_bounds",
-    "build_candidates",
     "charmer_attack",
     "contract",
     "cw_loss",
@@ -80,6 +79,7 @@ __all__ = [
     "select_positions",
     "similarity",
     "single_edit",
+    "single_edits",
     "train_builtin",
 ]
 

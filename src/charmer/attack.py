@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .oracle import CountingOracle, Oracle, cw_loss
-from .sentence import XI, Alphabet, contract, expand, generate_neighbors
+from .sentence import XI, Alphabet, generate_neighbors, single_edit, single_edits
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
 
@@ -208,35 +208,17 @@ def candidate_edits(
     the ranking that produced them; a sentence rejected at one parametrization
     may still enter through another.
     """
-    e = expand(s)
     spans = word_spans(s)
     edited = history.edited if history is not None else frozenset()
-    filtering = constraints is not None and constraints.any()
-    out: list[tuple[str, int, str]] = []
-    seen: set[str] = set()
-    for i in sorted(set(positions)):
-        if not 1 <= i <= len(e):
-            raise ValueError(f"position {i} out of range [1, {len(e)}]")
-        head, tail = e[: i - 1], e[i:]
-        for c in alphabet.replacement_chars():
-            cand = contract(head + c + tail)
-            if cand in seen:
-                continue
-            if filtering and cand != s and pjc_violates(s, i, c, constraints, edited, spans):
-                continue
-            seen.add(cand)
-            out.append((cand, i, c))
-    return out
+    keep = None
+    if constraints is not None and constraints.any():
 
+        def keep(cand: str, i: int, c: str) -> bool:
+            # the no-op edit never violates anything
+            return cand == s or not pjc_violates(s, i, c, constraints, edited, spans)
 
-def build_candidates(
-    s: str,
-    positions: Sequence[int],
-    alphabet: Alphabet,
-    constraints: Optional[PjcConstraints] = None,
-    history: Optional[EditHistory] = None,
-) -> list[str]:
-    return [cand for cand, _, _ in candidate_edits(s, positions, alphabet, constraints, history)]
+    chars = alphabet.replacement_chars()
+    return list(single_edits(s, sorted(set(positions)), chars, keep))
 
 
 def select_positions(
@@ -255,17 +237,13 @@ def select_positions(
     returns at most ``n`` indices, highest probe loss first, lowest index on
     ties.
     """
-    e = expand(s)
-    probes: list[str] = []
-    idxs: list[int] = []
-    for i in range(1, len(e) + 1):
-        if allowed is not None and i not in allowed:
-            continue
-        c = XI if e[i - 1] == test_char else test_char
-        probes.append(contract(e[: i - 1] + c + e[i:]))
-        idxs.append(i)
-    if not probes:
+    idxs = [i for i in range(1, 2 * len(s) + 2) if allowed is None or i in allowed]
+    if not idxs:
         return []
+    probes = [
+        single_edit(s, i, XI if i % 2 == 0 and s[i // 2 - 1] == test_char else test_char)
+        for i in idxs
+    ]
     losses = [cw_loss(row, y) for row in oracle.score_batch(probes)]
     order = sorted(range(len(idxs)), key=lambda j: (-losses[j], idxs[j]))
     return [idxs[j] for j in order[:n]]

@@ -168,13 +168,7 @@ def config_fingerprint(attack: str, config: AttackConfig, pga_config: Optional[P
         "alphabet": config.alphabet.fingerprint(),
     }
     if pga_config is not None:
-        payload["pga"] = {
-            "step_size": pga_config.step_size,
-            "iterations": pga_config.iterations,
-            "k": pga_config.k,
-            "candidate_cap": pga_config.candidate_cap,
-            "seed": pga_config.seed,
-        }
+        payload["pga"] = dataclasses.asdict(pga_config)  # every field shapes the output
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -19,14 +19,10 @@ import numpy as np
 from .attack import AttackOutcome, TraceStep
 from .classifier import BuiltinClassifier, mixture_loss_and_grad
 from .oracle import OracleError, cw_loss
-from .sentence import (
-    Alphabet,
-    BallBudgetError,
-    contract,
-    enumerate_ball,
-    expand,
-    levenshtein,
-)
+from .sentence import Alphabet, BallBudgetError, enumerate_ball, levenshtein, single_edit
+
+# candidates enumerate_ball may build before pga falls back to sampling
+_BALL_BUDGET = 200_000
 
 
 class GradientUnavailableError(OracleError):
@@ -40,7 +36,6 @@ class PgaConfig:
     k: int = 2  # edit budget for candidate generation
     candidate_cap: int = 4096  # balls above this are subsampled deterministically
     seed: int = 0
-    ball_budget: int = 200_000
 
     def __post_init__(self):
         if self.step_size <= 0 or self.iterations < 1:
@@ -81,9 +76,7 @@ def _sample_ball(s: str, alphabet: Alphabet, k: int, cap: int, seed: int) -> lis
         attempts -= 1
         t = s
         for _ in range(k):
-            e = expand(t)
-            i = rng.randrange(len(e))
-            t = contract(e[:i] + rng.choice(chars) + e[i + 1 :])
+            t = single_edit(t, rng.randrange(2 * len(t) + 1) + 1, rng.choice(chars))
         out.add(t)
     return sorted(out)
 
@@ -102,7 +95,7 @@ def pga_attack(
         )
     start = time.perf_counter()
     try:
-        candidates = enumerate_ball(s, alphabet, config.k, budget=config.ball_budget)
+        candidates = enumerate_ball(s, alphabet, config.k, budget=_BALL_BUDGET)
         if len(candidates) > config.candidate_cap:
             rng = random.Random(config.seed)
             candidates = sorted(rng.sample(candidates, config.candidate_cap))

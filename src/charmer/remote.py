@@ -1,11 +1,13 @@
 """HTTP client oracle for external model servers.
 
 Wire protocol: POST ``/score`` with JSON ``{"sentences": [...]}``; the server
-replies HTTP 200 with ``{"scores": [[...], ...]}``, one numeric row per input
-sentence. No retries by default so query counts stay honest.
+replies HTTP 200 with ``{"scores": [[...], ...]}``, one row of finite numbers
+per input sentence. No retries by default so query counts stay honest.
 """
 
 from __future__ import annotations
+
+import sys
 
 import requests
 
@@ -28,6 +30,11 @@ class RemoteStatusError(RemoteOracleError):
 
 class RemoteSchemaError(RemoteOracleError):
     pass
+
+
+def _is_score(v) -> bool:
+    # JSON true/false parse as bool, an int subclass; NaN fails every comparison
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 class RemoteOracle(Oracle):
@@ -80,9 +87,7 @@ class RemoteOracle(Oracle):
             )
         out = []
         for row in rows:
-            if not isinstance(row, list) or len(row) < 2 or not all(
-                isinstance(v, (int, float)) for v in row
-            ):
+            if not isinstance(row, list) or len(row) < 2 or not all(map(_is_score, row)):
                 raise RemoteSchemaError("malformed score row", payload=doc)
             if self.num_classes is None:
                 self.num_classes = len(row)

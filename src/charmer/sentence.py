@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 XI = "\x00"  # reserved sentinel; rejected in every input sentence
 L_MAX = 1024  # default maximum sentence length in scalar values
@@ -93,12 +94,36 @@ def contract(e: str) -> str:
 def single_edit(s: str, i: int, c: str) -> str:
     """Replace position ``i`` of the expanded sentence with ``c`` and contract.
 
-    The result is always within edit distance 1 of ``s``.
+    Equals ``contract(e[:i-1] + c + e[i:])`` with ``e = expand(s)``, computed
+    on ``s`` directly: an odd ``i`` inserts ``c`` after the first ``i // 2``
+    characters, an even ``i`` replaces character ``i // 2`` (1-based); the
+    sentinel stands for nothing, so it deletes on even positions and leaves
+    ``s`` unchanged on odd ones. The result is always within edit distance 1
+    of ``s``. This and ``single_edits`` are the only builders of single edits.
     """
-    e = expand(s)
-    if not 1 <= i <= len(e):
-        raise SentenceError(f"position {i} out of range [1, {len(e)}]")
-    return contract(e[: i - 1] + c + e[i:])
+    if XI in s:
+        raise SentenceError("cannot edit a sentence containing the sentinel")
+    if not 1 <= i <= 2 * len(s) + 1:
+        raise SentenceError(f"position {i} out of range [1, {2 * len(s) + 1}]")
+    return s[: (i - 1) // 2] + ("" if c == XI else c) + s[i // 2 :]
+
+
+def single_edits(s: str, positions: Iterable[int], chars: Sequence[str], keep=None):
+    """Distinct ``(candidate, position, char)`` single edits of ``s``.
+
+    Yielded position by position as given, then ``chars`` in order; a
+    candidate keeps its first parametrization. ``keep(candidate, position,
+    char)``, if given, filters parametrizations: a candidate it rejects at
+    one position may still enter through another.
+    """
+    seen: set[str] = set()
+    for i in positions:
+        for c in chars:
+            cand = single_edit(s, i, c)
+            if cand in seen or (keep is not None and not keep(cand, i, c)):
+                continue
+            seen.add(cand)
+            yield cand, i, c
 
 
 def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
@@ -108,17 +133,8 @@ def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
     sentinel last), deduplicated keeping the first occurrence. Contains ``s``
     itself whenever every character of ``s`` lies in the alphabet.
     """
-    e = expand(s)
-    out: list[str] = []
-    seen: set[str] = set()
-    for i in range(1, len(e) + 1):
-        head, tail = e[: i - 1], e[i:]
-        for c in alphabet.replacement_chars():
-            cand = contract(head + c + tail)
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
+    positions = range(1, 2 * len(s) + 2)
+    return [cand for cand, _, _ in single_edits(s, positions, alphabet.replacement_chars())]
 
 
 def enumerate_ball(s: str, alphabet: Alphabet, k: int, budget: int = 1_000_000) -> list[str]:

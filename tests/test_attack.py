@@ -4,7 +4,6 @@ from charmer.attack import (
     AttackConfig,
     EditHistory,
     PjcConstraints,
-    build_candidates,
     candidate_edits,
     charmer_attack,
     exhaustive_k1,
@@ -116,7 +115,14 @@ class TestSelectPositions:
 
 class TestCandidates:
     def test_worked_example(self):
-        assert build_candidates("ab", [2], ALPHA_AB) == ["ab", "bb", "b"]
+        # positions sorted; the no-op (3, ξ) repeats "ab" and is dropped
+        assert candidate_edits("ab", [3, 2], ALPHA_AB) == [
+            ("ab", 2, "a"),
+            ("bb", 2, "b"),
+            ("b", 2, XI),
+            ("aab", 3, "a"),
+            ("abb", 3, "b"),
+        ]
 
     def test_dedup_keeps_first_parametrization(self):
         edits = candidate_edits("aa", [1, 2], ALPHA_AB)
@@ -127,18 +133,17 @@ class TestCandidates:
         assert triples["aaa"] == (1, "a")
 
     def test_positions_sorted_so_order_is_rank_independent(self):
-        assert build_candidates("ab", [3, 1], ALPHA_AB) == build_candidates(
-            "ab", [1, 3], ALPHA_AB
-        )
+        assert candidate_edits("ab", [3, 1], ALPHA_AB) == candidate_edits("ab", [1, 3], ALPHA_AB)
 
     def test_out_of_range_position(self):
         with pytest.raises(ValueError):
-            build_candidates("ab", [6], ALPHA_AB)
+            candidate_edits("ab", [6], ALPHA_AB)
 
     def test_all_candidates_within_one_edit(self):
         alphabet = Alphabet(tuple("abc"))
-        for cand in build_candidates("abc", list(range(1, 8)), alphabet):
+        for cand, i, c in candidate_edits("abc", list(range(1, 8)), alphabet):
             assert levenshtein("abc", cand) <= 1
+            assert cand == single_edit("abc", i, c)
 
 
 class TestPjc:
@@ -177,16 +182,16 @@ class TestPjc:
         for c in (PjcConstraints(first=True), PjcConstraints(length=True)):
             assert not pjc_violates("hi there", 6, "x", c)
 
-    def test_filtering_in_build_candidates(self):
+    def test_filtering_in_candidate_edits(self):
         c = PjcConstraints(length=True)
-        cands = build_candidates("hi", [3], ALPHA_AB, constraints=c)
+        edits = candidate_edits("hi", [3], ALPHA_AB, constraints=c)
         # only the no-op survives: every real edit touches the 2-char word
-        assert cands == ["hi"]
+        assert edits == [("hi", 3, XI)]
 
     def test_noop_bypasses_filters(self):
         c = PjcConstraints.all_enabled()
-        cands = build_candidates("aaaa", [2], Alphabet(("a",)), constraints=c)
-        assert "aaaa" in cands
+        edits = candidate_edits("aaaa", [2], Alphabet(("a",)), constraints=c)
+        assert ("aaaa", 2, "a") in edits
 
     def test_from_names(self):
         c = PjcConstraints.from_names(["first", "LAST"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from charmer.attack import AttackConfig
 from charmer.harness import (
     DatasetError,
     DatasetRecord,
+    config_fingerprint,
     extract_alphabet,
     load_dataset,
     report_body,
@@ -13,7 +15,7 @@ from charmer.harness import (
     similarity,
 )
 from charmer.oracle import Oracle, PairedOracle, cw_loss
-from charmer.pga import GradientUnavailableError
+from charmer.pga import GradientUnavailableError, PgaConfig
 from charmer.sentence import XI, single_edit
 from charmer.verify import reference_levenshtein
 
@@ -304,3 +306,11 @@ class TestSuite:
             AttackConfig(alphabet=desk_alphabet, n=6, k=2),
         )
         assert a["config_fingerprint"] != b["config_fingerprint"]
+        # every PgaConfig field shapes the pga output, so each one is fingerprinted
+        config = AttackConfig(alphabet=desk_alphabet)
+        base = PgaConfig()
+        for f in dataclasses.fields(PgaConfig):
+            changed = dataclasses.replace(base, **{f.name: getattr(base, f.name) + 1})
+            assert config_fingerprint("pga", config, changed) != config_fingerprint(
+                "pga", config, base
+            ), f.name

@@ -31,6 +31,10 @@ class StubHandler(BaseHTTPRequestHandler):
         if self.path == "/ragged/score":
             rows = [[0.0, 1.0], [0.0, 1.0, 2.0]][: len(sentences)]
             return self._json(200, {"scores": rows})
+        if self.path == "/bool/score":
+            return self._json(200, {"scores": [[True, False]] * len(sentences)})
+        if self.path == "/nan/score":
+            return self._json(200, {"scores": [[0.0, float("nan")]] * len(sentences)})
         rows = [[float(len(s)), float(ord(s[0])) if s else 0.0] for s in sentences]
         return self._json(200, {"scores": rows})
 
@@ -101,9 +105,11 @@ class TestFailures:
         with pytest.raises(RemoteSchemaError):
             RemoteOracle(base_url + "/short").score_batch(["x", "y"])
 
-    def test_inconsistent_class_width(self, base_url):
+    @pytest.mark.parametrize("path", ["/ragged", "/bool", "/nan"])
+    def test_malformed_score_rows(self, base_url, path):
+        # ragged class widths; JSON true/false; NaN, which json parses
         with pytest.raises(RemoteSchemaError):
-            RemoteOracle(base_url + "/ragged").score_batch(["x", "y"])
+            RemoteOracle(base_url + path).score_batch(["x", "y"])
 
     def test_declared_class_mismatch(self, base_url):
         with pytest.raises(RemoteSchemaError):

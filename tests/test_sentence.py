@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmer.sentence import (
@@ -14,6 +14,7 @@ from charmer.sentence import (
     generate_neighbors,
     levenshtein,
     single_edit,
+    single_edits,
 )
 from charmer.verify import reference_levenshtein
 from reference import brute_force_ball
@@ -91,10 +92,29 @@ class TestSingleEdit:
         with pytest.raises(SentenceError):
             single_edit("ab", 6, "a")
 
-    @given(short_text, st.integers(min_value=1), st.sampled_from("abc" + XI))
+    def test_rejects_sentinel(self):
+        with pytest.raises(SentenceError):
+            single_edit("a" + XI, 1, "b")
+
+    @given(
+        st.text(alphabet="ab é€😀", max_size=16),
+        st.integers(min_value=1),
+        st.sampled_from("aé€😀 " + XI),  # alphabet, test character, sentinel
+    )
+    @example("", 1, "a")
+    @example("", 1, XI)
+    @example("é€😀", 7, XI)
     def test_distance_at_most_one(self, s, i, c):
-        i = 1 + (i - 1) % (2 * len(s) + 1)
-        assert levenshtein(s, single_edit(s, i, c)) <= 1
+        e = expand(s)
+        for slot in (1, 1 + (i - 1) % len(e), len(e)):
+            edited = single_edit(s, slot, c)
+            assert edited == contract(e[: slot - 1] + c + e[slot:])
+            assert levenshtein(s, edited) <= 1
+
+    def test_single_edits_keep(self):
+        # "aab" is reachable from slots 1 and 3; rejected at 1, it enters at 3
+        got = list(single_edits("ab", [1, 3], ("a",), keep=lambda cand, i, c: i != 1))
+        assert got == [("aab", 3, "a")]
 
 
 class TestNeighbors:
@@ -122,7 +142,15 @@ class TestNeighbors:
         for length in range(5):
             for combo in itertools.product(chars, repeat=length):
                 s = "".join(combo)
-                assert set(generate_neighbors(s, alphabet)) == brute_force_ball(s, chars, 1)
+                e = expand(s)
+                slow = [
+                    contract(e[: i - 1] + c + e[i:])
+                    for i in range(1, len(e) + 1)
+                    for c in alphabet.replacement_chars()
+                ]
+                got = generate_neighbors(s, alphabet)
+                assert got == list(dict.fromkeys(slow))  # order: first occurrence wins
+                assert set(got) == brute_force_ball(s, chars, 1)
 
 
 class TestBall:
