@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -27,15 +28,36 @@ _BOUNDARY_LEFT = "\x02"
 _BOUNDARY_RIGHT = "\x03"
 
 
-@lru_cache(maxsize=1 << 18)
+class _GramHashes(dict):
+    """Feature index of each n-gram for one feature width, hashed on first use.
+
+    The n-gram order is the gram's length, so the salt is ``len(gram)``. The
+    table is cleared when it reaches ``_GRAM_TABLE_CAP`` entries.
+    """
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, gram: str) -> int:
+        if len(self) >= _GRAM_TABLE_CAP:
+            self.clear()
+        h = self[gram] = zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % self.dim
+        return h
+
+
+_GRAM_TABLE_CAP = 1 << 16
+_GRAM_TABLES: dict[int, _GramHashes] = {}
+
+
+@lru_cache(maxsize=1 << 12)
 def _hashed_counts(text: str, orders: tuple[int, ...], dim: int):
     padded = _BOUNDARY_LEFT + text + _BOUNDARY_RIGHT
-    counts: dict[int, float] = {}
-    for n in orders:
-        salt = bytes([n])
-        for i in range(len(padded) - n + 1):
-            h = zlib.crc32(padded[i : i + n].encode("utf-8") + salt) % dim
-            counts[h] = counts.get(h, 0.0) + 1.0
+    table = _GRAM_TABLES.get(dim)
+    if table is None:
+        table = _GRAM_TABLES[dim] = _GramHashes(dim)
+    grams = [padded[i : i + n] for n in orders for i in range(len(padded) - n + 1)]
+    counts = Counter(map(table.__getitem__, grams))  # keys in first-occurrence order
     idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
     val = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
     return idx, val
@@ -158,32 +180,33 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
 
 def mixture_loss_and_grad(
     classifier: BuiltinClassifier,
-    candidate_features,
+    candidate_logits,
     u: np.ndarray,
     y: int,
 ) -> tuple[float, np.ndarray]:
-    """CW loss of the classifier on the convex mixture of feature rows.
+    """CW loss of the classifier on the convex mixture of candidate feature rows.
 
-    ``candidate_features`` is an (m, feature_dim) matrix (dense or sparse);
-    the returned gradient is the exact analytic gradient with respect to the
-    mixture weights ``u`` (a subgradient at argmax ties).
+    The model is linear, so on the mixture ``Xᵀu`` of feature rows ``X`` its
+    logits are ``Zᵀu + b`` with ``Z = X·Wᵀ``. ``candidate_logits`` is that
+    (m, num_classes) array, the candidates' logits without the bias. Returns
+    ``z[j] - z[y]`` and its exact gradient ``Z[:, j] - Z[:, y]`` with respect
+    to the weights ``u`` (a subgradient at argmax ties).
     """
     u = np.asarray(u, dtype=np.float64)
-    m = candidate_features.shape[0]
+    shape = np.shape(candidate_logits)
+    if len(shape) != 2 or shape[1] != classifier.num_classes:
+        raise OracleError(f"logit rows of shape {shape} do not match {classifier.num_classes} classes")
+    Z = np.asarray(candidate_logits, dtype=np.float64)
+    m = Z.shape[0]
     if u.shape != (m,):
         raise OracleError(f"weight vector length {u.shape} does not match {m} candidates")
-    if candidate_features.shape[1] != classifier.feature_dim:
-        raise OracleError("feature width does not match the classifier")
     if not 0 <= y < classifier.num_classes:
         raise OracleError(f"label {y} out of range")
-    mix = candidate_features.T @ u  # (feature_dim,)
-    z = classifier.weights @ np.asarray(mix).ravel() + classifier.bias
+    z = u @ Z + classifier.bias
     masked = z.copy()
     masked[y] = -np.inf
     j = int(np.argmax(masked))
-    loss = float(z[j] - z[y])
-    grad = candidate_features @ (classifier.weights[j] - classifier.weights[y])
-    return loss, np.asarray(grad).ravel()
+    return float(z[j] - z[y]), Z[:, j] - Z[:, y]
 
 
 class BuiltinOracle(Oracle):

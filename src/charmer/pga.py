@@ -4,8 +4,10 @@ Relaxes the discrete candidate choice to weights on the probability simplex:
 the classifier is evaluated on the convex mixture of candidate feature rows,
 the weights follow the loss gradient and are projected back onto the simplex
 after every step, and the candidate with the largest final weight is taken
-as the attack sentence. Requires the builtin classifier, which exposes exact
-mixture gradients; remote oracles do not.
+as the attack sentence. The classifier is linear, so the candidates' logit
+rows are computed once and every step works on them alone. Requires the
+builtin classifier, which exposes exact mixture gradients; remote oracles do
+not.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ class PgaConfig:
     def __post_init__(self):
         if self.step_size <= 0 or self.iterations < 1:
             raise ValueError("step_size must be > 0 and iterations >= 1")
+        if self.k < 1 or self.candidate_cap < 1:
+            raise ValueError("k and candidate_cap must be >= 1")
 
 
 def project_simplex(u_hat) -> np.ndarray:
@@ -104,12 +108,12 @@ def pga_attack(
             s, alphabet, config.k, config.candidate_cap, config.seed
         )
     m = len(candidates)
-    features = classifier.features(candidates)
+    logit_rows = classifier.features(candidates) @ classifier.weights.T
 
     u = np.full(m, 1.0 / m)
     trace: list[TraceStep] = []
     for _ in range(config.iterations):
-        loss, grad = mixture_loss_and_grad(classifier, features, u, y)
+        loss, grad = mixture_loss_and_grad(classifier, logit_rows, u, y)
         trace.append(TraceStep(position=None, char=None, loss=loss))
         u = project_simplex(u + config.step_size * grad)
 

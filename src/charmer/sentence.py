@@ -14,6 +14,7 @@ All expanded-position indices in this module are 1-based and range over
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -137,15 +138,55 @@ def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
     return [cand for cand, _, _ in single_edits(s, positions, alphabet.replacement_chars())]
 
 
+def _ball_lower_bound(s: str, alphabet: Alphabet, k: int) -> int:
+    """A lower bound on ``len(enumerate_ball(s, alphabet, k))``, in O(len(s)·k).
+
+    Counts three disjoint families of distinct sentences within distance k,
+    with ``a_i = |Γ| - [s_i ∈ Γ]`` choices of a character other than ``s_i``:
+
+    - same length, at most k substitutions: the elementary symmetric sums
+      e_0(a) + ... + e_k(a);
+    - d = 1..k pure insertions, only when every character of ``s`` is in Γ:
+      the supersequences of length L+d, Σ_{i≤d} C(L+d, i)(|Γ|-1)^i whatever
+      ``s`` is;
+    - for k ≥ 2, one substitution at q and one insertion after r ≥ q of a
+      character other than ``s_r``: Σ_{q≤r} a_q·a_r. Such a sentence first
+      differs from ``s`` from the left at q and from the right at r ≥ q,
+      which no single insertion does, and q, r and both characters can be
+      read back from it.
+    """
+    g = len(alphabet.chars)
+    members = set(alphabet.chars)
+    a = [g - (c in members) for c in s]
+    e = [1] + [0] * k  # e[j] = e_j of the a_i seen so far
+    for ai in a:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * ai
+    total = sum(e)
+    n = len(s)
+    if g >= 1 and all(c in members for c in s):
+        total += sum(
+            math.comb(n + d, i) * (g - 1) ** i for d in range(1, k + 1) for i in range(d + 1)
+        )
+    if k >= 2:
+        total += (sum(a) ** 2 + sum(x * x for x in a)) // 2
+    return total
+
+
 def enumerate_ball(s: str, alphabet: Alphabet, k: int, budget: int = 1_000_000) -> list[str]:
     """All sentences within edit distance ``k`` of ``s`` over the alphabet.
 
-    Breadth-first expansion of single edits; refuses with BallBudgetError when
-    the enumeration would exceed ``budget`` distinct candidates. Returns a
+    Breadth-first expansion of single edits; refuses with BallBudgetError iff
+    the ball holds more than ``budget`` distinct candidates, before building
+    any when a lower bound on its size already exceeds the budget. Returns a
     sorted list for determinism.
     """
     if k < 1:
         raise SentenceError("edit radius k must be >= 1")
+    if XI in s:
+        raise SentenceError("cannot edit a sentence containing the sentinel")
+    if _ball_lower_bound(s, alphabet, k) > budget:
+        raise BallBudgetError(f"edit ball exceeds candidate budget of {budget}")
     seen = {s}
     frontier = [s]
     for _ in range(k):

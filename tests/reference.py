@@ -2,13 +2,16 @@
 
 These deliberately avoid the production code paths: balls are brute-force
 enumerations over all short strings, measured with the full-matrix distance
-table of ``charmer.verify``, and gradients are central finite differences.
-The simplex-projection reference is ``charmer.verify``'s active-set search.
+table of ``charmer.verify``, gradients are central finite differences, n-gram
+features are hashed gram by gram and the mixture loss is evaluated on feature
+rows. The simplex-projection reference is ``charmer.verify``'s active-set
+search.
 """
 
 from __future__ import annotations
 
 import itertools
+import zlib
 
 import numpy as np
 
@@ -34,3 +37,25 @@ def central_difference_gradient(fn, u: np.ndarray, step: float = 1e-5) -> np.nda
         down[i] -= step
         grad[i] = (fn(up) - fn(down)) / (2 * step)
     return grad
+
+
+def reference_hashed_counts(text: str, orders: tuple[int, ...], dim: int):
+    """Hashed n-gram counts of ``text``, CRC32 per gram, in first-occurrence order."""
+    padded = "\x02" + text + "\x03"
+    counts: dict[int, float] = {}
+    for n in orders:
+        salt = bytes([n])
+        for i in range(len(padded) - n + 1):
+            h = zlib.crc32(padded[i : i + n].encode("utf-8") + salt) % dim
+            counts[h] = counts.get(h, 0.0) + 1.0
+    return np.array(list(counts), dtype=np.int64), np.array(list(counts.values()))
+
+
+def feature_mixture_loss_and_grad(classifier, features, u: np.ndarray, y: int):
+    """CW loss and its gradient in ``u`` on the mixture of feature rows ``Fᵀu``."""
+    z = classifier.weights @ np.asarray(features.T @ u).ravel() + classifier.bias
+    masked = z.copy()
+    masked[y] = -np.inf
+    j = int(np.argmax(masked))
+    grad = features @ (classifier.weights[j] - classifier.weights[y])
+    return float(z[j] - z[y]), np.asarray(grad).ravel()

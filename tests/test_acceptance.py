@@ -255,7 +255,7 @@ def test_criterion_8_gradient_check(desk_classifier):
     for _ in range(100):
         m = int(rng.integers(2, 8))
         cands = list(rng.choice(texts, size=m, replace=False))
-        F = desk_classifier.features(cands)
+        F = desk_classifier.features(cands) @ desk_classifier.weights.T
         u = rng.dirichlet(np.ones(m))
         y = int(rng.integers(0, 2))
         _, grad = mixture_loss_and_grad(desk_classifier, F, u, y)

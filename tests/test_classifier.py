@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from charmer import classifier as classifier_module
 from charmer.classifier import (
     MAGIC,
     BuiltinClassifier,
@@ -12,7 +15,11 @@ from charmer.classifier import (
 )
 from charmer.oracle import OracleError, cw_loss
 from charmer.synth import make_keyword_corpus
-from reference import central_difference_gradient
+from reference import (
+    central_difference_gradient,
+    feature_mixture_loss_and_grad,
+    reference_hashed_counts,
+)
 
 SMALL = TrainConfig(feature_dim=4096, steps=200, seed=0)
 
@@ -28,6 +35,27 @@ class TestFeatures:
     def test_empty_batch(self):
         X = feature_matrix([], (1, 2), 128)
         assert X.shape == (0, 128)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab é€😀\x02\x03", max_size=24), st.sampled_from([(1, 2, 3), (2,), (3, 1)]))
+    @example("", (1, 2, 3))
+    @example("\x02\x03é€😀", (1, 2, 3))
+    def test_counts_match_per_gram_hashing(self, text, orders):
+        # bypass the sentence cache; the gram tables persist across examples
+        for dim in (1 << 16, 7):
+            idx, val = classifier_module._hashed_counts.__wrapped__(text, orders, dim)
+            ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
+            assert idx.tolist() == ref_idx.tolist()  # order included
+            assert val.tolist() == ref_val.tolist()
+
+    def test_gram_table_cap(self, monkeypatch):
+        monkeypatch.setattr(classifier_module, "_GRAM_TABLE_CAP", 3)
+        monkeypatch.setattr(classifier_module, "_GRAM_TABLES", {})
+        text = "abcabd é"
+        idx, val = classifier_module._hashed_counts.__wrapped__(text, (1, 2, 3), 4096)
+        ref_idx, ref_val = reference_hashed_counts(text, (1, 2, 3), 4096)
+        assert idx.tolist() == ref_idx.tolist() and val.tolist() == ref_val.tolist()
+        assert len(classifier_module._GRAM_TABLES[4096]) <= 3
 
 
 class TestTraining:
@@ -100,7 +128,7 @@ def clf():
 class TestMixtureGradient:
     def test_one_hot_equals_single_candidate(self, clf):
         cands = ["the movie was good", "the movie was bxd", "awful pace"]
-        F = clf.features(cands)
+        F = clf.features(cands) @ clf.weights.T
         for i, cand in enumerate(cands):
             u = np.zeros(len(cands))
             u[i] = 1.0
@@ -108,7 +136,7 @@ class TestMixtureGradient:
             assert loss == pytest.approx(cw_loss(clf.logits([cand])[0].tolist(), 1), abs=1e-9)
 
     def test_single_candidate(self, clf):
-        F = clf.features(["whatever text"])
+        F = clf.features(["whatever text"]) @ clf.weights.T
         loss, grad = mixture_loss_and_grad(clf, F, np.array([1.0]), 0)
         assert grad.shape == (1,)
 
@@ -119,7 +147,7 @@ class TestMixtureGradient:
         for _ in range(100):
             m = int(rng.integers(2, 7))
             cands = list(rng.choice(texts, size=m, replace=False))
-            F = clf.features(cands)
+            F = clf.features(cands) @ clf.weights.T
             u = rng.dirichlet(np.ones(m))
             y = int(rng.integers(0, 2))
             _, grad = mixture_loss_and_grad(clf, F, u, y)
@@ -130,7 +158,23 @@ class TestMixtureGradient:
             worst = max(worst, float(np.max(np.abs(grad - fd)) / denom))
         assert worst < 1e-5
 
+    def test_matches_feature_row_formula(self, clf):
+        rng = np.random.default_rng(7)
+        texts = [r.text for r in make_keyword_corpus(30, seed=9)] + ["", "é€😀"]
+        for _ in range(100):
+            m = int(rng.integers(1, 9))
+            F = clf.features(list(rng.choice(texts, size=m, replace=False)))
+            u = rng.dirichlet(np.ones(m))
+            y = int(rng.integers(0, 2))
+            loss, grad = mixture_loss_and_grad(clf, F @ clf.weights.T, u, y)
+            ref_loss, ref_grad = feature_mixture_loss_and_grad(clf, F, u, y)
+            assert abs(loss - ref_loss) <= 1e-12 * max(abs(ref_loss), 1.0)
+            scale = max(float(np.max(np.abs(ref_grad))), 1.0)
+            assert float(np.max(np.abs(grad - ref_grad))) <= 1e-12 * scale
+
     def test_dimension_mismatch(self, clf):
         F = clf.features(["abc", "def"])
         with pytest.raises(OracleError):
-            mixture_loss_and_grad(clf, F, np.array([1.0]), 0)
+            mixture_loss_and_grad(clf, F @ clf.weights.T, np.array([1.0]), 0)
+        with pytest.raises(OracleError):  # feature rows, not logit rows
+            mixture_loss_and_grad(clf, F, np.array([0.5, 0.5]), 0)

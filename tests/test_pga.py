@@ -109,3 +109,6 @@ class TestPgaAttack:
             PgaConfig(step_size=0.0)
         with pytest.raises(ValueError):
             PgaConfig(iterations=0)
+        for bad in (dict(candidate_cap=0), dict(candidate_cap=-3), dict(k=0), dict(k=-1)):
+            with pytest.raises(ValueError):
+                PgaConfig(**bad)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from charmer.sentence import (
     XI,
+    _ball_lower_bound,
     Alphabet,
     BallBudgetError,
     SentenceError,
@@ -171,6 +172,34 @@ class TestBall:
     def test_budget_refusal(self):
         with pytest.raises(BallBudgetError):
             enumerate_ball("abab", Alphabet(tuple("abcd")), 3, budget=100)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(alphabet="abcé", max_size=4),
+        st.sampled_from(["a", "ab", "abc", "b"]),
+        st.integers(min_value=1, max_value=3),
+    )
+    @example("", "a", 3)
+    @example("éé", "ab", 2)
+    @example("abca", "abc", 3)
+    def test_lower_bound_and_exact_budget(self, s, chars, k):
+        # characters outside Γ ("c" for small alphabets, "é" always) included
+        alphabet = Alphabet(tuple(chars))
+        ball = enumerate_ball(s, alphabet, k, budget=10**9)
+        assert _ball_lower_bound(s, alphabet, k) <= len(ball)
+        assert enumerate_ball(s, alphabet, k, budget=len(ball)) == ball
+        with pytest.raises(BallBudgetError):
+            enumerate_ball(s, alphabet, k, budget=len(ball) - 1)
+
+    def test_overflow_before_enumeration(self):
+        # a bench-sized pga ball: the bound alone exceeds pga's budget
+        alphabet = Alphabet(tuple("abcdefghijklmnopqrstuvw "))
+        s = "the movie was good and fun"
+        assert _ball_lower_bound(s, alphabet, 2) > 200_000
+        with pytest.raises(BallBudgetError):
+            enumerate_ball(s, alphabet, 2, budget=200_000)
+        with pytest.raises(SentenceError):
+            enumerate_ball("a" + XI, alphabet, 2, budget=0)
 
 
 class TestBallSizeBounds:
