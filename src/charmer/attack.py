@@ -66,6 +66,10 @@ class AttackConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be >= 1")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if self.segment_preselect is not None and self.segment_preselect < 1:
+            raise ValueError("segment_preselect must be >= 1")
 
 
 @dataclass
@@ -244,7 +248,7 @@ def select_positions(
         single_edit(s, i, XI if i % 2 == 0 and s[i // 2 - 1] == test_char else test_char)
         for i in idxs
     ]
-    losses = [cw_loss(row, y) for row in oracle.score_batch(probes)]
+    losses = [cw_loss(row, y) for row in oracle.score_near(probes, s)]
     order = sorted(range(len(idxs)), key=lambda j: (-losses[j], idxs[j]))
     return [idxs[j] for j in order[:n]]
 
@@ -269,7 +273,7 @@ def preselect_segments(
     if len(spans) <= m:
         return set(range(1, 2 * len(s) + 2))
     masked = [s[: a - 1] + test_char + s[b:] for a, b in spans]
-    losses = [cw_loss(row, y) for row in oracle.score_batch(masked)]
+    losses = [cw_loss(row, y) for row in oracle.score_near(masked, s)]
     order = sorted(range(len(spans)), key=lambda j: (-losses[j], j))
     allowed: set[int] = set()
     for j in order[:m]:
@@ -314,7 +318,7 @@ def _greedy_attack(
             break
         if not budget_allows(len(edits)):
             break
-        losses = [cw_loss(row, y) for row in counting.score_batch([c for c, _, _ in edits])]
+        losses = [cw_loss(row, y) for row in counting.score_near([c for c, _, _ in edits], cur)]
         j = max(range(len(losses)), key=lambda idx: (losses[idx], -idx))
         chosen, pos, char = edits[j]
         history.record(cur, pos, char, chosen)
@@ -367,7 +371,7 @@ def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Attac
     counting = CountingOracle(oracle)
     start = time.perf_counter()
     neighbors = generate_neighbors(s, config.alphabet)
-    losses = [cw_loss(row, y) for row in counting.score_batch(neighbors)]
+    losses = [cw_loss(row, y) for row in counting.score_near(neighbors, s)]
     j = max(range(len(losses)), key=lambda idx: (losses[idx], -idx))
     return AttackOutcome(
         original=s,

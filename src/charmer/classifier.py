@@ -5,6 +5,15 @@ feature rows, which is what the projected-gradient attack relaxation needs.
 Sentences are conceptually padded with boundary markers at both ends before
 n-gram extraction. Hashing uses CRC32 so the feature map is stable across
 runs and machines; the persisted model format pins orders and dimension.
+
+Training runs in float. Scoring is exact: the weights are rounded once to
+fixed point, ``Wq = rint(W·2^s)`` and ``bq = rint(b·2^s)`` in int64, and the
+logits are ``(X·Wq + bq) / 2^s``. Integer sums do not depend on the order of
+their terms, so two sentences with the same n-gram multiset get bit-equal
+logits, and a sentence scored from the difference of its n-grams with a
+nearby one gets the same logits as when scored from scratch. ``s`` is the
+largest scale at which ``_MAX_GRAMS`` weights and the bias cannot overflow
+int64; a longer row raises ``OracleError``.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -27,22 +36,44 @@ FORMAT_VERSION = 1
 _BOUNDARY_LEFT = "\x02"
 _BOUNDARY_RIGHT = "\x03"
 
+# grams one scored row may hold; fixes the fixed-point scale of the weights
+_MAX_GRAMS = 1 << 14
+# orders up to this are packed into one int64 key, 21 bits per code point + 1
+_PACKED_ORDER = 3
+_CODE_BITS = 21
+# rows featurized together; bounds the memory of a large candidate set
+_CHUNK_ROWS = 512
+# a row whose changed middle is wider than this is scored from scratch
+_DELTA_WIDTH = 8
+
+
+def _unpack(key: int) -> str:
+    """The gram a packed key stands for (see ``packed_feature_matrix``)."""
+    chars = []
+    while key:
+        chars.append(chr((key & ((1 << _CODE_BITS) - 1)) - 1))
+        key >>= _CODE_BITS
+    return "".join(chars)
+
 
 class _GramHashes(dict):
     """Feature index of each n-gram for one feature width, hashed on first use.
 
-    The n-gram order is the gram's length, so the salt is ``len(gram)``. The
-    table is cleared when it reaches ``_GRAM_TABLE_CAP`` entries.
+    A gram is looked up as its string or, for orders up to ``_PACKED_ORDER``,
+    as its packed key. The n-gram order is the gram's length, so the salt is
+    ``len(gram)``. The table is cleared when it reaches ``_GRAM_TABLE_CAP``
+    entries.
     """
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, gram: str) -> int:
+    def __missing__(self, gram) -> int:
         if len(self) >= _GRAM_TABLE_CAP:
             self.clear()
-        h = self[gram] = zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % self.dim
+        text = gram if isinstance(gram, str) else _unpack(gram)
+        h = self[gram] = zlib.crc32(text.encode("utf-8") + bytes([len(text)])) % self.dim
         return h
 
 
@@ -50,12 +81,18 @@ _GRAM_TABLE_CAP = 1 << 16
 _GRAM_TABLES: dict[int, _GramHashes] = {}
 
 
-@lru_cache(maxsize=1 << 12)
-def _hashed_counts(text: str, orders: tuple[int, ...], dim: int):
-    padded = _BOUNDARY_LEFT + text + _BOUNDARY_RIGHT
+def _gram_table(dim: int) -> _GramHashes:
     table = _GRAM_TABLES.get(dim)
     if table is None:
         table = _GRAM_TABLES[dim] = _GramHashes(dim)
+    return table
+
+
+@lru_cache(maxsize=1 << 12)
+def _hashed_counts(text: str, orders: tuple[int, ...], dim: int):
+    """Hashed n-gram counts of one sentence, in first-occurrence order."""
+    padded = _BOUNDARY_LEFT + text + _BOUNDARY_RIGHT
+    table = _gram_table(dim)
     grams = [padded[i : i + n] for n in orders for i in range(len(padded) - n + 1)]
     counts = Counter(map(table.__getitem__, grams))  # keys in first-occurrence order
     idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
@@ -64,7 +101,11 @@ def _hashed_counts(text: str, orders: tuple[int, ...], dim: int):
 
 
 def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram count rows for a batch of sentences, one row each."""
+    """Hashed n-gram count rows for a batch of sentences, one row each.
+
+    Each row lists its features in first-occurrence order, which fixes the
+    float summation order of training.
+    """
     indptr = [0]
     indices: list[np.ndarray] = []
     data: list[np.ndarray] = []
@@ -81,6 +122,84 @@ def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> s
     )
 
 
+def _padded_codes(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of the padded sentences, concatenated, and their lengths."""
+    joined = _BOUNDARY_LEFT + (_BOUNDARY_RIGHT + _BOUNDARY_LEFT).join(texts) + _BOUNDARY_RIGHT
+    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4").view(np.int32)
+    lens = np.fromiter((len(t) + 2 for t in texts), dtype=np.int64, count=len(texts))
+    return (codes if len(texts) else codes[:0]), lens
+
+
+def _gram_keys(codes: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
+    """Packed keys of the order-``n`` grams of ``codes`` that start at ``at``."""
+    keys = codes[at].astype(np.int64) + 1
+    for j in range(1, n):
+        keys |= (codes[at + j].astype(np.int64) + 1) << (_CODE_BITS * j)
+    return keys
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``first[k], ..., first[k] + count[k] - 1`` for every k, concatenated."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - count - first, count)
+
+
+def _hash_keys(keys: np.ndarray, dim: int) -> np.ndarray:
+    """Feature index of each packed key; each distinct key is looked up once."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    table = _gram_table(dim)
+    hashes = np.fromiter(map(table.__getitem__, uniq.tolist()), dtype=np.int64, count=len(uniq))
+    return hashes[inverse]
+
+
+def packed_feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
+    """Hashed n-gram counts of a batch as int64 rows, one entry per gram.
+
+    Grams of orders up to ``_PACKED_ORDER`` are packed into one int64 key
+    each, ``_CODE_BITS`` bits per code point plus one, so that no two grams
+    of any orders share a key; each distinct key of the batch is hashed once.
+    Higher orders go through ``_hashed_counts``. Rows may repeat a column;
+    repeats add up.
+    """
+    texts = list(texts)
+    low = [n for n in orders if n <= _PACKED_ORDER]
+    high = tuple(n for n in orders if n > _PACKED_ORDER)
+    codes, lens = _padded_codes(texts)
+    pos = np.arange(len(codes))
+    row_end = np.repeat(np.cumsum(lens), lens)
+    keys = np.zeros((len(codes), len(low)), dtype=np.int64)
+    valid = np.zeros(keys.shape, dtype=bool)
+    for col, n in enumerate(low):
+        valid[:, col] = pos + n <= row_end
+        at = np.nonzero(valid[:, col])[0]
+        keys[at, col] = _gram_keys(codes, at, n)
+    per_row = sum((np.maximum(lens - n + 1, 0) for n in low), np.zeros(len(texts), dtype=np.int64))
+    X = sparse.csr_matrix(
+        (
+            np.ones(int(per_row.sum()), dtype=np.int64),
+            _hash_keys(keys[valid], dim),  # grouped by position, so by row
+            np.concatenate(([0], np.cumsum(per_row))),
+        ),
+        shape=(len(texts), dim),
+    )
+    if high:
+        X = X + feature_matrix(texts, high, dim).astype(np.int64)
+    return X
+
+
+def _scale_bits(weights: np.ndarray, bias: np.ndarray) -> int:
+    """The largest ``s`` at which ``_MAX_GRAMS`` weights and the bias sum in int64."""
+    top = max(float(np.max(np.abs(weights), initial=0.0)), float(np.max(np.abs(bias), initial=0.0)))
+    if not np.isfinite(top):
+        raise OracleError("classifier weights must be finite")
+    if top == 0.0:
+        return 0
+    s = int(np.floor(np.log2((2.0**63 - 1) / (_MAX_GRAMS + 1) / top)))
+    while (_MAX_GRAMS + 1) * int(np.rint(np.ldexp(top, s))) > 2**63 - 1:
+        s -= 1
+    return s
+
+
 @dataclass
 class BuiltinClassifier:
     ngram_orders: tuple[int, ...]
@@ -88,16 +207,115 @@ class BuiltinClassifier:
     weights: np.ndarray  # (num_classes, feature_dim)
     bias: np.ndarray  # (num_classes,)
 
+    def __post_init__(self):
+        # the fixed-point copy scoring uses; the float weights are not read again
+        self.scale_bits: int = _scale_bits(self.weights, self.bias)
+        self._wq_t = np.ascontiguousarray(np.rint(np.ldexp(self.weights.T, self.scale_bits)).astype(np.int64))
+        self._bq = np.rint(np.ldexp(self.bias, self.scale_bits)).astype(np.int64)
+        self._max_chars = self._longest_row()
+        self._packed = all(n <= _PACKED_ORDER for n in self.ngram_orders)  # delta needs packed keys
+
+    def _longest_row(self) -> int:
+        """The longest sentence whose padded n-grams number at most ``_MAX_GRAMS``."""
+        lo, hi = 0, _MAX_GRAMS + max(self.ngram_orders, default=0)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if sum(max(0, mid + 3 - n) for n in self.ngram_orders) <= _MAX_GRAMS:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
     @property
     def num_classes(self) -> int:
         return self.weights.shape[0]
 
     def features(self, texts: Sequence[str]) -> sparse.csr_matrix:
-        return feature_matrix(texts, self.ngram_orders, self.feature_dim)
+        """Hashed n-gram counts, int64, one row per sentence (``packed_feature_matrix``)."""
+        return packed_feature_matrix(texts, self.ngram_orders, self.feature_dim)
 
-    def logits(self, texts: Sequence[str]) -> np.ndarray:
-        X = self.features(texts)
-        return X @ self.weights.T + self.bias
+    def logits(self, texts: Sequence[str], base: Optional[str] = None) -> np.ndarray:
+        """Exact logits ``(X·Wq + bq) / 2^s``, one row per sentence.
+
+        ``base`` is a hint and never changes the result: a sentence that
+        differs from it only in a middle of at most ``_DELTA_WIDTH``
+        characters is scored as the base's integer logits plus its n-grams
+        that overlap that middle, minus the base's.
+        """
+        Z = self._integer_logits(list(texts), base) + self._bq
+        return np.ldexp(Z.astype(np.float64), -self.scale_bits)
+
+    def candidate_logits(self, texts: Sequence[str]) -> np.ndarray:
+        """Exact logit rows without the bias, ``X·Wq / 2^s``, for mixtures."""
+        return np.ldexp(self._integer_logits(list(texts)).astype(np.float64), -self.scale_bits)
+
+    def _integer_logits(self, texts: list[str], base: Optional[str] = None) -> np.ndarray:
+        """``X·Wq`` in int64; rows far from ``base`` are featurized
+        ``_CHUNK_ROWS`` at a time."""
+        longest = max(map(len, texts), default=0)
+        if longest > self._max_chars:
+            raise OracleError(
+                f"a sentence of {longest} characters exceeds the scoring bound of "
+                f"{self._max_chars} characters ({_MAX_GRAMS} n-grams)"
+            )
+        Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
+        far = np.arange(len(texts))
+        if base is not None and texts and self._packed and len(base) <= self._max_chars:
+            far = self._delta_logits(texts, base, Z)
+        for start in range(0, len(far), _CHUNK_ROWS):
+            rows = far[start : start + _CHUNK_ROWS]
+            Z[rows] = self.features([texts[r] for r in rows]) @ self._wq_t
+        return Z
+
+    def _delta_logits(self, texts: list[str], base: str, Z: np.ndarray) -> np.ndarray:
+        """Fill the rows of ``Z`` near ``base`` (bias excluded); return the others.
+
+        Works on the padded sentences. A row's common prefix and suffix with
+        the padded base leave a middle of ``mt`` codes in the row and ``mb``
+        in the base; grams that overlap neither middle, or that span the gap
+        a zero-width middle leaves, are the same in both. int64 sums wrap
+        modulo 2^64 and each finished row fits, so partial sums may overflow
+        without changing the result.
+        """
+        # rows sorted by length, so that each length is one (rows, length) block
+        order = np.argsort(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)), kind="stable")
+        codes, lens = _padded_codes([texts[r] for r in order])
+        bcodes, (lb,) = _padded_codes([base])
+        starts = np.cumsum(lens) - lens
+        pre, suf = np.zeros_like(lens), np.zeros_like(lens)
+        for width in np.unique(lens[np.abs(lens - lb) <= _DELTA_WIDTH]).tolist():
+            group = np.flatnonzero(lens == width)
+            block = codes[starts[group[0]] : starts[group[-1]] + width].reshape(len(group), width)
+            m = min(width, lb)
+            same = block[:, :m] == bcodes[:m]
+            pre[group] = np.where(same.all(axis=1), m, same.argmin(axis=1))
+            same = block[:, ::-1][:, :m] == bcodes[::-1][:m]
+            suf[group] = np.minimum(np.where(same.all(axis=1), m, same.argmin(axis=1)), m - pre[group])
+        mt, mb = lens - pre - suf, lb - pre - suf
+        near = np.nonzero(np.maximum(mt, mb) <= _DELTA_WIDTH)[0]
+        pre, mt, mb = pre[near], mt[near], mb[near]
+        keys, rows, signs = [], [], []
+        for n in self.ngram_orders:
+            first = np.maximum(pre + 1 - n, 0)
+            for src, offset, length, m, sign in (
+                (codes, starts[near], lens[near], mt, 1),
+                (bcodes, 0, lb, mb, -1),
+            ):
+                count = np.maximum(np.minimum(length - n, pre + m - 1) - first + 1, 0)
+                keys.append(_gram_keys(src, _ranges(offset + first, count), n))
+                rows.append(np.repeat(near, count))
+                signs.append(np.full(int(count.sum()), sign, dtype=np.int64))
+        idx, val = _hashed_counts(base, self.ngram_orders, self.feature_dim)
+        delta = np.zeros_like(Z)
+        np.add.at(
+            delta,
+            np.concatenate(rows),
+            self._wq_t[_hash_keys(np.concatenate(keys), self.feature_dim)] * np.concatenate(signs)[:, None],
+        )
+        Z[order[near]] = val.astype(np.int64) @ self._wq_t[idx] + delta[near]
+        far = np.ones(len(texts), dtype=bool)
+        far[near] = False
+        return order[far]
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         if not len(texts):
@@ -218,8 +436,17 @@ class BuiltinOracle(Oracle):
         self.classifier = classifier
         self.num_classes = classifier.num_classes
         self.batch_limit = batch_limit
+        self._base: Optional[str] = None  # the hint of the score_near call in flight
+
+    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+        # through score_batch, so that every batch still passes that one method
+        self._base = base
+        try:
+            return self.score_batch(sentences)
+        finally:
+            self._base = None
 
     def _score_chunk(self, sentences: list[str]) -> list[list[float]]:
         if not sentences:
             return []
-        return self.classifier.logits(sentences).tolist()
+        return self.classifier.logits(sentences, self._base).tolist()

@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -45,6 +46,9 @@ REPORT_SCHEMA = 1
 
 class DatasetError(ValueError):
     pass
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass
@@ -88,10 +92,15 @@ def load_dataset(
             raise DatasetError(f"{where}: missing required field 'text'")
         if "label" not in obj or obj.get("label") in (None, ""):
             raise DatasetError(f"{where}: missing required field 'label'")
-        try:
-            label = int(obj["label"])
-        except (TypeError, ValueError):
-            raise DatasetError(f"{where}: label {obj['label']!r} is not an integer")
+        raw = obj["label"]
+        # a JSON integer (bool is an int subclass, 1.7 a float) or a string
+        # of digits, as every CSV field is
+        if type(raw) is int:
+            label = raw
+        elif isinstance(raw, str) and _INTEGER.fullmatch(raw):
+            label = int(raw)
+        else:
+            raise DatasetError(f"{where}: label {raw!r} is not an integer")
         if label < 0:
             raise DatasetError(f"{where}: label must be a nonnegative class index")
         text, was_truncated = _clean_text(str(obj["text"]), l_max, where)

@@ -56,6 +56,16 @@ class Oracle:
             out.extend(self._score_chunk(sentences[start : start + self.batch_limit]))
         return out
 
+    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+        """``score_batch(sentences)``, with ``base`` as a hint.
+
+        The attack passes the sentence its batch was edited from. An oracle
+        may use it to score faster, but the result must equal
+        ``score_batch(sentences)`` bit for bit whatever ``base`` is; the
+        score of ``base`` itself is not asked for.
+        """
+        return self.score_batch(sentences)
+
     def _score_chunk(self, sentences: list[str]) -> list[list[float]]:
         raise NotImplementedError
 
@@ -73,6 +83,11 @@ class CountingOracle(Oracle):
         sentences = list(sentences)
         self.queries += len(sentences)
         return self.inner.score_batch(sentences)
+
+    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+        sentences = list(sentences)
+        self.queries += len(sentences)  # the hint is not a query
+        return self.inner.score_near(sentences, base)
 
 
 class PairedOracle(Oracle):
@@ -92,3 +107,7 @@ class PairedOracle(Oracle):
     def score_batch(self, sentences: Sequence[str]) -> list[list[float]]:
         prefix = self.premise + self.separator
         return self.inner.score_batch([prefix + s for s in sentences])
+
+    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+        prefix = self.premise + self.separator
+        return self.inner.score_near([prefix + s for s in sentences], prefix + base)

@@ -108,7 +108,7 @@ def pga_attack(
             s, alphabet, config.k, config.candidate_cap, config.seed
         )
     m = len(candidates)
-    logit_rows = classifier.features(candidates) @ classifier.weights.T
+    logit_rows = classifier.candidate_logits(candidates)
 
     u = np.full(m, 1.0 / m)
     trace: list[TraceStep] = []

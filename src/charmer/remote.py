@@ -7,6 +7,7 @@ per input sentence. No retries by default so query counts stay honest.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import requests
@@ -37,6 +38,19 @@ def _is_score(v) -> bool:
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
+def _environment_session(url: str) -> requests.Session:
+    """A session with the environment's proxies, CA bundle and netrc login
+    for ``url`` read once, instead of on every request."""
+    session = requests.Session()
+    session.proxies.update(requests.utils.get_environ_proxies(url))
+    ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if ca_bundle:
+        session.verify = ca_bundle
+    session.auth = requests.utils.get_netrc_auth(url)
+    session.trust_env = False
+    return session
+
+
 class RemoteOracle(Oracle):
     def __init__(
         self,
@@ -55,7 +69,7 @@ class RemoteOracle(Oracle):
         self.batch_limit = batch_limit
         self.retries = retries
         self.timeout = timeout
-        self.session = session or requests.Session()
+        self.session = session if session is not None else _environment_session(url)
 
     def _post(self, body: dict):
         last_exc = None

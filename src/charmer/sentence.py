@@ -66,18 +66,44 @@ class Alphabet:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Minimum number of single-character insertions, deletions and replacements."""
+    """Minimum number of single-character insertions, deletions and replacements.
+
+    Bit-parallel: Myers (J. ACM 1999) in Hyyrö's (2001) edit-distance form.
+    After the common prefix and suffix are cut off, each column of the DP
+    table over the longer string is one Python int of vertical deltas, and
+    one step per character of the shorter string advances it.
+    """
     if len(a) < len(b):
         a, b = b, a
+    p = 0
+    while p < len(b) and a[p] == b[p]:
+        p += 1
+    q = 0
+    while q < len(b) - p and a[-1 - q] == b[-1 - q]:
+        q += 1
+    a, b = a[p : len(a) - q], b[p : len(b) - q]
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    top = 1 << (len(a) - 1)
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def expand(s: str) -> str:

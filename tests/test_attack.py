@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from charmer.attack import (
@@ -13,8 +16,10 @@ from charmer.attack import (
     select_positions,
     word_spans,
 )
+from charmer.classifier import BuiltinClassifier, BuiltinOracle
 from charmer.oracle import Oracle, cw_loss
-from charmer.sentence import XI, Alphabet, levenshtein, single_edit
+from charmer.sentence import XI, Alphabet, generate_neighbors, levenshtein, single_edit
+from reference import reference_hashed_counts
 
 ALPHA_AB = Alphabet(("a", "b"))
 
@@ -347,3 +352,47 @@ class TestEquivalenceAndBaselines:
             AttackConfig(alphabet=desk_alphabet, n=0)
         with pytest.raises(ValueError):
             AttackConfig(alphabet=desk_alphabet, k=0)
+
+    @pytest.mark.parametrize(
+        "fields", [{"budget": -5}, {"budget": 0}, {"segment_preselect": 0}, {"budget": -5, "segment_preselect": 0}]
+    )
+    def test_budget_and_segments_must_be_positive(self, desk_alphabet, fields):
+        with pytest.raises(ValueError):
+            AttackConfig(alphabet=desk_alphabet, **fields)
+        AttackConfig(alphabet=desk_alphabet, budget=1, segment_preselect=1)
+
+
+class TestExactTies:
+    """Equal n-gram multisets tie exactly, and the lowest index wins."""
+
+    SENTENCE = "abcab cabca bcabc"
+    ALPHABET = Alphabet(tuple("abcxyz "))
+
+    @staticmethod
+    def exact_losses(weights, bias, texts, y):
+        # exact rational sums of the float weights, independent of the classifier
+        out = []
+        for t in texts:
+            idx, val = reference_hashed_counts(t, (1,), weights.shape[1])
+            z = [
+                sum((Fraction(float(w)) * int(v) for w, v in zip(weights[c, idx], val)), Fraction(float(bias[c])))
+                for c in range(2)
+            ]
+            out.append(z[1 - y] - z[y])
+        return out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lowest_index_wins(self, seed):
+        rng = np.random.default_rng(seed)
+        weights, bias = rng.normal(size=(2, 64)), rng.normal(size=2)
+        oracle = BuiltinOracle(BuiltinClassifier((1,), 64, weights, bias))
+        s, y = self.SENTENCE, 1
+        neighbors = generate_neighbors(s, self.ALPHABET)
+        losses = self.exact_losses(weights, bias, neighbors, y)
+        best = max(losses)
+        tied = [j for j, v in enumerate(losses) if v == best]
+        assert len(tied) >= 2  # a real tie between distinct sentences
+        expected = neighbors[tied[0]]
+        config = AttackConfig(alphabet=self.ALPHABET, n=2 * len(s) + 1, k=1)
+        assert exhaustive_k1(oracle, s, y, config).adversarial == expected
+        assert charmer_attack(oracle, s, y, config).adversarial == expected

@@ -1,3 +1,6 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +14,10 @@ from charmer.classifier import (
     TrainConfig,
     feature_matrix,
     mixture_loss_and_grad,
+    packed_feature_matrix,
     train_builtin,
 )
-from charmer.oracle import OracleError, cw_loss
+from charmer.oracle import OracleError, PairedOracle, cw_loss
 from charmer.synth import make_keyword_corpus
 from reference import (
     central_difference_gradient,
@@ -47,6 +51,27 @@ class TestFeatures:
             ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
             assert idx.tolist() == ref_idx.tolist()  # order included
             assert val.tolist() == ref_val.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ab é€😀\x02\x03", max_size=24), max_size=5),
+        st.sampled_from([(1, 2, 3), (2,), (3, 1), (4, 2), (1, 5)]),
+    )
+    @example([], (1, 2, 3))
+    @example(["", "\x02\x03é€😀", "a"], (1, 2, 3))
+    def test_packed_rows_match_per_gram_hashing(self, texts, orders):
+        for dim in (1 << 16, 7):
+            X = packed_feature_matrix(texts, orders, dim)
+            assert X.shape == (len(texts), dim) and X.dtype == np.int64
+            for i, text in enumerate(texts):
+                row = X[i]
+                packed = Counter()
+                for col, count in zip(row.indices.tolist(), row.data.tolist()):
+                    packed[col] += count
+                idx, val = classifier_module._hashed_counts.__wrapped__(text, orders, dim)
+                ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
+                assert packed == Counter(dict(zip(idx.tolist(), val.tolist())))
+                assert packed == Counter(dict(zip(ref_idx.tolist(), ref_val.tolist())))
 
     def test_gram_table_cap(self, monkeypatch):
         monkeypatch.setattr(classifier_module, "_GRAM_TABLE_CAP", 3)
@@ -178,3 +203,130 @@ class TestMixtureGradient:
             mixture_loss_and_grad(clf, F @ clf.weights.T, np.array([1.0]), 0)
         with pytest.raises(OracleError):  # feature rows, not logit rows
             mixture_loss_and_grad(clf, F, np.array([0.5, 0.5]), 0)
+
+
+def _edit(text, i, c, op):
+    """One replacement, insertion or deletion at character ``i``."""
+    i = min(i, len(text))
+    if op == 0 and i < len(text):
+        return text[:i] + c + text[i + 1 :]
+    if op == 1:
+        return text[:i] + c + text[i:]
+    return text[:i] + text[i + 1 :]
+
+
+chars = st.text(alphabet="ab é€😀", max_size=12)
+edits = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from("ab é😀x"), st.integers(0, 2)), max_size=3
+)
+
+
+class TestExactLogits:
+    @settings(max_examples=200, deadline=None)
+    @given(chars, st.text(alphabet="ab é€😀", min_size=5, max_size=12), chars, chars, st.data())
+    def test_equal_gram_multisets_give_equal_logits(self, clf, head, dup, mid, tail, data):
+        # two edited copies of a duplicated substring, swapped between the
+        # copies: the edits stay two characters inside it, so the n-gram
+        # multisets of the two sentences are equal
+        inner = dup[2:-2]
+        variants = []
+        for _ in range(2):
+            v = inner
+            for i, c, op in data.draw(edits):
+                v = _edit(v, i, c, op)
+            variants.append(dup[:2] + v + dup[-2:])
+        one = head + variants[0] + mid + variants[1] + tail
+        two = head + variants[1] + mid + variants[0] + tail
+        assert Counter(reference_gram_list(one)) == Counter(reference_gram_list(two))
+        rows = clf.logits([one, two])
+        assert rows[0].tobytes() == rows[1].tobytes()
+        base = head + dup + mid + dup + tail
+        assert clf.logits([one, two], base).tobytes() == rows.tobytes()
+
+    def test_integer_logits_close_to_float(self, clf):
+        texts = [r.text for r in make_keyword_corpus(20, seed=4)] + ["", "é€😀"]
+        exact = clf.logits(texts)
+        floating = clf.features(texts) @ clf.weights.T + clf.bias
+        assert float(np.max(np.abs(exact - floating))) < 1e-11
+
+    @pytest.mark.parametrize("orders", [(1,), (1, 2, 3)])
+    def test_longest_row_is_exact_and_one_gram_more_raises(self, orders):
+        dim, top = 8, 2.2
+        weights = np.array([[top] * dim, [-top] * dim])
+        model = BuiltinClassifier(ngram_orders=orders, feature_dim=dim, weights=weights, bias=np.array([top, -top]))
+        s = model.scale_bits
+        wq = int(np.rint(np.ldexp(top, s)))
+        assert (classifier_module._MAX_GRAMS + 1) * wq <= 2**63 - 1 < (classifier_module._MAX_GRAMS + 1) * 2 * wq
+
+        def grams(length):  # padded n-grams of a sentence of this length
+            return sum(max(0, length + 3 - n) for n in orders)
+
+        bound = classifier_module._MAX_GRAMS
+        longest = max(length for length in range(bound) if grams(length) <= bound)
+        text = "a" * longest
+        total = grams(longest) * wq + wq
+        expected = [float(Fraction(total, 2**s)), float(Fraction(-total, 2**s))]
+        assert model.logits([text]).tolist() == [expected]
+        assert model.logits([text], base=text[:-1]).tolist() == [expected]
+        if orders == (1,):
+            assert grams(longest) == bound
+        with pytest.raises(OracleError):
+            model.logits([text + "a"])
+        with pytest.raises(OracleError):
+            model.logits([text + "a"], base=text)
+        with pytest.raises(OracleError):
+            model.candidate_logits([text + "a"])
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(OracleError):
+            BuiltinClassifier((1,), 4, np.array([[np.nan] * 4, [0.0] * 4]), np.zeros(2))
+
+
+def reference_gram_list(text, orders=(1, 2, 3)):
+    padded = "\x02" + text + "\x03"
+    return [padded[i : i + n] for n in orders for i in range(len(padded) - n + 1)]
+
+
+class TestScoreNear:
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet="ab é€😀", max_size=40), st.lists(edits, max_size=6), st.data())
+    def test_equals_score_batch_for_any_base(self, clf, s, row_edits, data):
+        rows = []
+        for steps in row_edits:
+            t = s
+            for i, c, op in steps:
+                t = _edit(t, i, c, op)
+            rows.append(t)
+        rows += [s, "", "an unrelated sentence"]
+        bases = [s, rows[0], "", "zzzz", s * 3]
+        oracles = [BuiltinOracle(clf), PairedOracle(BuiltinOracle(clf), premise=data.draw(chars))]
+        for oracle in oracles:
+            full = np.array(oracle.score_batch(rows))
+            for base in bases:
+                near = np.array(oracle.score_near(rows, base))
+                assert near.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 32, 256, 1024])
+    def test_equals_score_batch_at_every_length(self, clf, length):
+        rng = np.random.default_rng(length)
+
+        def pick(k):
+            return "".join(rng.choice(list("ab é😀"), size=k))
+
+        s = pick(length)
+        rows = []
+        for _ in range(60):
+            t = s
+            for _ in range(int(rng.integers(0, 4))):
+                t = _edit(t, int(rng.integers(0, length + 1)), pick(1), int(rng.integers(0, 3)))
+            rows.append(t)
+        rows += [pick(length), pick(3)]
+        oracle = BuiltinOracle(clf)
+        assert np.array(oracle.score_near(rows, s)).tobytes() == np.array(oracle.score_batch(rows)).tobytes()
+
+    def test_chunks_keep_the_hint(self, clf):
+        s = "the movie was good " * 4
+        rows = [s[:i] + "x" + s[i + 1 :] for i in range(len(s))]
+        limited = BuiltinOracle(clf, batch_limit=7)
+        assert limited.score_near(rows, s) == BuiltinOracle(clf).score_batch(rows)
+        assert limited._base is None

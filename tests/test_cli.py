@@ -110,6 +110,17 @@ class TestRun:
         )
         assert report["counts"]["total"] == 20
 
+    def test_bad_label_exits_1(self, model_path, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"text": "a good movie", "label": 1e400}\n')
+        assert main(["run", "--dataset", str(data), "--oracle", f"builtin:{model_path}"]) == 1
+        assert "bad.jsonl:1" in capsys.readouterr().err
+
+    def test_negative_budget_exits_1(self, eval_path, model_path, capsys):
+        code = main(["run", "--dataset", str(eval_path), "--oracle", f"builtin:{model_path}", "--budget", "-5"])
+        assert code == 1
+        assert "budget" in capsys.readouterr().err
+
     def test_bad_oracle_spec_exits_1(self, eval_path):
         assert main(["run", "--dataset", str(eval_path), "--oracle", "ftp://x"]) == 1
 

@@ -70,6 +70,10 @@ class TestLoadJsonl:
             ({"text": "a", "label": -1}, "nonnegative"),
             ({"text": "a" + XI, "label": 0}, "reserved"),
             ({"id": "0", "text": "a", "label": 0}, "duplicate"),
+            ({"text": "a", "label": 1.7}, "not an integer"),
+            ({"text": "a", "label": 1.0}, "not an integer"),
+            ({"text": "a", "label": True}, "not an integer"),
+            ({"text": "a", "label": False}, "not an integer"),
         ],
     )
     def test_bad_rows_name_the_line(self, tmp_path, row, fragment):
@@ -80,6 +84,13 @@ class TestLoadJsonl:
             load_dataset(p, "jsonl")
         assert ":2:" in str(exc.value)
         assert fragment in str(exc.value)
+
+    def test_label_overflowing_float_is_a_dataset_error(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text": "a", "label": 0}\n{"text": "b", "label": 1e400}\n')
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(p, "jsonl")
+        assert ":2:" in str(exc.value)
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -107,6 +118,19 @@ class TestLoadCsv:
         with pytest.raises(DatasetError) as exc:
             load_dataset(p, "csv")
         assert "label" in str(exc.value)
+
+    def test_labels_are_digit_strings(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("text,label\na,+1\nb,007\nc,0\n")
+        assert [r.label for r in load_dataset(p, "csv")] == [1, 7, 0]
+
+    @pytest.mark.parametrize("label", [" 1", "1 ", "١"])
+    def test_non_integer_labels_name_the_line(self, tmp_path, label):
+        p = tmp_path / "d.csv"
+        p.write_text(f"text,label\nhello,1\nworld,{label}\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(p, "csv")
+        assert ":3:" in str(exc.value)
 
     def test_row_errors_use_file_line_numbers(self, tmp_path):
         p = tmp_path / "d.csv"

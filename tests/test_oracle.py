@@ -107,3 +107,36 @@ class TestBatching:
         scores = paired.score_batch(["xy"])
         # length of "pre" + newline + "xy"
         assert scores == [[6.0, 0.0]]
+
+
+class NearRecordingOracle(RecordingOracle):
+    """Records the hint of every score_near call."""
+
+    def __init__(self):
+        super().__init__()
+        self.hints = []
+
+    def score_near(self, sentences, base):
+        self.hints.append((list(sentences), base))
+        return super().score_near(sentences, base)
+
+
+class TestScoreNear:
+    def test_default_is_score_batch(self):
+        oracle = RecordingOracle()
+        assert oracle.score_near(["a", "bb"], "anything") == oracle.score_batch(["a", "bb"])
+        assert oracle.batches == [2, 2]
+
+    def test_counting_counts_sentences_not_the_hint(self):
+        inner = NearRecordingOracle()
+        counting = CountingOracle(inner)
+        counting.score_near(["a", "bb"], "base")
+        counting.score_near([], "base")
+        assert counting.queries == 2
+        assert inner.hints == [(["a", "bb"], "base"), ([], "base")]
+
+    def test_paired_prefixes_premise_to_both(self):
+        inner = NearRecordingOracle()
+        paired = PairedOracle(inner, premise="pre")
+        assert paired.score_near(["xy"], "xz") == [[6.0, 0.0]]
+        assert inner.hints == [(["pre\nxy"], "pre\nxz")]

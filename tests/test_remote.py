@@ -3,6 +3,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
 from charmer.remote import (
     RemoteOracle,
@@ -119,3 +120,35 @@ class TestFailures:
         oracle = RemoteOracle("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(RemoteTransportError):
             oracle.score_batch(["x"])
+
+
+class TestProxyEnvironment:
+    def test_no_proxy_reaches_the_stub(self, base_url, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        oracle = RemoteOracle(base_url)
+        assert oracle.score_batch(["abc"]) == [[3.0, 97.0]]
+        assert not oracle.session.trust_env
+        assert "http" not in oracle.session.proxies
+
+    def test_proxy_resolved_once_at_construction(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
+        monkeypatch.setenv("CURL_CA_BUNDLE", "/etc/ssl/bundle.pem")
+        oracle = RemoteOracle("http://scorer.invalid:8080")
+        assert oracle.session.proxies["http"] == "http://proxy.invalid:3128"
+        assert oracle.session.verify == "/etc/ssl/bundle.pem"
+        assert not oracle.session.trust_env
+
+    def test_given_session_left_untouched(self, base_url, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy.invalid:3128")
+        session = requests.Session()
+        oracle = RemoteOracle(base_url, session=session)
+        assert oracle.session is session
+        assert session.trust_env and not session.proxies

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,30 @@ class TestLevenshtein:
         assert (dab == 0) == (a == b)
         assert levenshtein(a, c) <= dab + levenshtein(b, c)
         assert dab >= abs(len(a) - len(b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab é😀", max_size=80), st.text(alphabet="ab é😀", max_size=80))
+    @example("", "")
+    @example("é😀", "")
+    @example("😀", "é")
+    def test_matches_reference_with_multibyte(self, a, b):
+        assert levenshtein(a, b) == reference_levenshtein(a, b)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 1024), st.integers(0, 1024), st.integers(0, 20), st.randoms(use_true_random=False))
+    @example(1024, 1024, 0, random.Random(0))
+    @example(1024, 1024, 5, random.Random(1))
+    @example(0, 1024, 0, random.Random(2))
+    def test_long_strings_match_reference(self, n, m, edits, rng):
+        a = "".join(rng.choice("ab é😀") for _ in range(n))
+        if edits:  # a few edits of a, or else an unrelated string
+            b = a
+            for _ in range(edits):
+                i = rng.randrange(len(b) + 1)
+                b = b[:i] + rng.choice("ab é😀") + b[i + 1 :] if rng.random() < 0.5 else b[:i] + b[i + 1 :]
+        else:
+            b = "".join(rng.choice("ab é😀") for _ in range(m))
+        assert levenshtein(a, b) == reference_levenshtein(a, b)
 
 
 class TestExpandContract:
