@@ -38,17 +38,18 @@ _BOUNDARY_RIGHT = "\x03"
 
 # grams one scored row may hold; fixes the fixed-point scale of the weights
 _MAX_GRAMS = 1 << 14
-# orders up to this are packed into one int64 key, 21 bits per code point + 1
-_PACKED_ORDER = 3
+# the n-gram orders a model may use; each gram packs into one int64 key,
+# 21 bits per code point + 1
+_ORDERS = (1, 2, 3)
 _CODE_BITS = 21
-# rows featurized together; bounds the memory of a large candidate set
+# rows scored together; bounds the memory of a large batch
 _CHUNK_ROWS = 512
 # a row whose changed middle is wider than this is scored from scratch
 _DELTA_WIDTH = 8
 
 
 def _unpack(key: int) -> str:
-    """The gram a packed key stands for (see ``packed_feature_matrix``)."""
+    """The gram a packed key stands for (see ``_window_counts``)."""
     chars = []
     while key:
         chars.append(chr((key & ((1 << _CODE_BITS) - 1)) - 1))
@@ -59,10 +60,9 @@ def _unpack(key: int) -> str:
 class _GramHashes(dict):
     """Feature index of each n-gram for one feature width, hashed on first use.
 
-    A gram is looked up as its string or, for orders up to ``_PACKED_ORDER``,
-    as its packed key. The n-gram order is the gram's length, so the salt is
-    ``len(gram)``. The table is cleared when it reaches ``_GRAM_TABLE_CAP``
-    entries.
+    A gram is looked up as its string or as its packed key. The n-gram
+    order is the gram's length, so the salt is ``len(gram)``. The table is
+    cleared when it reaches ``_GRAM_TABLE_CAP`` entries.
     """
 
     def __init__(self, dim: int):
@@ -130,14 +130,6 @@ def _padded_codes(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return (codes if len(texts) else codes[:0]), lens
 
 
-def _gram_keys(codes: np.ndarray, at: np.ndarray, n: int) -> np.ndarray:
-    """Packed keys of the order-``n`` grams of ``codes`` that start at ``at``."""
-    keys = codes[at].astype(np.int64) + 1
-    for j in range(1, n):
-        keys |= (codes[at + j].astype(np.int64) + 1) << (_CODE_BITS * j)
-    return keys
-
-
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     """``first[k], ..., first[k] + count[k] - 1`` for every k, concatenated."""
     ends = np.cumsum(count)
@@ -152,39 +144,43 @@ def _hash_keys(keys: np.ndarray, dim: int) -> np.ndarray:
     return hashes[inverse]
 
 
-def packed_feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram counts of a batch as int64 rows, one entry per gram.
+def _window_counts(
+    codes: np.ndarray, starts: np.ndarray, lens: np.ndarray, lo: np.ndarray, width: np.ndarray,
+    orders: tuple[int, ...], dim: int, sign: int,
+) -> sparse.csr_matrix:
+    """Hashed counts of the grams of each padded row that overlap its window.
 
-    Grams of orders up to ``_PACKED_ORDER`` are packed into one int64 key
-    each, ``_CODE_BITS`` bits per code point plus one, so that no two grams
-    of any orders share a key; each distinct key of the batch is hashed once.
-    Higher orders go through ``_hashed_counts``. Rows may repeat a column;
-    repeats add up.
+    Row ``r`` is ``codes[starts[r] : starts[r] + lens[r]]`` and its window
+    the ``width[r]`` codes from ``lo[r]`` on; a zero-width window takes the
+    grams that span its position. Each gram packs into one int64 key,
+    ``_CODE_BITS`` bits per code point plus one, so that no two grams of any
+    orders share a key; each distinct key is hashed once. Every entry is
+    ``sign``, the entries of a row are grouped together, and repeats of a
+    column add up.
     """
-    texts = list(texts)
-    low = [n for n in orders if n <= _PACKED_ORDER]
-    high = tuple(n for n in orders if n > _PACKED_ORDER)
-    codes, lens = _padded_codes(texts)
-    pos = np.arange(len(codes))
-    row_end = np.repeat(np.cumsum(lens), lens)
-    keys = np.zeros((len(codes), len(low)), dtype=np.int64)
-    valid = np.zeros(keys.shape, dtype=bool)
-    for col, n in enumerate(low):
-        valid[:, col] = pos + n <= row_end
-        at = np.nonzero(valid[:, col])[0]
-        keys[at, col] = _gram_keys(codes, at, n)
-    per_row = sum((np.maximum(lens - n + 1, 0) for n in low), np.zeros(len(texts), dtype=np.int64))
-    X = sparse.csr_matrix(
-        (
-            np.ones(int(per_row.sum()), dtype=np.int64),
-            _hash_keys(keys[valid], dim),  # grouped by position, so by row
-            np.concatenate(([0], np.cumsum(per_row))),
-        ),
-        shape=(len(texts), dim),
-    )
-    if high:
-        X = X + feature_matrix(texts, high, dim).astype(np.int64)
-    return X
+    n = np.asarray(orders, dtype=np.int64)
+    first = np.maximum(lo[:, None] + 1 - n, 0)
+    count = np.maximum(np.minimum((lo + width - 1)[:, None], lens[:, None] - n) - first + 1, 0).ravel()
+    at = _ranges((starts[:, None] + first).ravel(), count)
+    keys = codes[at].astype(np.int64) + 1
+    for j in range(1, max(orders)):  # past a row's end only for a lower order, masked off below
+        keys |= (codes.take(at + j, mode="clip").astype(np.int64) + 1) << (_CODE_BITS * j)
+    own = np.array([(1 << (_CODE_BITS * k)) - 1 for k in orders], dtype=np.int64)  # a key's own order
+    keys &= np.repeat(np.tile(own, len(lens)), count)
+    data = np.full(len(keys), sign, dtype=np.int64)
+    indptr = np.concatenate(([0], np.cumsum(count.reshape(len(lens), len(n)).sum(axis=1))))
+    return sparse.csr_matrix((data, _hash_keys(keys, dim), indptr), shape=(len(lens), dim))
+
+
+def packed_feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
+    """Hashed n-gram counts of a batch as int64 rows: each row's full window."""
+    codes, lens = _padded_codes(list(texts))
+    return _window_counts(codes, np.cumsum(lens) - lens, lens, np.zeros_like(lens), lens, orders, dim, 1)
+
+
+def _check_orders(orders: tuple[int, ...]) -> None:
+    if not orders or len(set(orders)) != len(orders) or not set(orders) <= set(_ORDERS):
+        raise OracleError(f"n-gram orders must be a non-empty choice of 1, 2 and 3, not {tuple(orders)}")
 
 
 def _scale_bits(weights: np.ndarray, bias: np.ndarray) -> int:
@@ -208,23 +204,14 @@ class BuiltinClassifier:
     bias: np.ndarray  # (num_classes,)
 
     def __post_init__(self):
+        _check_orders(self.ngram_orders)
         # the fixed-point copy scoring uses; the float weights are not read again
         self.scale_bits: int = _scale_bits(self.weights, self.bias)
         self._wq_t = np.ascontiguousarray(np.rint(np.ldexp(self.weights.T, self.scale_bits)).astype(np.int64))
         self._bq = np.rint(np.ldexp(self.bias, self.scale_bits)).astype(np.int64)
-        self._max_chars = self._longest_row()
-        self._packed = all(n <= _PACKED_ORDER for n in self.ngram_orders)  # delta needs packed keys
-
-    def _longest_row(self) -> int:
-        """The longest sentence whose padded n-grams number at most ``_MAX_GRAMS``."""
-        lo, hi = 0, _MAX_GRAMS + max(self.ngram_orders, default=0)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if sum(max(0, mid + 3 - n) for n in self.ngram_orders) <= _MAX_GRAMS:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        # the longest sentence whose padded n-grams, len(orders)·(L + 3) - sum(orders),
+        # number at most _MAX_GRAMS
+        self._max_chars = (_MAX_GRAMS + sum(self.ngram_orders)) // len(self.ngram_orders) - 3
 
     @property
     def num_classes(self) -> int:
@@ -250,8 +237,7 @@ class BuiltinClassifier:
         return np.ldexp(self._integer_logits(list(texts)).astype(np.float64), -self.scale_bits)
 
     def _integer_logits(self, texts: list[str], base: Optional[str] = None) -> np.ndarray:
-        """``X·Wq`` in int64; rows far from ``base`` are featurized
-        ``_CHUNK_ROWS`` at a time."""
+        """``X·Wq`` in int64, ``_CHUNK_ROWS`` rows at a time."""
         longest = max(map(len, texts), default=0)
         if longest > self._max_chars:
             raise OracleError(
@@ -259,23 +245,23 @@ class BuiltinClassifier:
                 f"{self._max_chars} characters ({_MAX_GRAMS} n-grams)"
             )
         Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
-        far = np.arange(len(texts))
-        if base is not None and texts and self._packed and len(base) <= self._max_chars:
-            far = self._delta_logits(texts, base, Z)
-        for start in range(0, len(far), _CHUNK_ROWS):
-            rows = far[start : start + _CHUNK_ROWS]
-            Z[rows] = self.features([texts[r] for r in rows]) @ self._wq_t
+        for start in range(0, len(texts), _CHUNK_ROWS):
+            chunk = texts[start : start + _CHUNK_ROWS]
+            rows = self.features(chunk) @ self._wq_t if base is None else self._delta_logits(chunk, base)
+            Z[start : start + len(chunk)] = rows
         return Z
 
-    def _delta_logits(self, texts: list[str], base: str, Z: np.ndarray) -> np.ndarray:
-        """Fill the rows of ``Z`` near ``base`` (bias excluded); return the others.
+    def _delta_logits(self, texts: list[str], base: str) -> np.ndarray:
+        """``X·Wq`` of rows scored against ``base``.
 
         Works on the padded sentences. A row's common prefix and suffix with
         the padded base leave a middle of ``mt`` codes in the row and ``mb``
-        in the base; grams that overlap neither middle, or that span the gap
-        a zero-width middle leaves, are the same in both. int64 sums wrap
-        modulo 2^64 and each finished row fits, so partial sums may overflow
-        without changing the result.
+        in the base. A row near the base, both middles at most
+        ``_DELTA_WIDTH``, is the base's logits plus its grams that overlap
+        its middle minus the base's grams that overlap the base's middle;
+        grams that overlap neither are the same in both. A far row is its
+        full window alone. int64 sums wrap modulo 2^64 and each finished row
+        fits, so partial sums may overflow without changing the result.
         """
         # rows sorted by length, so that each length is one (rows, length) block
         order = np.argsort(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)), kind="stable")
@@ -292,30 +278,16 @@ class BuiltinClassifier:
             same = block[:, ::-1][:, :m] == bcodes[::-1][:m]
             suf[group] = np.minimum(np.where(same.all(axis=1), m, same.argmin(axis=1)), m - pre[group])
         mt, mb = lens - pre - suf, lb - pre - suf
-        near = np.nonzero(np.maximum(mt, mb) <= _DELTA_WIDTH)[0]
-        pre, mt, mb = pre[near], mt[near], mb[near]
-        keys, rows, signs = [], [], []
-        for n in self.ngram_orders:
-            first = np.maximum(pre + 1 - n, 0)
-            for src, offset, length, m, sign in (
-                (codes, starts[near], lens[near], mt, 1),
-                (bcodes, 0, lb, mb, -1),
-            ):
-                count = np.maximum(np.minimum(length - n, pre + m - 1) - first + 1, 0)
-                keys.append(_gram_keys(src, _ranges(offset + first, count), n))
-                rows.append(np.repeat(near, count))
-                signs.append(np.full(int(count.sum()), sign, dtype=np.int64))
-        idx, val = _hashed_counts(base, self.ngram_orders, self.feature_dim)
-        delta = np.zeros_like(Z)
-        np.add.at(
-            delta,
-            np.concatenate(rows),
-            self._wq_t[_hash_keys(np.concatenate(keys), self.feature_dim)] * np.concatenate(signs)[:, None],
-        )
-        Z[order[near]] = val.astype(np.int64) @ self._wq_t[idx] + delta[near]
-        far = np.ones(len(texts), dtype=bool)
-        far[near] = False
-        return order[far]
+        near = np.maximum(mt, mb) <= _DELTA_WIDTH
+        lo = np.where(near, pre, 0)
+        orders, dim = self.ngram_orders, self.feature_dim
+        new = _window_counts(codes, starts, lens, lo, np.where(near, mt, lens), orders, dim, 1)
+        zero = np.zeros_like(lens)
+        old = _window_counts(bcodes, zero, zero + lb, lo, np.where(near, mb, 0), orders, dim, -1)
+        idx, val = _hashed_counts(base, orders, dim)
+        Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
+        Z[order] = new @ self._wq_t + old @ self._wq_t + near[:, None] * (val.astype(np.int64) @ self._wq_t[idx])
+        return Z
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
         if not len(texts):
@@ -365,6 +337,7 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     Reproducible: the seed fixes the weight initialization and the rest of
     the procedure is deterministic.
     """
+    _check_orders(config.ngram_orders)
     if not dataset:
         raise OracleError("training dataset is empty")
     texts = [t for t, _ in dataset]
@@ -428,15 +401,19 @@ def mixture_loss_and_grad(
 
 
 class BuiltinOracle(Oracle):
-    """Oracle adapter around a trained builtin classifier (raw logits out)."""
+    """Oracle adapter around a trained builtin classifier (raw logits out).
 
-    def __init__(self, classifier: BuiltinClassifier, batch_limit: int = 512):
-        if batch_limit < 1:
-            raise OracleError("batch limit must be >= 1")
+    Each batch goes to the classifier whole; it scores ``_CHUNK_ROWS`` rows
+    at a time.
+    """
+
+    def __init__(self, classifier: BuiltinClassifier):
         self.classifier = classifier
         self.num_classes = classifier.num_classes
-        self.batch_limit = batch_limit
         self._base: Optional[str] = None  # the hint of the score_near call in flight
+
+    def score_batch(self, sentences: Sequence[str]) -> list[list[float]]:
+        return self.classifier.logits(sentences, self._base).tolist()
 
     def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
         # through score_batch, so that every batch still passes that one method
@@ -445,8 +422,3 @@ class BuiltinOracle(Oracle):
             return self.score_batch(sentences)
         finally:
             self._base = None
-
-    def _score_chunk(self, sentences: list[str]) -> list[list[float]]:
-        if not sentences:
-            return []
-        return self.classifier.logits(sentences, self._base).tolist()

@@ -59,9 +59,20 @@ class DatasetRecord:
     paired_text: Optional[str] = None
 
 
-def _clean_text(raw: str, l_max: int, where: str) -> tuple[str, bool]:
+def _reject_lone_surrogates(raw: str, field: str, where: str) -> None:
+    """A lone surrogate is no Unicode scalar value: no UTF-8 output can encode it."""
+    try:
+        raw.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DatasetError(f"{where}: {field} contains the lone surrogate U+{ord(raw[exc.start]):04X}")
+
+
+def _clean_text(raw, l_max: int, where: str, field: str = "text") -> tuple[str, bool]:
+    if not isinstance(raw, str):
+        raise DatasetError(f"{where}: {field} must be a string, not {type(raw).__name__}")
     if XI in raw:
-        raise DatasetError(f"{where}: text contains the reserved character U+0000")
+        raise DatasetError(f"{where}: {field} contains the reserved character U+0000")
+    _reject_lone_surrogates(raw, field, where)
     if len(raw) > l_max:
         return raw[:l_max], True
     return raw, False
@@ -77,10 +88,12 @@ def load_dataset(
     unique.
 
     Texts longer than ``l_max`` are truncated (a warning totals them up) and
-    at most ``cap`` records are retained.
+    at most ``cap`` records are retained; ``cap`` must be at least 1.
     """
     if format not in ("jsonl", "csv"):
         raise DatasetError(f"unknown dataset format: {format!r}")
+    if cap is not None and cap < 1:
+        raise DatasetError(f"cap must be at least 1 record, not {cap}")
     records: list[DatasetRecord] = []
     ids: set[str] = set()
     truncated = 0
@@ -103,15 +116,16 @@ def load_dataset(
             raise DatasetError(f"{where}: label {raw!r} is not an integer")
         if label < 0:
             raise DatasetError(f"{where}: label must be a nonnegative class index")
-        text, was_truncated = _clean_text(str(obj["text"]), l_max, where)
+        text, was_truncated = _clean_text(obj["text"], l_max, where)
         truncated += was_truncated
         paired = obj.get("paired_text")
         if paired is not None and paired != "":
-            paired, pt = _clean_text(str(paired), l_max, where)
+            paired, pt = _clean_text(paired, l_max, where, "paired_text")
             truncated += pt
         else:
             paired = None
         rid = str(obj.get("id")) if obj.get("id") not in (None, "") else str(len(records))
+        _reject_lone_surrogates(rid, "id", where)
         if rid in ids:
             raise DatasetError(f"{where}: duplicate id {rid!r}")
         ids.add(rid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
+from collections import Counter
 
 import numpy as np
 
@@ -49,6 +50,18 @@ def reference_hashed_counts(text: str, orders: tuple[int, ...], dim: int):
             h = zlib.crc32(padded[i : i + n].encode("utf-8") + salt) % dim
             counts[h] = counts.get(h, 0.0) + 1.0
     return np.array(list(counts), dtype=np.int64), np.array(list(counts.values()))
+
+
+def reference_window_counts(text: str, orders: tuple[int, ...], dim: int, lo: int, width: int) -> Counter:
+    """Hashed counts of the padded grams that share a character with the
+    ``width`` characters from ``lo`` on, or that span ``lo`` when ``width`` is 0."""
+    padded = "\x02" + text + "\x03"
+    counts: Counter = Counter()
+    for n in orders:
+        for i in range(len(padded) - n + 1):
+            if i < lo + width and i + n > lo:
+                counts[zlib.crc32(padded[i : i + n].encode("utf-8") + bytes([n])) % dim] += 1
+    return counts
 
 
 def feature_mixture_loss_and_grad(classifier, features, u: np.ndarray, y: int):

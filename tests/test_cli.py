@@ -121,6 +121,20 @@ class TestRun:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_cap_exits_1(self, eval_path, model_path, capsys, cap):
+        code = main(["run", "--dataset", str(eval_path), "--oracle", f"builtin:{model_path}", "--cap", cap])
+        assert code == 1
+        assert "cap must be at least 1" in capsys.readouterr().err
+
+    def test_lone_surrogate_exits_1_and_names_the_line(self, model_path, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_text('{"text": "a good movie", "label": 1}\n{"text": "the movie \\ud800 was good", "label": 1}\n')
+        out = tmp_path / "t.jsonl"
+        code = main(["run", "--dataset", str(data), "--oracle", f"builtin:{model_path}", "--out", str(out)])
+        assert code == 1
+        assert "bad.jsonl:2" in capsys.readouterr().err
+
     def test_bad_oracle_spec_exits_1(self, eval_path):
         assert main(["run", "--dataset", str(eval_path), "--oracle", "ftp://x"]) == 1
 

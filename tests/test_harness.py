@@ -74,6 +74,14 @@ class TestLoadJsonl:
             ({"text": "a", "label": 1.0}, "not an integer"),
             ({"text": "a", "label": True}, "not an integer"),
             ({"text": "a", "label": False}, "not an integer"),
+            ({"text": {"x": 1}, "label": 0}, "text must be a string, not dict"),
+            ({"text": True, "label": 0}, "text must be a string, not bool"),
+            ({"text": 5, "label": 0}, "text must be a string, not int"),
+            ({"text": "a", "paired_text": False, "label": 0}, "paired_text must be a string, not bool"),
+            # json.dumps writes a lone surrogate as its \ud800 escape
+            ({"text": "the movie \ud800 was good", "label": 0}, "text contains the lone surrogate U+D800"),
+            ({"text": "a", "paired_text": "p \udfff", "label": 0}, "paired_text contains the lone surrogate U+DFFF"),
+            ({"id": "x\ud800", "text": "a", "label": 0}, "id contains the lone surrogate U+D800"),
         ],
     )
     def test_bad_rows_name_the_line(self, tmp_path, row, fragment):
@@ -84,6 +92,20 @@ class TestLoadJsonl:
             load_dataset(p, "jsonl")
         assert ":2:" in str(exc.value)
         assert fragment in str(exc.value)
+
+    def test_surrogate_pairs_are_one_character(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"id": "\\ud83d\\ude00", "text": "a \\ud83d\\ude00", "label": 0}\n', encoding="utf-8")
+        (record,) = load_dataset(p, "jsonl")
+        assert record.id == "😀" and record.text == "a 😀"
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_rejected(self, tmp_path, cap):
+        p = write_jsonl(tmp_path / "d.jsonl", [{"text": "a", "label": 0}])
+        with pytest.raises(DatasetError, match="cap must be at least 1"):
+            load_dataset(p, "jsonl", cap=cap)
+        with pytest.raises(DatasetError, match="cap must be at least 1"):
+            load_dataset(p, "csv", cap=cap)
 
     def test_label_overflowing_float_is_a_dataset_error(self, tmp_path):
         p = tmp_path / "d.jsonl"
