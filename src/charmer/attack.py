@@ -14,14 +14,18 @@ alphabet order, sentinel last), so the first maximum wins.
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .oracle import CountingOracle, Oracle, cw_loss
 from .sentence import XI, Alphabet, generate_neighbors, single_edit, single_edits
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
+_WORD = re.compile("[^ ]+")
 
 
 @dataclass(frozen=True)
@@ -93,18 +97,7 @@ class AttackOutcome:
 
 def word_spans(s: str) -> list[tuple[int, int]]:
     """1-based inclusive (start, end) character spans of maximal non-space runs."""
-    spans = []
-    start = None
-    for idx, ch in enumerate(s, start=1):
-        if ch != " ":
-            if start is None:
-                start = idx
-        elif start is not None:
-            spans.append((start, idx - 1))
-            start = None
-    if start is not None:
-        spans.append((start, len(s)))
-    return spans
+    return [(m.start() + 1, m.end()) for m in _WORD.finditer(s)]
 
 
 def _owner_word(spans: list[tuple[int, int]], i: int) -> Optional[int]:
@@ -124,44 +117,16 @@ class EditHistory:
     def record(self, old_sentence: str, position: int, char: str, new_sentence: str) -> None:
         if new_sentence == old_sentence:
             return
+        # mark the edited and the touched words' characters and splice the marks
+        # like the sentence: an inserted or replaced character is marked
         old_spans = word_spans(old_sentence)
-        new_spans = word_spans(new_sentence)
-        even = position % 2 == 0
-        if even:
-            p = position // 2  # edited character index
-            delta = -1 if char == XI else 0
-        else:
-            p = position // 2  # insertion after this character index
-            delta = 1  # char == XI on an odd slot is a no-op, caught above
-
-        def shift(x: int) -> Optional[int]:
-            if delta == -1:
-                if x == p:
-                    return None  # deleted
-                return x if x < p else x - 1
-            if delta == 1:
-                return x if x <= p else x + 1
-            return x
-
-        # surviving character images of old edited words plus the touched word
         touched = _owner_word(old_spans, position)
-        marked_chars: set[int] = set()
+        marks = [" "] * len(old_sentence)
         for w in self.edited | ({touched} if touched is not None else set()):
             a, b = old_spans[w]
-            for x in range(a, b + 1):
-                sx = shift(x)
-                if sx is not None:
-                    marked_chars.add(sx)
-        if delta == 1:
-            marked_chars.add(p + 1)  # the inserted character
-        elif delta == 0:
-            marked_chars.add(p)  # the replaced character
-
-        self.edited = {
-            w
-            for w, (a, b) in enumerate(new_spans)
-            if any(a <= x <= b for x in marked_chars)
-        }
+            marks[a - 1 : b] = "x" * (b - a + 1)
+        spliced = single_edit("".join(marks), position, XI if char == XI else "x")
+        self.edited = {w for w, (a, b) in enumerate(word_spans(new_sentence)) if "x" in spliced[a - 1 : b]}
 
 
 def pjc_violates(
@@ -248,9 +213,8 @@ def select_positions(
         single_edit(s, i, XI if i % 2 == 0 and s[i // 2 - 1] == test_char else test_char)
         for i in idxs
     ]
-    losses = [cw_loss(row, y) for row in oracle.score_near(probes, s)]
-    order = sorted(range(len(idxs)), key=lambda j: (-losses[j], idxs[j]))
-    return [idxs[j] for j in order[:n]]
+    losses = cw_loss(oracle.score_near(probes, s), y)
+    return [idxs[j] for j in np.argsort(-losses, kind="stable")[:n]]
 
 
 def preselect_segments(
@@ -273,10 +237,9 @@ def preselect_segments(
     if len(spans) <= m:
         return set(range(1, 2 * len(s) + 2))
     masked = [s[: a - 1] + test_char + s[b:] for a, b in spans]
-    losses = [cw_loss(row, y) for row in oracle.score_near(masked, s)]
-    order = sorted(range(len(spans)), key=lambda j: (-losses[j], j))
+    losses = cw_loss(oracle.score_near(masked, s), y)
     allowed: set[int] = set()
-    for j in order[:m]:
+    for j in np.argsort(-losses, kind="stable")[:m]:
         a, b = spans[j]
         allowed.update(range(2 * a - 1, 2 * b + 2))
     return allowed
@@ -318,12 +281,12 @@ def _greedy_attack(
             break
         if not budget_allows(len(edits)):
             break
-        losses = [cw_loss(row, y) for row in counting.score_near([c for c, _, _ in edits], cur)]
-        j = max(range(len(losses)), key=lambda idx: (losses[idx], -idx))
+        losses = cw_loss(counting.score_near([c for c, _, _ in edits], cur), y)
+        j = int(np.argmax(losses))  # first maximum on ties
         chosen, pos, char = edits[j]
         history.record(cur, pos, char, chosen)
         cur = chosen
-        final_loss = losses[j]
+        final_loss = float(losses[j])
         trace.append(TraceStep(position=pos, char=char, loss=final_loss))
         if final_loss >= 0:
             success = True
@@ -371,15 +334,16 @@ def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Attac
     counting = CountingOracle(oracle)
     start = time.perf_counter()
     neighbors = generate_neighbors(s, config.alphabet)
-    losses = [cw_loss(row, y) for row in counting.score_near(neighbors, s)]
-    j = max(range(len(losses)), key=lambda idx: (losses[idx], -idx))
+    losses = cw_loss(counting.score_near(neighbors, s), y)
+    j = int(np.argmax(losses))  # first maximum on ties
+    loss = float(losses[j])
     return AttackOutcome(
         original=s,
         adversarial=neighbors[j],
-        success=losses[j] >= 0,
+        success=loss >= 0,
         edits_used=int(neighbors[j] != s),  # every neighbor is within one edit
-        final_loss=losses[j],
+        final_loss=loss,
         queries=counting.queries,
         elapsed=time.perf_counter() - start,
-        trace=[TraceStep(position=None, char=None, loss=losses[j])],
+        trace=[TraceStep(position=None, char=None, loss=loss)],
     )

@@ -125,7 +125,11 @@ def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> s
 def _padded_codes(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Code points of the padded sentences, concatenated, and their lengths."""
     joined = _BOUNDARY_LEFT + (_BOUNDARY_RIGHT + _BOUNDARY_LEFT).join(texts) + _BOUNDARY_RIGHT
-    codes = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype="<u4").view(np.int32)
+    try:
+        raw = joined.encode("utf-32-le")
+    except UnicodeEncodeError as exc:  # grams hash as UTF-8, which has no lone surrogates
+        raise OracleError(f"cannot score the lone surrogate U+{ord(joined[exc.start]):04X}") from None
+    codes = np.frombuffer(raw, dtype="<u4").view(np.int32)
     lens = np.fromiter((len(t) + 2 for t in texts), dtype=np.int64, count=len(texts))
     return (codes if len(texts) else codes[:0]), lens
 
@@ -412,10 +416,10 @@ class BuiltinOracle(Oracle):
         self.num_classes = classifier.num_classes
         self._base: Optional[str] = None  # the hint of the score_near call in flight
 
-    def score_batch(self, sentences: Sequence[str]) -> list[list[float]]:
-        return self.classifier.logits(sentences, self._base).tolist()
+    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
+        return self.classifier.logits(sentences, self._base)
 
-    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
         # through score_batch, so that every batch still passes that one method
         self._base = base
         try:

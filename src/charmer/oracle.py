@@ -1,41 +1,54 @@
 """Classifier oracle contract, Carlini-Wagner margin loss and batching.
 
-An oracle maps a batch of sentences to one row of per-class real scores each
-(logits or probabilities; only orderings and margins are used). Labels are
-0-based class indices throughout the code.
+An oracle maps m sentences to one ``(m, classes)`` float64 array of real
+scores (logits or probabilities; only orderings and margins are used).
+Labels are 0-based class indices throughout the code.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
+
+import numpy as np
 
 
 class OracleError(Exception):
     pass
 
 
-def _check_label(num_classes: int, y: int) -> None:
-    if not 0 <= y < num_classes:
-        raise OracleError(f"label {y} out of range for {num_classes} classes")
+def _as_scores(rows) -> np.ndarray:
+    """``rows`` as a float64 array; ragged or non-numeric rows raise ``OracleError``."""
+    try:
+        scores = np.asarray(rows)
+    except ValueError:
+        raise OracleError("score rows differ in length") from None
+    if scores.dtype.kind not in "iuf":
+        raise OracleError(f"scores must be numbers, not {scores.dtype}")
+    return scores.astype(np.float64, copy=False)
 
 
-def cw_loss(scores: Sequence[float], y: int) -> float:
+def cw_loss(scores, y: int):
     """Margin loss: best score among the other classes minus the true-class score.
 
-    Unclipped, so it can take any real value. Nonnegative exactly when the
-    scores misclassify (ties with the true class count as misclassification).
+    ``scores`` is one row, giving a float, or an ``(m, classes)`` batch,
+    giving m losses. Unclipped; nonnegative exactly when the scores
+    misclassify (a tie with the true class counts). The best other class is
+    the first maximum, as ``max`` over the row, so tied signed zeros keep it.
     """
-    if len(scores) < 2:
+    z = _as_scores(scores)
+    if z.ndim not in (1, 2) or z.shape[-1] < 2:
         raise OracleError("need at least 2 classes")
-    _check_label(len(scores), y)
-    if any(not math.isfinite(v) for v in scores):
+    if not 0 <= y < z.shape[-1]:
+        raise OracleError(f"label {y} out of range for {z.shape[-1]} classes")
+    if not np.isfinite(z).all():
         raise OracleError("scores must be finite")
-    best_other = max(v for i, v in enumerate(scores) if i != y)
-    return best_other - scores[y]
+    others = np.where(np.arange(z.shape[-1]) == y, -np.inf, z)
+    loss = np.take_along_axis(z, others.argmax(axis=-1)[..., None], axis=-1)[..., 0] - z[..., y]
+    return float(loss) if z.ndim == 1 else loss
 
 
-def is_adversarial(scores: Sequence[float], y: int) -> bool:
+def is_adversarial(scores, y: int):
+    """Whether ``cw_loss(scores, y) >= 0``: a bool for one row, an array for a batch."""
     return cw_loss(scores, y) >= 0.0
 
 
@@ -43,20 +56,27 @@ class Oracle:
     """Base class for batched sentence scorers.
 
     Subclasses implement ``_score_chunk``; ``score_batch`` transparently
-    splits oversized batches so batch size is never an error.
+    splits oversized batches so batch size is never an error, and stacks
+    the chunks' rows into one array.
     """
 
     num_classes: int
     batch_limit: int = 512
 
-    def score_batch(self, sentences: Sequence[str]) -> list[list[float]]:
+    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         sentences = list(sentences)
-        out: list[list[float]] = []
+        parts: list[np.ndarray] = []
         for start in range(0, len(sentences), self.batch_limit):
-            out.extend(self._score_chunk(sentences[start : start + self.batch_limit]))
-        return out
+            chunk = sentences[start : start + self.batch_limit]
+            part = _as_scores(self._score_chunk(chunk))
+            if part.ndim != 2 or len(part) != len(chunk) or (parts and part.shape[1] != parts[0].shape[1]):
+                raise OracleError(f"expected {len(chunk)} score rows of one length, got shape {part.shape}")
+            parts.append(part)
+        if not parts:
+            return np.empty((0, getattr(self, "num_classes", None) or 0))
+        return np.concatenate(parts)
 
-    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
         """``score_batch(sentences)``, with ``base`` as a hint.
 
         The attack passes the sentence its batch was edited from. An oracle
@@ -66,7 +86,7 @@ class Oracle:
         """
         return self.score_batch(sentences)
 
-    def _score_chunk(self, sentences: list[str]) -> list[list[float]]:
+    def _score_chunk(self, sentences: list[str]):  # an array or a list of number rows
         raise NotImplementedError
 
 
@@ -76,15 +96,14 @@ class CountingOracle(Oracle):
     def __init__(self, inner: Oracle):
         self.inner = inner
         self.num_classes = inner.num_classes
-        self.batch_limit = inner.batch_limit
         self.queries = 0
 
-    def score_batch(self, sentences: Sequence[str]) -> list[list[float]]:
+    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         sentences = list(sentences)
         self.queries += len(sentences)
         return self.inner.score_batch(sentences)
 
-    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
         sentences = list(sentences)
         self.queries += len(sentences)  # the hint is not a query
         return self.inner.score_near(sentences, base)
@@ -102,12 +121,11 @@ class PairedOracle(Oracle):
         self.premise = premise
         self.separator = separator
         self.num_classes = inner.num_classes
-        self.batch_limit = inner.batch_limit
 
-    def score_batch(self, sentences: Sequence[str]) -> list[list[float]]:
+    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         prefix = self.premise + self.separator
         return self.inner.score_batch([prefix + s for s in sentences])
 
-    def score_near(self, sentences: Sequence[str], base: str) -> list[list[float]]:
+    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
         prefix = self.premise + self.separator
         return self.inner.score_near([prefix + s for s in sentences], prefix + base)

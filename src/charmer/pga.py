@@ -12,6 +12,7 @@ not.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -40,8 +41,8 @@ class PgaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.iterations < 1:
-            raise ValueError("step_size must be > 0 and iterations >= 1")
+        if not (0 < self.step_size < math.inf) or self.iterations < 1:
+            raise ValueError("step_size must be finite and > 0, and iterations >= 1")
         if self.k < 1 or self.candidate_cap < 1:
             raise ValueError("k and candidate_cap must be >= 1")
 
@@ -119,7 +120,7 @@ def pga_attack(
 
     j = int(np.argmax(u))  # first maximum on ties
     adversarial = candidates[j]
-    final_loss = cw_loss(classifier.logits([adversarial])[0].tolist(), y)
+    final_loss = cw_loss(classifier.logits([adversarial])[0], y)
     return AttackOutcome(
         original=s,
         adversarial=adversarial,

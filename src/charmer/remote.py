@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import sys
 
+import numpy as np
 import requests
 
 from .oracle import Oracle, OracleError
@@ -80,9 +81,7 @@ class RemoteOracle(Oracle):
                 last_exc = exc
         raise RemoteTransportError(f"transport failure contacting {self.url}: {last_exc}")
 
-    def _score_chunk(self, sentences: list[str]) -> list[list[float]]:
-        if not sentences:
-            return []
+    def _score_chunk(self, sentences: list[str]) -> np.ndarray:
         resp = self._post({"sentences": sentences})
         if not 200 <= resp.status_code < 300:
             raise RemoteStatusError(
@@ -99,7 +98,6 @@ class RemoteOracle(Oracle):
                 f"{len(rows) if isinstance(rows, list) else type(rows).__name__}",
                 payload=doc,
             )
-        out = []
         for row in rows:
             if not isinstance(row, list) or len(row) < 2 or not all(map(_is_score, row)):
                 raise RemoteSchemaError("malformed score row", payload=doc)
@@ -110,5 +108,4 @@ class RemoteOracle(Oracle):
                     f"score row length {len(row)} != {self.num_classes} classes",
                     payload=doc,
                 )
-            out.append([float(v) for v in row])
-        return out
+        return np.array(rows, dtype=np.float64)  # exact, as float(v): every v is a finite int or float

@@ -5,12 +5,14 @@ enumerations over all short strings, measured with the full-matrix distance
 table of ``charmer.verify``, gradients are central finite differences, n-gram
 features are hashed gram by gram and the mixture loss is evaluated on feature
 rows. The simplex-projection reference is ``charmer.verify``'s active-set
-search.
+search. The edit-history reference follows each character index through an
+edit by hand, and the margin loss takes the per-row Python ``max``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import zlib
 from collections import Counter
 
@@ -72,3 +74,56 @@ def feature_mixture_loss_and_grad(classifier, features, u: np.ndarray, y: int):
     j = int(np.argmax(masked))
     grad = features @ (classifier.weights[j] - classifier.weights[y])
     return float(z[j] - z[y]), np.asarray(grad).ravel()
+
+
+def reference_cw_loss(scores, y: int) -> float:
+    """Best other-class score minus the true-class score, by Python ``max``
+    over one row of floats: the first maximum among equal scores."""
+    return max(v for i, v in enumerate(scores) if i != y) - scores[y]
+
+
+class ReferenceEditHistory:
+    """Indices of the perturbed words, each old character index shifted through
+    every edit. Positions index the sentinel-expanded sentence: an even ``2p``
+    is character ``p`` (1-based), an odd ``2p + 1`` the slot after it, and
+    ``"\x00"`` stands for nothing."""
+
+    def __init__(self):
+        self.edited: set[int] = set()
+
+    @staticmethod
+    def _spans(s: str) -> list[tuple[int, int]]:
+        return [(m.start() + 1, m.end()) for m in re.finditer(r"[^ ]+", s)]
+
+    def record(self, old_sentence: str, position: int, char: str, new_sentence: str) -> None:
+        if new_sentence == old_sentence:
+            return
+        old_spans = self._spans(old_sentence)
+        p = position // 2
+        if position % 2 == 0:
+            delta = -1 if char == "\x00" else 0  # edited character p
+        else:
+            delta = 1  # insertion after character p
+
+        def shift(x: int):
+            if delta == -1:
+                if x == p:
+                    return None
+                return x if x < p else x - 1
+            if delta == 1:
+                return x if x <= p else x + 1
+            return x
+
+        # a word over characters [a, b] owns expanded positions 2a-1 .. 2b+1
+        owners = [w for w, (a, b) in enumerate(old_spans) if 2 * a - 1 <= position <= 2 * b + 1]
+        marked: set[int] = set()
+        for w in self.edited | set(owners[:1]):
+            a, b = old_spans[w]
+            marked.update(sx for sx in map(shift, range(a, b + 1)) if sx is not None)
+        if delta == 1:
+            marked.add(p + 1)
+        elif delta == 0:
+            marked.add(p)
+        self.edited = {
+            w for w, (a, b) in enumerate(self._spans(new_sentence)) if any(a <= x <= b for x in marked)
+        }

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmer.attack import (
     AttackConfig,
@@ -19,7 +21,7 @@ from charmer.attack import (
 from charmer.classifier import BuiltinClassifier, BuiltinOracle
 from charmer.oracle import Oracle, cw_loss
 from charmer.sentence import XI, Alphabet, generate_neighbors, levenshtein, single_edit
-from reference import reference_hashed_counts
+from reference import ReferenceEditHistory, reference_hashed_counts
 
 ALPHA_AB = Alphabet(("a", "b"))
 
@@ -232,6 +234,22 @@ class TestEditHistory:
         h.record("abc", 2, "a", "abc")
         assert h.edited == set()
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(alphabet="ab ", max_size=12),
+        st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(("a", "b", " ", XI))), max_size=10),
+    )
+    def test_matches_index_shifting_reference(self, s, steps):
+        # spaces split and join words, the sentinel deletes, and repeats are no-ops
+        history, reference = EditHistory(), ReferenceEditHistory()
+        for r, c in steps:
+            i = 1 + r % (2 * len(s) + 1)
+            t = single_edit(s, i, c)
+            history.record(s, i, c, t)
+            reference.record(s, i, c, t)
+            assert history.edited == reference.edited
+            s = t
+
 
 class TestPreselect:
     def test_few_segments_allows_everything(self):
@@ -360,6 +378,20 @@ class TestEquivalenceAndBaselines:
         with pytest.raises(ValueError):
             AttackConfig(alphabet=desk_alphabet, **fields)
         AttackConfig(alphabet=desk_alphabet, budget=1, segment_preselect=1)
+
+
+class TestLossOrder:
+    """The array rankings the attack uses equal the key formulas they replaced."""
+
+    @given(
+        st.lists(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0)) | st.floats(-1e3, 1e3), min_size=1, max_size=24),
+        st.integers(min_value=1, max_value=30),
+    )
+    def test_stable_argsort_and_argmax(self, losses, n):
+        arr = np.array(losses)
+        ranked = sorted(range(len(losses)), key=lambda j: (-losses[j], j))
+        assert np.argsort(-arr, kind="stable")[:n].tolist() == ranked[:n]
+        assert int(np.argmax(arr)) == max(range(len(losses)), key=lambda j: (losses[j], -j))
 
 
 class TestExactTies:

@@ -331,6 +331,36 @@ class TestSuite:
         assert report["per_sample"][0]["error"] is not None
         assert report["per_sample"][1]["error"] is None
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda n: [[0.0, 1.0]],  # one row for the whole chunk
+            lambda n: [[0.0, 1.0]] + [[0.0, 1.0, 2.0]] * (n - 1),  # ragged
+        ],
+        ids=["short", "ragged"],
+    )
+    def test_malformed_plugin_rows_are_record_errors(self, rows, desk_alphabet):
+        class Plugin(Oracle):
+            num_classes = 2
+
+            def _score_chunk(self, sentences):
+                return rows(len(sentences))
+
+        records = [DatasetRecord("a", "the movie was good", 1), DatasetRecord("b", "it felt bad", 1)]
+        config = AttackConfig(alphabet=desk_alphabet, n=3, k=2)
+        report = run_attack_suite(records, Plugin(), "charmer", config)
+        assert report["counts"]["errors"] == 2
+        for row in report["per_sample"]:
+            assert row["error"].startswith("OracleError: ")
+
+    def test_lone_surrogate_is_a_record_error(self, desk_oracle, desk_alphabet):
+        records = [DatasetRecord("ok", "good movie", 1), DatasetRecord("bad", "a\ud800b", 1)]
+        config = AttackConfig(alphabet=desk_alphabet, n=3, k=2)
+        report = run_attack_suite(records, desk_oracle, "charmer", config)
+        assert report["counts"]["errors"] == 1
+        assert report["per_sample"][0]["error"] is None
+        assert report["per_sample"][1]["error"] == "OracleError: cannot score the lone surrogate U+D800"
+
     def test_paired_text_routes_through_premise(self, desk_oracle, desk_alphabet, attackable_records):
         base = attackable_records[0]
         paired = DatasetRecord(base.id, base.text, base.label, paired_text="irrelevant premise")

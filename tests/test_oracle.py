@@ -1,10 +1,16 @@
+import struct
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmer.oracle import CountingOracle, Oracle, OracleError, PairedOracle, cw_loss, is_adversarial
+from reference import reference_cw_loss
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+# signed zeros, subnormals and a few repeats, so that rows tie often
+tie_prone = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0)) | finite
 
 
 class RecordingOracle(Oracle):
@@ -57,6 +63,42 @@ class TestCwLoss:
         assert cw_loss([v + shift for v in scores], y) == pytest.approx(base, rel=1e-9, abs=1e-6)
 
 
+class TestBatchCwLoss:
+    @settings(max_examples=300)
+    @given(st.integers(min_value=2, max_value=5).flatmap(
+        lambda c: st.lists(st.lists(tie_prone, min_size=c, max_size=c), min_size=1, max_size=12)
+    ), st.integers(min_value=0, max_value=4))
+    @example([[0.0, -0.0, 0.0]], 0)  # the max of the other classes is -0.0, taken first
+    def test_batch_equals_rows_bit_for_bit(self, rows, y):
+        y %= len(rows[0])
+        batch = cw_loss(np.array(rows), y)
+        assert batch.shape == (len(rows),)
+        for row, loss in zip(rows, batch.tolist()):
+            bits = struct.pack("<d", loss)
+            assert bits == struct.pack("<d", cw_loss(row, y))
+            assert bits == struct.pack("<d", reference_cw_loss(row, y))
+
+    def test_first_maximum_keeps_the_zero_sign(self):
+        # np.max over the other classes would give +0.0 here
+        assert struct.pack("<d", cw_loss([0.0, -0.0, 0.0], 0)) == struct.pack("<d", -0.0 - 0.0)
+        assert str(cw_loss(np.array([[0.0, -0.0, 0.0]]), 0)[0]) == "-0.0"
+
+    def test_batch_checks(self):
+        assert cw_loss(np.empty((0, 3)), 2).shape == (0,)
+        assert is_adversarial(np.array([[0.2, 0.8], [0.5, 0.5]]), 0).tolist() == [True, True]
+        for bad, y in (
+            (np.zeros((2, 2, 2)), 0),  # not one row or one batch
+            (np.zeros((2, 1)), 0),  # one class
+            (np.zeros((2, 3)), 3),  # label out of range
+            (np.array([[0.0, np.inf]]), 0),
+            ([[0.0, 1.0], [0.0]], 0),  # ragged
+            ([["0.0", "1.0"]], 0),  # not numbers
+            ([[0.0, None]], 0),
+        ):
+            with pytest.raises(OracleError):
+                cw_loss(bad, y)
+
+
 class TestIsAdversarial:
     @pytest.mark.parametrize(
         "scores,y,expected",
@@ -79,20 +121,49 @@ class TestIsAdversarial:
 
 class TestBatching:
     def test_empty_batch(self):
-        assert RecordingOracle().score_batch([]) == []
+        assert RecordingOracle().score_batch([]).shape == (0, 2)
 
     def test_determinism(self):
         oracle = RecordingOracle()
-        assert oracle.score_batch(["abc", "abc"]) == [[3.0, 0.0], [3.0, 0.0]]
+        assert oracle.score_batch(["abc", "abc"]).tolist() == [[3.0, 0.0], [3.0, 0.0]]
 
     def test_split_transparency(self):
         limited = RecordingOracle(batch_limit=3)
         wide = RecordingOracle(batch_limit=100)
         sentences = [f"s{i}" * (i + 1) for i in range(10)]
-        assert limited.score_batch(sentences) == wide.score_batch(sentences)
+        assert limited.score_batch(sentences).tobytes() == wide.score_batch(sentences).tobytes()
         assert limited.chunks == [3, 3, 3, 1]
-        half = limited.score_batch(sentences[:5]) + limited.score_batch(sentences[5:])
-        assert half == wide.score_batch(sentences)
+        half = limited.score_batch(sentences[:5]).tolist() + limited.score_batch(sentences[5:]).tolist()
+        assert half == wide.score_batch(sentences).tolist()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            lambda n: [[1.0, 0.0]],  # one row for the whole chunk
+            lambda n: [[1.0, 0.0]] * (n - 1) + [[1.0]],  # ragged
+            lambda n: [["1.0", "0.0"]] * n,  # strings
+            lambda n: [[1.0, None]] * n,
+            lambda n: [1.0] * n,  # no class axis
+        ],
+        ids=["short", "ragged", "strings", "none", "flat"],
+    )
+    def test_malformed_chunks_raise_oracle_error(self, rows):
+        class Plugin(Oracle):
+            num_classes = 2
+
+            def _score_chunk(self, sentences):
+                return rows(len(sentences))
+
+        with pytest.raises(OracleError):
+            Plugin().score_batch(["a", "bb", "ccc"])
+
+    def test_chunks_of_different_widths_raise_oracle_error(self):
+        class Widening(RecordingOracle):
+            def _score_chunk(self, sentences):
+                return [[0.0] * (len(s) + 1) for s in sentences]
+
+        with pytest.raises(OracleError):
+            Widening(batch_limit=1).score_batch(["a", "bb"])
 
     def test_counting_wrapper(self):
         inner = RecordingOracle()
@@ -106,7 +177,7 @@ class TestBatching:
         paired = PairedOracle(inner, premise="pre")
         scores = paired.score_batch(["xy"])
         # length of "pre" + newline + "xy"
-        assert scores == [[6.0, 0.0]]
+        assert scores.tolist() == [[6.0, 0.0]]
 
 
 class NearRecordingOracle(RecordingOracle):
@@ -124,7 +195,7 @@ class NearRecordingOracle(RecordingOracle):
 class TestScoreNear:
     def test_default_is_score_batch(self):
         oracle = RecordingOracle()
-        assert oracle.score_near(["a", "bb"], "anything") == oracle.score_batch(["a", "bb"])
+        assert oracle.score_near(["a", "bb"], "anything").tobytes() == oracle.score_batch(["a", "bb"]).tobytes()
         assert oracle.batches == [2, 2]
 
     def test_counting_counts_sentences_not_the_hint(self):
@@ -138,5 +209,5 @@ class TestScoreNear:
     def test_paired_prefixes_premise_to_both(self):
         inner = NearRecordingOracle()
         paired = PairedOracle(inner, premise="pre")
-        assert paired.score_near(["xy"], "xz") == [[6.0, 0.0]]
+        assert paired.score_near(["xy"], "xz").tolist() == [[6.0, 0.0]]
         assert inner.hints == [(["pre\nxy"], "pre\nxz")]

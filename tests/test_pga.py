@@ -105,8 +105,9 @@ class TestPgaAttack:
             pga_attack(desk_oracle, "abc", 0, PgaConfig(), desk_alphabet)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PgaConfig(step_size=0.0)
+        for step in (0.0, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                PgaConfig(step_size=step)
         with pytest.raises(ValueError):
             PgaConfig(iterations=0)
         for bad in (dict(candidate_cap=0), dict(candidate_cap=-3), dict(k=0), dict(k=-1)):

@@ -73,7 +73,7 @@ class TestHappyPath:
     def test_scores_preserve_order(self, base_url):
         oracle = RemoteOracle(base_url)
         scores = oracle.score_batch(["abc", "z", "hello"])
-        assert scores == [[3.0, 97.0], [1.0, 122.0], [5.0, 104.0]]
+        assert scores.tolist() == [[3.0, 97.0], [1.0, 122.0], [5.0, 104.0]]
         assert oracle.num_classes == 2
 
     def test_endpoint_normalization(self, base_url, server):
@@ -88,7 +88,7 @@ class TestHappyPath:
         assert [len(r) for r in server.requests] == [2, 2, 1]
 
     def test_empty_batch_sends_nothing(self, base_url, server):
-        assert RemoteOracle(base_url).score_batch([]) == []
+        assert RemoteOracle(base_url).score_batch([]).shape == (0, 0)
         assert server.requests == []
 
 
@@ -130,7 +130,7 @@ class TestProxyEnvironment:
         monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
         oracle = RemoteOracle(base_url)
-        assert oracle.score_batch(["abc"]) == [[3.0, 97.0]]
+        assert oracle.score_batch(["abc"]).tolist() == [[3.0, 97.0]]
         assert not oracle.session.trust_env
         assert "http" not in oracle.session.proxies
 
