@@ -23,6 +23,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -194,7 +195,12 @@ def _scale_bits(weights: np.ndarray, bias: np.ndarray) -> int:
         raise OracleError("classifier weights must be finite")
     if top == 0.0:
         return 0
-    s = int(np.floor(np.log2((2.0**63 - 1) / (_MAX_GRAMS + 1) / top)))
+    room = (2.0**63 - 1) / (_MAX_GRAMS + 1)
+    if room / top < np.inf:
+        s = int(np.floor(np.log2(room / top)))
+    else:  # a top below 2^-975: the quotient of its mantissa stays finite
+        mantissa, exponent = np.frexp(top)
+        s = int(np.floor(np.log2(room / mantissa))) - int(exponent)
     while (_MAX_GRAMS + 1) * int(np.rint(np.ldexp(top, s))) > 2**63 - 1:
         s -= 1
     return s
@@ -240,14 +246,51 @@ class BuiltinClassifier:
         """Exact logit rows without the bias, ``X·Wq / 2^s``, for mixtures."""
         return np.ldexp(self._integer_logits(list(texts)).astype(np.float64), -self.scale_bits)
 
-    def _integer_logits(self, texts: list[str], base: Optional[str] = None) -> np.ndarray:
-        """``X·Wq`` in int64, ``_CHUNK_ROWS`` rows at a time."""
-        longest = max(map(len, texts), default=0)
+    def walk_logits(self, base: str, walks: Sequence[Sequence]) -> np.ndarray:
+        """``candidate_logits`` of the sentences that walks of single edits reach from ``base``.
+
+        A walk ``(i_1, t_1, ..., i_k, t_k)`` holds each expanded position
+        ``i_j`` it edited and the sentence ``t_j`` that edit gave (see
+        ``sentence.single_edit``), from ``t_0 = base``; its sentence is
+        ``t_k``, or ``base`` for an empty walk. An edit at ``i`` rewrites
+        the padded sentence from ``lo = (i + 1) // 2`` on: it cuts one code
+        there for even ``i`` and none for odd ``i``, and inserts what
+        ``t_j`` has in their place. A sentence is scored as the integer
+        logits of ``base`` plus, per edit, the grams of ``t_j`` that overlap
+        the inserted codes minus the grams of ``t_{j-1}`` that overlap the
+        cut ones, ``_CHUNK_ROWS`` walks at a time. The sums are exact, so the
+        rows equal ``candidate_logits`` of the sentences bit for bit.
+        """
+        self._check_length(max((len(w[-1]) if w else len(base) for w in walks), default=0))
+        base_z = (self.features([base]) @ self._wq_t)[0]
+        orders, dim = self.ngram_orders, self.feature_dim
+        Z = np.empty((len(walks), self.num_classes), dtype=np.int64)
+        for start in range(0, len(walks), _CHUNK_ROWS):
+            chunk = walks[start : start + _CHUNK_ROWS]
+            flat = list(chain.from_iterable(chunk))
+            pos = np.array(flat[0::2], dtype=np.int64)
+            codes, lens = _padded_codes(flat[1::2])
+            bcodes, blens = _padded_codes([t for w in chunk if w for t in (base, *w[1:-2:2])])
+            lo, cut = (pos + 1) // 2, 1 - pos % 2
+            new = _window_counts(codes, np.cumsum(lens) - lens, lens, lo, cut + lens - blens, orders, dim, 1)
+            old = _window_counts(bcodes, np.cumsum(blens) - blens, blens, lo, cut, orders, dim, -1)
+            bounds = np.cumsum([0] + [len(w) // 2 for w in chunk])
+            Z[start : start + len(chunk)] = base_z
+            for rows in (new, old):  # the rows of a walk's edits summed into one
+                per_walk = sparse.csr_matrix((rows.data, rows.indices, rows.indptr[bounds]), shape=(len(chunk), dim))
+                Z[start : start + len(chunk)] += per_walk @ self._wq_t
+        return np.ldexp(Z.astype(np.float64), -self.scale_bits)
+
+    def _check_length(self, longest: int) -> None:
         if longest > self._max_chars:
             raise OracleError(
                 f"a sentence of {longest} characters exceeds the scoring bound of "
                 f"{self._max_chars} characters ({_MAX_GRAMS} n-grams)"
             )
+
+    def _integer_logits(self, texts: list[str], base: Optional[str] = None) -> np.ndarray:
+        """``X·Wq`` in int64, ``_CHUNK_ROWS`` rows at a time."""
+        self._check_length(max(map(len, texts), default=0))
         Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
         for start in range(0, len(texts), _CHUNK_ROWS):
             chunk = texts[start : start + _CHUNK_ROWS]

@@ -34,7 +34,7 @@ from .attack import (
     random_position_baseline,
 )
 from .classifier import BuiltinClassifier, BuiltinOracle
-from .oracle import Oracle, OracleError, PairedOracle, cw_loss
+from .oracle import Oracle, OracleError, PairedOracle, check_rows, cw_loss
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
 from .sentence import XI, Alphabet, L_MAX, levenshtein
 
@@ -131,30 +131,35 @@ def load_dataset(
         ids.add(rid)
         records.append(DatasetRecord(id=rid, text=text, label=label, paired_text=paired))
 
-    with open(path, encoding="utf-8") as fh:
-        if format == "jsonl":
-            for row_no, line in enumerate(fh, start=1):
-                if cap is not None and len(records) >= cap:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"{path}:{row_no}: malformed JSON ({exc})")
-                if not isinstance(obj, dict):
-                    raise DatasetError(f"{path}:{row_no}: expected a JSON object")
-                add(row_no, obj)
-        else:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "text" not in reader.fieldnames:
-                raise DatasetError(f"{path}: missing required column 'text'")
-            if "label" not in reader.fieldnames:
-                raise DatasetError(f"{path}: missing required column 'label'")
-            for row_no, row in enumerate(reader, start=2):
-                if cap is not None and len(records) >= cap:
-                    break
-                add(row_no, row)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:  # a quoted CSV field keeps its "\r\n"
+            if format == "jsonl":
+                for row_no, line in enumerate(fh, start=1):
+                    if cap is not None and len(records) >= cap:
+                        break
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+                        raise DatasetError(f"{path}:{row_no}: malformed JSON ({exc})") from None
+                    if not isinstance(obj, dict):
+                        raise DatasetError(f"{path}:{row_no}: expected a JSON object")
+                    add(row_no, obj)
+            else:
+                reader = csv.DictReader(fh)
+                if reader.fieldnames is None or "text" not in reader.fieldnames:
+                    raise DatasetError(f"{path}: missing required column 'text'")
+                if "label" not in reader.fieldnames:
+                    raise DatasetError(f"{path}: missing required column 'label'")
+                for row_no, row in enumerate(reader, start=2):
+                    if cap is not None and len(records) >= cap:
+                        break
+                    add(row_no, row)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # raised only by the reader
+        raise DatasetError(f"{path}:{reader.line_num}: malformed CSV ({exc})") from None
     if truncated:
         log.warning("%d text field(s) truncated to %d characters", truncated, l_max)
     return records
@@ -288,7 +293,8 @@ def run_attack_suite(
                 "trace": [],
             }
             try:
-                clean_loss = cw_loss(scoring.score_batch([record.text])[0], record.label)
+                clean = scoring.score_batch([record.text])
+                clean_loss = cw_loss(check_rows(clean, 1, getattr(scoring, "num_classes", None))[0], record.label)
                 queries_total += 1
                 entry["clean_loss"] = clean_loss
                 if clean_loss >= 0:

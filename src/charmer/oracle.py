@@ -27,6 +27,19 @@ def _as_scores(rows) -> np.ndarray:
     return scores.astype(np.float64, copy=False)
 
 
+def check_rows(scores, m: int, num_classes) -> np.ndarray:
+    """``scores`` as a float64 array of ``m`` rows of ``num_classes`` scores.
+
+    While ``num_classes`` is unknown (``None``), rows of any one width pass.
+    Any other shape raises ``OracleError``.
+    """
+    z = _as_scores(scores)
+    if z.ndim != 2 or len(z) != m or (num_classes is not None and z.shape[1] != num_classes):
+        width = "one length" if num_classes is None else f"{num_classes} classes"
+        raise OracleError(f"expected {m} score rows of {width}, got shape {z.shape}")
+    return z
+
+
 def cw_loss(scores, y: int):
     """Margin loss: best score among the other classes minus the true-class score.
 
@@ -68,10 +81,7 @@ class Oracle:
         parts: list[np.ndarray] = []
         for start in range(0, len(sentences), self.batch_limit):
             chunk = sentences[start : start + self.batch_limit]
-            part = _as_scores(self._score_chunk(chunk))
-            if part.ndim != 2 or len(part) != len(chunk) or (parts and part.shape[1] != parts[0].shape[1]):
-                raise OracleError(f"expected {len(chunk)} score rows of one length, got shape {part.shape}")
-            parts.append(part)
+            parts.append(check_rows(self._score_chunk(chunk), len(chunk), parts[0].shape[1] if parts else None))
         if not parts:
             return np.empty((0, getattr(self, "num_classes", None) or 0))
         return np.concatenate(parts)
@@ -91,22 +101,29 @@ class Oracle:
 
 
 class CountingOracle(Oracle):
-    """Wrapper that counts scored sentences, used for query budgets."""
+    """Wrapper that counts scored sentences, used for query budgets.
+
+    Every batch must come back as one row of ``num_classes`` scores per
+    sentence (``check_rows``), whatever the inner oracle's ``score_batch``.
+    """
 
     def __init__(self, inner: Oracle):
         self.inner = inner
-        self.num_classes = inner.num_classes
         self.queries = 0
+
+    @property
+    def num_classes(self):
+        return getattr(self.inner, "num_classes", None)
 
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         sentences = list(sentences)
         self.queries += len(sentences)
-        return self.inner.score_batch(sentences)
+        return check_rows(self.inner.score_batch(sentences), len(sentences), self.num_classes)
 
     def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
         sentences = list(sentences)
         self.queries += len(sentences)  # the hint is not a query
-        return self.inner.score_near(sentences, base)
+        return check_rows(self.inner.score_near(sentences, base), len(sentences), self.num_classes)
 
 
 class PairedOracle(Oracle):
@@ -120,7 +137,10 @@ class PairedOracle(Oracle):
         self.inner = inner
         self.premise = premise
         self.separator = separator
-        self.num_classes = inner.num_classes
+
+    @property
+    def num_classes(self):
+        return getattr(self.inner, "num_classes", None)
 
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         prefix = self.premise + self.separator

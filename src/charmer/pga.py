@@ -5,9 +5,14 @@ the classifier is evaluated on the convex mixture of candidate feature rows,
 the weights follow the loss gradient and are projected back onto the simplex
 after every step, and the candidate with the largest final weight is taken
 as the attack sentence. The classifier is linear, so the candidates' logit
-rows are computed once and every step works on them alone. Requires the
-builtin classifier, which exposes exact mixture gradients; remote oracles do
-not.
+rows are computed once and every step works on them alone. A ball too large
+to enumerate is sampled by random walks of single edits, and each sampled
+candidate is scored from the sentence's integer logits along the first walk
+that reached it (``BuiltinClassifier.walk_logits``), bit-equal to scoring it
+from scratch. Each step depends on the weights alone, so the loop stops at
+the first step that returns its weights byte for byte; the trace still has
+``iterations`` losses. Requires the builtin classifier, which exposes exact
+mixture gradients; remote oracles do not.
 """
 
 from __future__ import annotations
@@ -66,24 +71,53 @@ def project_simplex(u_hat) -> np.ndarray:
     return np.maximum(u_hat - lam, 0.0)
 
 
-def _sample_ball(s: str, alphabet: Alphabet, k: int, cap: int, seed: int) -> list[str]:
+def _sample_ball(s: str, alphabet: Alphabet, k: int, cap: int, seed: int):
     """Seeded sample of S_k(s, Γ) by composing k random single edits.
 
     Used when full enumeration would exceed the ball budget; every walk of k
     single edits stays within distance k of the start, so membership in the
-    ball is preserved. The original sentence is always included.
+    ball is preserved. The original sentence is always included. Returns the
+    sorted candidates and, for each, the first walk that reached it, as
+    ``(i_1, t_1, ..., i_k, t_k)`` with ``t_j = single_edit(t_{j-1}, i_j, c_j)``
+    and ``t_0 = s`` (``s`` itself has no steps).
     """
     rng = random.Random(seed)
-    out = {s}
+    walks = {s: ()}
     chars = alphabet.replacement_chars()
     attempts = cap * 20
-    while len(out) < cap and attempts > 0:
+    while len(walks) < cap and attempts > 0:
         attempts -= 1
-        t = s
+        t, walk = s, []
         for _ in range(k):
-            t = single_edit(t, rng.randrange(2 * len(t) + 1) + 1, rng.choice(chars))
-        out.add(t)
-    return sorted(out)
+            i = rng.randrange(2 * len(t) + 1) + 1
+            t = single_edit(t, i, rng.choice(chars))
+            walk += (i, t)
+        walks.setdefault(t, walk)
+    candidates = sorted(walks)
+    return candidates, [walks[c] for c in candidates]
+
+
+def _ascend(classifier: BuiltinClassifier, logit_rows: np.ndarray, y: int, config: PgaConfig):
+    """Projected gradient ascent from uniform weights over the candidates.
+
+    Returns the final weights and the loss before each of the
+    ``config.iterations`` steps. A step depends on the weights alone, so
+    once one returns the weights it was given, byte for byte, every later
+    step would too: the loop stops there and repeats that step's loss for
+    the steps left.
+    """
+    m = len(logit_rows)
+    u = np.full(m, 1.0 / m)
+    losses: list[float] = []
+    for step in range(config.iterations):
+        loss, grad = mixture_loss_and_grad(classifier, logit_rows, u, y)
+        losses.append(loss)
+        nxt = project_simplex(u + config.step_size * grad)
+        if nxt.tobytes() == u.tobytes():
+            losses += [loss] * (config.iterations - step - 1)
+            break
+        u = nxt
+    return u, losses
 
 
 def pga_attack(
@@ -101,23 +135,17 @@ def pga_attack(
     start = time.perf_counter()
     try:
         candidates = enumerate_ball(s, alphabet, config.k, budget=_BALL_BUDGET)
+    except BallBudgetError:
+        candidates, walks = _sample_ball(
+            s, alphabet, config.k, config.candidate_cap, config.seed
+        )
+        logit_rows = classifier.walk_logits(s, walks)
+    else:
         if len(candidates) > config.candidate_cap:
             rng = random.Random(config.seed)
             candidates = sorted(rng.sample(candidates, config.candidate_cap))
-    except BallBudgetError:
-        candidates = _sample_ball(
-            s, alphabet, config.k, config.candidate_cap, config.seed
-        )
-    m = len(candidates)
-    logit_rows = classifier.candidate_logits(candidates)
-
-    u = np.full(m, 1.0 / m)
-    trace: list[TraceStep] = []
-    for _ in range(config.iterations):
-        loss, grad = mixture_loss_and_grad(classifier, logit_rows, u, y)
-        trace.append(TraceStep(position=None, char=None, loss=loss))
-        u = project_simplex(u + config.step_size * grad)
-
+        logit_rows = classifier.candidate_logits(candidates)
+    u, losses = _ascend(classifier, logit_rows, y, config)
     j = int(np.argmax(u))  # first maximum on ties
     adversarial = candidates[j]
     final_loss = cw_loss(classifier.logits([adversarial])[0], y)
@@ -129,5 +157,5 @@ def pga_attack(
         final_loss=final_loss,
         queries=1,
         elapsed=time.perf_counter() - start,
-        trace=trace,
+        trace=[TraceStep(position=None, char=None, loss=loss) for loss in losses],
     )

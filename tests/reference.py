@@ -6,18 +6,24 @@ table of ``charmer.verify``, gradients are central finite differences, n-gram
 features are hashed gram by gram and the mixture loss is evaluated on feature
 rows. The simplex-projection reference is ``charmer.verify``'s active-set
 search. The edit-history reference follows each character index through an
-edit by hand, and the margin loss takes the per-row Python ``max``.
+edit by hand, and the margin loss takes the per-row Python ``max``. The PGA
+loop reference runs every step, and the ball sampler reference keeps only
+the set of sentences its walks reach.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 import zlib
 from collections import Counter
 
 import numpy as np
 
+from charmer.classifier import mixture_loss_and_grad
+from charmer.pga import project_simplex
+from charmer.sentence import single_edit
 from charmer.verify import reference_levenshtein
 
 
@@ -127,3 +133,36 @@ class ReferenceEditHistory:
         self.edited = {
             w for w, (a, b) in enumerate(self._spans(new_sentence)) if any(a <= x <= b for x in marked)
         }
+
+
+def reference_pga_ascent(classifier, logit_rows, y: int, step_size: float, iterations: int):
+    """All ``iterations`` projected gradient steps from uniform weights.
+
+    Returns the final weights, the loss before each step and the first step
+    whose projection returned its input byte for byte (``None`` if none did).
+    """
+    u = np.full(len(logit_rows), 1.0 / len(logit_rows))
+    losses, fixed_at = [], None
+    for step in range(iterations):
+        loss, grad = mixture_loss_and_grad(classifier, logit_rows, u, y)
+        losses.append(loss)
+        nxt = project_simplex(u + step_size * grad)
+        if fixed_at is None and nxt.tobytes() == u.tobytes():
+            fixed_at = step
+        u = nxt
+    return u, losses, fixed_at
+
+
+def reference_sample_ball(s: str, alphabet, k: int, cap: int, seed: int) -> list[str]:
+    """The sorted set of sentences that seeded walks of k single edits reach."""
+    rng = random.Random(seed)
+    out = {s}
+    chars = alphabet.replacement_chars()
+    attempts = cap * 20
+    while len(out) < cap and attempts > 0:
+        attempts -= 1
+        t = s
+        for _ in range(k):
+            t = single_edit(t, rng.randrange(2 * len(t) + 1) + 1, rng.choice(chars))
+        out.add(t)
+    return sorted(out)

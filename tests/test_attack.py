@@ -19,7 +19,7 @@ from charmer.attack import (
     word_spans,
 )
 from charmer.classifier import BuiltinClassifier, BuiltinOracle
-from charmer.oracle import Oracle, cw_loss
+from charmer.oracle import CountingOracle, Oracle, OracleError, cw_loss
 from charmer.sentence import XI, Alphabet, generate_neighbors, levenshtein, single_edit
 from reference import ReferenceEditHistory, reference_hashed_counts
 
@@ -55,6 +55,15 @@ class ConstantOracle(Oracle):
 
     def _score_chunk(self, sentences):
         return [[1.0, 0.0] for _ in sentences]
+
+
+class OneRowOracle(Oracle):
+    """Overrides ``score_batch`` itself and answers every batch with one row."""
+
+    num_classes = 2
+
+    def score_batch(self, sentences):
+        return np.array([[0.0, float(len(sentences))]])
 
 
 class BatchLogOracle(Oracle):
@@ -118,6 +127,13 @@ class TestSelectPositions:
         # class 0 is the label; shorter sentence -> lower class-1 score -> lower
         # loss, so deletion probes rank last and an insertion slot wins
         assert positions[0] in (1, 3, 5, 7)
+
+    def test_a_score_batch_override_with_one_row_raises(self):
+        # every attack probes through CountingOracle, which checks the row count
+        with pytest.raises(OracleError, match="expected 21 score rows"):
+            select_positions(CountingOracle(OneRowOracle()), "good movie", 1, 5)
+        with pytest.raises(OracleError):
+            charmer_attack(OneRowOracle(), "good movie", 1, AttackConfig(alphabet=ALPHA_AB, n=5, k=2))
 
 
 class TestCandidates:

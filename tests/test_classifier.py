@@ -1,6 +1,7 @@
 import struct
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from charmer.classifier import (
     train_builtin,
 )
 from charmer.oracle import OracleError, PairedOracle, cw_loss
+from charmer.sentence import XI, single_edit
 from charmer.synth import make_keyword_corpus
 from reference import (
     central_difference_gradient,
@@ -306,6 +308,13 @@ class TestExactLogits:
         with pytest.raises(OracleError):
             model.candidate_logits([text + "a"])
 
+    @pytest.mark.parametrize("top", [5e-324, 2.2e-311, 1e-300])
+    def test_subnormal_and_tiny_weights_score(self, top):
+        model = BuiltinClassifier(ngram_orders=(1,), feature_dim=2, weights=np.array([[top, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
+        wq = int(np.rint(np.ldexp(top, model.scale_bits)))
+        assert (classifier_module._MAX_GRAMS + 1) * wq <= 2**63 - 1 < (classifier_module._MAX_GRAMS + 1) * 2 * wq
+        assert np.isfinite(model.logits(["ab"])).all()
+
     def test_non_finite_weights_rejected(self):
         with pytest.raises(OracleError):
             BuiltinClassifier((1,), 4, np.array([[np.nan] * 4, [0.0] * 4]), np.zeros(2))
@@ -389,3 +398,76 @@ class TestScoreNear:
         limited = BuiltinOracle(clf)
         assert limited.score_near(rows, s).tobytes() == whole.tobytes()
         assert limited._base is None
+
+
+WALK_CHARS = "ab é€😀"
+
+
+@st.composite
+def walks_from(draw, s, k):
+    """A walk of k single edits from s: ``(i_1, t_1, ..., i_k, t_k)``."""
+    t, walk = s, ()
+    for _ in range(k):
+        top = 2 * len(t) + 1
+        i = draw(st.one_of(st.just(1), st.just(top), st.integers(1, top)))  # both ends, or anywhere
+        kind = draw(st.sampled_from(["char", "xi", "same"]))
+        if kind == "xi":  # a deletion at even i, a no-op insertion at odd i
+            c = XI
+        elif kind == "same" and i % 2 == 0:  # a replacement by the same character
+            c = t[i // 2 - 1]
+        else:
+            c = draw(st.sampled_from(WALK_CHARS))
+        t = single_edit(t, i, c)
+        walk += (i, t)
+    return walk
+
+
+def check_walk_rows(clf):
+    """Hypothesis: ``walk_logits`` rows equal ``candidate_logits`` of the walks' sentences."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=WALK_CHARS, max_size=12), st.data())
+    def walks_score_as_their_sentences(s, data):
+        walks = [data.draw(walks_from(s, data.draw(st.integers(1, 3)))) for _ in range(data.draw(st.integers(0, 7)))]
+        walks.append(())
+        sentences = [w[-1] if w else s for w in walks]
+        with mock.patch.object(classifier_module, "_CHUNK_ROWS", 3):
+            assert clf.walk_logits(s, walks).tobytes() == clf.candidate_logits(sentences).tobytes()
+
+    walks_score_as_their_sentences()
+
+
+class TestWalkLogits:
+    def test_equal_candidate_logits(self, clf):
+        check_walk_rows(clf)
+
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            lambda lo, sign: lo + (sign < 0),  # the cut window one code late
+            lambda lo, sign: lo + ((lo > 0) & (sign > 0)),  # the inserted window one code late
+            lambda lo, sign: lo - (lo > 0),  # both windows one code early
+        ],
+        ids=["cut+1", "inserted+1", "both-1"],
+    )
+    def test_an_off_by_one_window_fails_it(self, clf, shift):
+        real = classifier_module._window_counts
+
+        def mutant(codes, starts, lens, lo, width, orders, dim, sign):
+            return real(codes, starts, lens, shift(lo, sign), width, orders, dim, sign)
+
+        with mock.patch.object(classifier_module, "_window_counts", mutant):
+            with pytest.raises(AssertionError):
+                check_walk_rows(clf)
+
+    def test_a_sentence_past_the_bound_raises_as_in_candidate_logits(self, clf):
+        s = "a" * clf._max_chars
+        longer = s + "a"
+        shrink = (2, single_edit(longer, 2, XI))  # back within the bound
+        for base, walks in ((s, [(1, single_edit(s, 1, "b"))]), (longer, [(), shrink])):
+            with pytest.raises(OracleError):
+                clf.candidate_logits([w[-1] if w else base for w in walks])
+            with pytest.raises(OracleError):
+                clf.walk_logits(base, walks)
+        # a base past the bound whose walks all come back within it is still exact
+        assert clf.walk_logits(longer, [shrink]).tobytes() == clf.candidate_logits([shrink[-1]]).tobytes()

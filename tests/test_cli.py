@@ -127,6 +127,16 @@ class TestRun:
         assert code == 1
         assert "cap must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--segments", "0"], ["--n", "0"], ["--k", "-1"], ["--attack", "pga", "--pga-iters", "0"], ["--constraints", "bogus"]],
+        ids=["segments", "n", "k", "pga-iters", "constraints"],
+    )
+    def test_values_argparse_accepts_but_the_run_rejects_exit_1(self, eval_path, model_path, capsys, flags):
+        code = main(["run", "--dataset", str(eval_path), "--oracle", f"builtin:{model_path}", *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_lone_surrogate_exits_1_and_names_the_line(self, model_path, tmp_path, capsys):
         data = tmp_path / "bad.jsonl"
         data.write_text('{"text": "a good movie", "label": 1}\n{"text": "the movie \\ud800 was good", "label": 1}\n')

@@ -1,7 +1,16 @@
+import csv
 import dataclasses
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charmer.attack import AttackConfig
 from charmer.harness import (
@@ -133,6 +142,11 @@ class TestLoadCsv:
         records = load_dataset(p, "csv")
         assert records[0] == DatasetRecord(id="r1", text="hello", label=1)
         assert records[1].id == "1"
+
+    def test_quoted_line_breaks_are_kept(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'text,label\r\n"a\r\nb",1\r\n"c\rd",0\r\n')
+        assert [r.text for r in load_dataset(p, "csv")] == ["a\r\nb", "c\rd"]
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -353,6 +367,19 @@ class TestSuite:
         for row in report["per_sample"]:
             assert row["error"].startswith("OracleError: ")
 
+    def test_a_clean_score_without_rows_is_a_record_error(self, desk_alphabet):
+        class NoRows(Oracle):  # overrides score_batch, so no chunk check applies
+            num_classes = 2
+
+            def score_batch(self, sentences):
+                return np.empty((0, 2))
+
+        records = [DatasetRecord("a", "the movie was good", 1), DatasetRecord("b", "it felt bad", 0)]
+        report = run_attack_suite(records, NoRows(), "charmer", AttackConfig(alphabet=desk_alphabet, n=3, k=2))
+        assert report["counts"]["errors"] == 2
+        for row in report["per_sample"]:
+            assert row["error"] == "OracleError: expected 1 score rows of 2 classes, got shape (0, 2)"
+
     def test_lone_surrogate_is_a_record_error(self, desk_oracle, desk_alphabet):
         records = [DatasetRecord("ok", "good movie", 1), DatasetRecord("bad", "a\ud800b", 1)]
         config = AttackConfig(alphabet=desk_alphabet, n=3, k=2)
@@ -390,3 +417,103 @@ class TestSuite:
             assert config_fingerprint("pga", config, changed) != config_fingerprint(
                 "pga", config, base
             ), f.name
+
+
+# field values of every JSON type, with the texts a loader must not trip on
+_odd_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["﻿", "a\r\nb", "a\rb", "\x00", "\ud800", "a\udfffb", "😀", " ", ""]),
+)
+_value = st.one_of(
+    _odd_text,
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["text", "a"]), st.integers(0, 2), max_size=2),
+)
+_column = st.sampled_from(["id", "text", "label", "paired_text", "extra", "Text", ""])
+
+
+def _encode(text: str, bom: bool, crlf: bool, nul_at) -> bytes:
+    """UTF-8 bytes of ``text``; a lone surrogate becomes its (invalid) three bytes."""
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    raw = text.encode("utf-8", "surrogatepass")
+    if nul_at is not None:
+        at = nul_at % (len(raw) + 1)
+        raw = raw[:at] + b"\x00" + raw[at:]
+    return (b"\xef\xbb\xbf" if bom else b"") + raw
+
+
+@st.composite
+def fuzzed_dataset(draw):
+    """``(format, bytes)`` of a JSONL or CSV file with odd encodings and columns."""
+    fmt = draw(st.sampled_from(["jsonl", "csv"]))
+    rows = draw(st.lists(st.lists(st.tuples(_column, _value), max_size=6), min_size=1, max_size=4))
+    if fmt == "jsonl":
+        ascii_only = draw(st.booleans())
+        lines = []
+        for pairs in rows:  # written by hand so that a key may repeat
+            body = ", ".join(f"{json.dumps(k)}: {json.dumps(v, ensure_ascii=ascii_only)}" for k, v in pairs)
+            lines.append(draw(st.sampled_from(["{" + body + "}", "[" + body + "]", body, ""])))
+        text = "\n".join(lines) + "\n"
+    else:
+        header = draw(st.lists(_column, max_size=5))  # columns may repeat or be missing
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for pairs in rows:
+            writer.writerow(["" if v is None else v for _, v in pairs])
+        text = out.getvalue()
+    raw = _encode(text, draw(st.booleans()), draw(st.booleans()), draw(st.none() | st.integers(0, 200)))
+    return fmt, raw
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(fuzzed_dataset())
+    def test_records_or_dataset_error(self, tmp_path_factory, dataset):
+        fmt, raw = dataset
+        path = tmp_path_factory.mktemp("fuzz") / f"d.{fmt}"
+        path.write_bytes(raw)
+        try:
+            records = load_dataset(path, fmt)
+        except DatasetError:
+            return
+        for r in records:
+            assert isinstance(r.text, str) and r.text and "\x00" not in r.text
+            assert type(r.label) is int and r.label >= 0
+
+    @pytest.mark.parametrize("line", ["[" * 100_000, '{"text": "a", "label": 1' + "0" * 5000 + "}"], ids=["deep", "digits"])
+    def test_pathological_json_is_a_dataset_error(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(DatasetError, match="d.jsonl:1: malformed JSON"):
+            load_dataset(path)
+
+    @settings(max_examples=5, deadline=None)
+    @given(fuzzed_dataset())
+    def test_attack_run_exits_cleanly(self, tmp_path_factory, fuzz_model, dataset):
+        fmt, raw = dataset
+        path = tmp_path_factory.mktemp("fuzz") / f"d.{fmt}"
+        path.write_bytes(raw)
+        proc = subprocess.run(
+            [sys.executable, "-m", "charmer.cli", "run", "--dataset", str(path), "--format", fmt,
+             "--oracle", f"builtin:{fuzz_model}", "--n", "2", "--k", "2"],
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory, desk_classifier):
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    desk_classifier.save(path)
+    return path

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from charmer import pga as pga_module
 from charmer.classifier import BuiltinClassifier, TrainConfig, train_builtin
-from charmer.pga import GradientUnavailableError, PgaConfig, pga_attack, project_simplex
-from charmer.sentence import Alphabet, levenshtein
+from charmer.pga import GradientUnavailableError, PgaConfig, _ascend, _sample_ball, pga_attack, project_simplex
+from charmer.sentence import Alphabet, levenshtein, single_edit
 from charmer.verify import reference_simplex_projection
+from reference import reference_pga_ascent, reference_sample_ball
 
 finite_vec = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
@@ -113,3 +117,72 @@ class TestPgaAttack:
         for bad in (dict(candidate_cap=0), dict(candidate_cap=-3), dict(k=0), dict(k=-1)):
             with pytest.raises(ValueError):
                 PgaConfig(**bad)
+
+
+def _bias_only(bias) -> BuiltinClassifier:
+    """A classifier whose mixture loss reads only its bias and the logit rows given."""
+    bias = np.asarray(bias, dtype=np.float64)
+    return BuiltinClassifier(ngram_orders=(1,), feature_dim=1, weights=np.zeros((len(bias), 1)), bias=bias)
+
+
+class TestFixedPointExit:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_equals_the_full_loop(self, classes, data):
+        row = st.lists(st.floats(-4, 4, allow_nan=False), min_size=classes, max_size=classes)
+        rows = np.array(data.draw(st.lists(row, min_size=1, max_size=6)))
+        clf = _bias_only(data.draw(row))
+        y = data.draw(st.integers(0, classes - 1))
+        step = data.draw(st.sampled_from([1e-6, 0.01, 0.1, 1.0, 10.0]))
+        iterations = data.draw(st.integers(1, 60))
+        u, losses = _ascend(clf, rows, y, PgaConfig(step_size=step, iterations=iterations))
+        ref_u, ref_losses, fixed_at = reference_pga_ascent(clf, rows, y, step, iterations)
+        event("fixed point" if fixed_at is not None else "no fixed point")
+        assert u.tobytes() == ref_u.tobytes()
+        assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+
+    @pytest.mark.parametrize(
+        "step,iterations,fixed",
+        [(0.1, 200, True), (1e-6, 40, False)],
+        ids=["reaches-a-vertex", "crawls"],
+    )
+    def test_computes_steps_up_to_the_fixed_point_only(self, step, iterations, fixed):
+        clf = _bias_only([0.0, 0.0])
+        rows = np.array([[0.0, 1.0], [0.0, -1.0], [0.5, 0.0]])  # y = 0: row 0 gains most
+        _, ref_losses, fixed_at = reference_pga_ascent(clf, rows, 0, step, iterations)
+        assert (fixed_at is not None) == fixed
+        with mock.patch.object(pga_module, "project_simplex", wraps=project_simplex) as projected:
+            _, losses = _ascend(clf, rows, 0, PgaConfig(step_size=step, iterations=iterations))
+        assert projected.call_count == (fixed_at + 1 if fixed else iterations)
+        assert losses == ref_losses and len(losses) == iterations
+
+    def test_attack_equals_the_reference_pipeline(self, desk_classifier, desk_alphabet, attackable_records):
+        # desk records overflow the ball budget, so candidates come from sampled walks
+        config = PgaConfig()
+        for record in attackable_records[:3]:
+            outcome = pga_attack(desk_classifier, record.text, record.label, config, desk_alphabet)
+            candidates = reference_sample_ball(record.text, desk_alphabet, config.k, config.candidate_cap, config.seed)
+            rows = desk_classifier.candidate_logits(candidates)
+            u, losses, _ = reference_pga_ascent(desk_classifier, rows, record.label, config.step_size, config.iterations)
+            assert outcome.adversarial == candidates[int(np.argmax(u))]
+            assert [step.loss for step in outcome.trace] == losses
+
+
+class TestSampleBall:
+    @pytest.mark.parametrize(
+        "s,k,cap,seed",
+        [("", 1, 8, 0), ("", 3, 50, 1), ("ab", 2, 30, 2), ("abc", 1, 1000, 3),
+         ("the movie was good fun", 2, 256, 0), ("a é😀 b", 3, 128, 5)],
+    )
+    def test_candidates_equal_the_set_sampler_and_walks_replay(self, s, k, cap, seed):
+        alphabet = Alphabet(tuple("ab é😀"))
+        candidates, walks = _sample_ball(s, alphabet, k, cap, seed)
+        assert candidates == reference_sample_ball(s, alphabet, k, cap, seed)
+        chars = alphabet.replacement_chars()
+        for candidate, walk in zip(candidates, walks):
+            assert len(walk) == (0 if candidate == s else 2 * k)
+            t = s
+            for i, after in zip(walk[0::2], walk[1::2]):
+                assert after in {single_edit(t, i, c) for c in chars}
+                t = after
+            assert t == candidate
