@@ -57,6 +57,14 @@ class PjcConstraints:
         return self.repeat or self.first or self.last or self.length or self.loweng
 
 
+def check_counts(config, *names: str) -> None:
+    """Raise ``ValueError`` unless each named field of ``config`` is an int >= 1 (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 @dataclass
 class AttackConfig:
     alphabet: Alphabet
@@ -68,12 +76,8 @@ class AttackConfig:
     seed: int = 0  # used only by the random-position baseline
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
-            raise ValueError("n and k must be >= 1")
-        if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.segment_preselect is not None and self.segment_preselect < 1:
-            raise ValueError("segment_preselect must be >= 1")
+        check_counts(self, "n", "k")
+        check_counts(self, *(name for name in ("budget", "segment_preselect") if getattr(self, name) is not None))
 
 
 @dataclass

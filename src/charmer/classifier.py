@@ -23,13 +23,13 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .oracle import Oracle, OracleError
+from .sentence import XI, SentenceError, single_edit_rows
 
 MAGIC = b"CHNG"
 FORMAT_VERSION = 1
@@ -183,6 +183,59 @@ def packed_feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: in
     return _window_counts(codes, np.cumsum(lens) - lens, lens, np.zeros_like(lens), lens, orders, dim, 1)
 
 
+def _edit_hoods(base: str, positions: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
+    """The padded codes within ``r`` of each edit of each walk, 0 outside the row.
+
+    Edit ``j`` of walk ``w`` (see ``BuiltinClassifier.walk_logits``) gives
+    row ``w * k + j``: the codes ``lo - r`` to ``lo + r`` of the padded
+    ``t_j``, for ``lo = (i + 1) // 2`` and the edit's position ``i``. No
+    ``t_j`` is built: each of its characters is followed back through the
+    walk's earlier edits, last first, to the code an edit inserted or to a
+    character of ``base``, as ``sentence.single_edit`` moves them.
+    """
+    m, k = positions.shape
+    kept = (positions - 1) // 2  # characters an edit leaves before it
+    inserted = codes != 0
+    shift = inserted.astype(np.int64) - (1 - positions % 2)  # an even position cuts one character
+    lens = (len(base) + np.cumsum(shift, axis=1) - shift)[:, :, None]  # of t_j
+    at = ((positions + 1) // 2)[:, :, None] + np.arange(-r, r + 1) - 1  # characters of t_j; -1 is the left pad
+    out = np.zeros((m, k, 2 * r + 1), dtype=np.int32)
+    out[at == -1] = ord(_BOUNDARY_LEFT)
+    out[at == lens] = ord(_BOUNDARY_RIGHT)
+    live = (at >= 0) & (at < lens)  # characters not yet followed back to their code
+    for e in range(k - 2, -1, -1):  # edit e moved the characters of every later t_j
+        later = np.s_[:, e + 1 :]
+        made = live[later] & inserted[:, e, None, None] & (at[later] == kept[:, e, None, None])
+        out[later][made] = np.broadcast_to(codes[:, e, None, None], made.shape)[made]
+        live[later] &= ~made
+        at[later] -= (at[later] >= kept[:, e, None, None]) * shift[:, e, None, None]
+    out[live] = np.fromiter(map(ord, base), dtype=np.int32, count=len(base))[at[live]]
+    return out.reshape(m * k, 2 * r + 1)
+
+
+def _distinct(columns: list[np.ndarray], bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The index of one row of each distinct row of ``columns``, and each row's distinct one.
+
+    A column's values are below ``2 ** bits``; the columns are packed in
+    order into as few 64-bit keys as hold them, which sort faster than the
+    columns themselves.
+    """
+    keys, key, used = [], np.zeros(len(columns[0]), dtype=np.uint64), 0
+    for column, b in zip(columns, bits):
+        if used + b > 64:
+            keys.append(key)
+            key, used = np.zeros_like(key), 0
+        key = (key << np.uint64(b)) | column.astype(np.uint64)
+        used += b
+    keys.append(key)
+    order = np.lexsort(keys)
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = np.any([key[order[1:]] != key[order[:-1]] for key in keys], axis=0)
+    same = np.empty(len(order), dtype=np.int64)
+    same[order] = np.cumsum(fresh) - 1
+    return order[fresh], same
+
+
 def _check_orders(orders: tuple[int, ...]) -> None:
     if not orders or len(set(orders)) != len(orders) or not set(orders) <= set(_ORDERS):
         raise OracleError(f"n-gram orders must be a non-empty choice of 1, 2 and 3, not {tuple(orders)}")
@@ -246,39 +299,60 @@ class BuiltinClassifier:
         """Exact logit rows without the bias, ``X·Wq / 2^s``, for mixtures."""
         return np.ldexp(self._integer_logits(list(texts)).astype(np.float64), -self.scale_bits)
 
-    def walk_logits(self, base: str, walks: Sequence[Sequence]) -> np.ndarray:
+    def walk_logits(self, base: str, positions: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """``candidate_logits`` of the sentences that walks of single edits reach from ``base``.
 
-        A walk ``(i_1, t_1, ..., i_k, t_k)`` holds each expanded position
-        ``i_j`` it edited and the sentence ``t_j`` that edit gave (see
-        ``sentence.single_edit``), from ``t_0 = base``; its sentence is
-        ``t_k``, or ``base`` for an empty walk. An edit at ``i`` rewrites
-        the padded sentence from ``lo = (i + 1) // 2`` on: it cuts one code
-        there for even ``i`` and none for odd ``i``, and inserts what
-        ``t_j`` has in their place. A sentence is scored as the integer
-        logits of ``base`` plus, per edit, the grams of ``t_j`` that overlap
-        the inserted codes minus the grams of ``t_{j-1}`` that overlap the
-        cut ones, ``_CHUNK_ROWS`` walks at a time. The sums are exact, so the
-        rows equal ``candidate_logits`` of the sentences bit for bit.
+        Walk ``w`` is row ``w`` of the ``(m, k)`` arrays: its edit ``j``
+        replaces expanded position ``positions[w, j]`` of ``t_j`` with the
+        code point ``codes[w, j]``, 0 for the sentinel, giving ``t_{j+1}``
+        (``sentence.single_edit``) from ``t_0 = base``; its sentence is
+        ``t_k``. An edit at ``i`` rewrites the padded sentence at ``lo = (i +
+        1) // 2``: it cuts the code there for even ``i``, and inserts one
+        unless the code is the sentinel. It adds the grams that overlap the
+        inserted code and takes away the grams that overlap the cut one, and
+        these lie within the ``r = max(orders) - 1`` codes on either side of
+        ``lo`` (``_edit_hoods``). So edits with the same such neighbourhood,
+        code and parity change the logits alike: each distinct one is scored
+        once, as a short row of its neighbourhood, by one ``_window_counts``
+        call for all the inserted grams and one for all the cut grams. A
+        sentence is the integer logits of ``base`` plus the changes of its
+        walk's edits. The sums are exact, so the rows equal
+        ``candidate_logits`` of the sentences bit for bit.
         """
-        self._check_length(max((len(w[-1]) if w else len(base) for w in walks), default=0))
-        base_z = (self.features([base]) @ self._wq_t)[0]
+        if XI in base:
+            raise SentenceError("cannot edit a sentence containing the sentinel")
+        positions, codes = np.asarray(positions, dtype=np.int64), np.asarray(codes, dtype=np.int64)
+        bad = codes[((codes >= 0xD800) & (codes <= 0xDFFF)) | (codes < 0) | (codes > 0x10FFFF)]
+        if len(bad):
+            raise OracleError(f"cannot score the code point {int(bad[0]):#x}; it is not a Unicode scalar value")
+        m, k = positions.shape
+        odd, sentinel = positions % 2 == 1, codes == 0
+        grown = (odd & ~sentinel).sum(axis=1) - (~odd & sentinel).sum(axis=1)  # insertions minus deletions
+        self._check_length(len(base) + int(grown.max()) if m else 0)
+        Z = np.empty((m, self.num_classes), dtype=np.int64)
+        Z[:] = (self.features([base]) @ self._wq_t)[0]
+        if not m * k:
+            return np.ldexp(Z.astype(np.float64), -self.scale_bits)
+        r = max(self.ngram_orders) - 1
+        hood = _edit_hoods(base, positions, codes, r)
+        put, cut = codes.ravel(), 1 - positions.ravel() % 2
+        # one edit per distinct neighbourhood, code and parity
+        one, same = _distinct([*hood.T, put, cut], [_CODE_BITS] * (2 * r + 2) + [1])
+        hood, put, cut = hood[one], put[one], cut[one]
+        # each distinct edit on a short row: its neighbourhood from the row's first code on, and a spare
+        before = (hood[:, :r] == 0).sum(axis=1)  # neighbourhood codes before the row's start
+        lens = (hood != 0).sum(axis=1)
+        cols = np.arange(2 * r + 2)
+        rows = np.take_along_axis(hood, np.minimum(cols + before[:, None], 2 * r), axis=1)
+        rows[cols >= lens[:, None]] = 0
+        at = r - before  # the edit's code in the short row
+        edited, edited_lens = single_edit_rows(rows, lens, 2 * at + 1 + cut, put)
+        starts = np.arange(len(rows)) * rows.shape[1]
         orders, dim = self.ngram_orders, self.feature_dim
-        Z = np.empty((len(walks), self.num_classes), dtype=np.int64)
-        for start in range(0, len(walks), _CHUNK_ROWS):
-            chunk = walks[start : start + _CHUNK_ROWS]
-            flat = list(chain.from_iterable(chunk))
-            pos = np.array(flat[0::2], dtype=np.int64)
-            codes, lens = _padded_codes(flat[1::2])
-            bcodes, blens = _padded_codes([t for w in chunk if w for t in (base, *w[1:-2:2])])
-            lo, cut = (pos + 1) // 2, 1 - pos % 2
-            new = _window_counts(codes, np.cumsum(lens) - lens, lens, lo, cut + lens - blens, orders, dim, 1)
-            old = _window_counts(bcodes, np.cumsum(blens) - blens, blens, lo, cut, orders, dim, -1)
-            bounds = np.cumsum([0] + [len(w) // 2 for w in chunk])
-            Z[start : start + len(chunk)] = base_z
-            for rows in (new, old):  # the rows of a walk's edits summed into one
-                per_walk = sparse.csr_matrix((rows.data, rows.indices, rows.indptr[bounds]), shape=(len(chunk), dim))
-                Z[start : start + len(chunk)] += per_walk @ self._wq_t
+        old = _window_counts(rows.ravel(), starts, lens, at, cut, orders, dim, -1)
+        new = _window_counts(edited.ravel(), starts, edited_lens, at, (put != 0).astype(np.int64), orders, dim, 1)
+        change = new @ self._wq_t + old @ self._wq_t
+        Z += change[same].reshape(m, k, self.num_classes).sum(axis=1)
         return np.ldexp(Z.astype(np.float64), -self.scale_bits)
 
     def _check_length(self, longest: int) -> None:

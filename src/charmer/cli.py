@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
     print(
         f"attacked {counts['attackable']}/{counts['total']} "
         f"(skipped {counts['skipped']}, errors {counts['errors']}); "
-        f"ASR {asr:.2f}%" if asr is not None else "no attackable samples"
+        + (f"ASR {asr:.2f}%" if asr is not None else "no attackable samples")
     )
     # a run where every record errored is a failure, not an empty success
     if counts["total"] and counts["errors"] == counts["total"]:

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 XI = "\x00"  # reserved sentinel; rejected in every input sentence
 L_MAX = 1024  # default maximum sentence length in scalar values
 
@@ -45,6 +47,8 @@ class Alphabet:
             raise SentenceError("alphabet entries must be single scalar values")
         if self.special in ordered:
             raise SentenceError("sentinel must not be a member of the alphabet")
+        if len(self.test_char) != 1:  # a probe or mask inserts it as one single edit
+            raise SentenceError("test character must be a single scalar value")
         if self.test_char == self.special:
             raise SentenceError("test character must differ from the sentinel")
 
@@ -126,13 +130,43 @@ def single_edit(s: str, i: int, c: str) -> str:
     characters, an even ``i`` replaces character ``i // 2`` (1-based); the
     sentinel stands for nothing, so it deletes on even positions and leaves
     ``s`` unchanged on odd ones. The result is always within edit distance 1
-    of ``s``. This and ``single_edits`` are the only builders of single edits.
+    of ``s``. This and ``single_edits`` are the only builders of single-edit
+    sentences; ``single_edit_rows`` is the same edit on rows of code points.
     """
     if XI in s:
         raise SentenceError("cannot edit a sentence containing the sentinel")
     if not 1 <= i <= 2 * len(s) + 1:
         raise SentenceError(f"position {i} out of range [1, {2 * len(s) + 1}]")
     return s[: (i - 1) // 2] + ("" if c == XI else c) + s[i // 2 :]
+
+
+def single_edit_rows(rows: np.ndarray, lens: np.ndarray, positions: np.ndarray, codes: np.ndarray):
+    """``single_edit`` of many sentences at once, on rows of code points.
+
+    Row ``r`` of the ``(n, width)`` int32 ``rows`` holds the ``lens[r]``
+    code points of a sentence and then zeros; it is edited at expanded
+    position ``positions[r]`` with the code point ``codes[r]``, 0 for the
+    sentinel. Returns the edited rows, zero-padded to the same width, and
+    their lengths; row ``r`` holds ``single_edit(t, positions[r],
+    chr(codes[r]))`` for the sentence ``t`` of row ``r``.
+    """
+    if np.any((positions < 1) | (positions > 2 * lens + 1)):
+        raise SentenceError("an edit position is out of range [1, 2 * len + 1]")
+    kept = (positions - 1) // 2  # characters before the edit
+    inserted = codes != 0
+    shift = inserted.astype(np.int64) - (1 - positions % 2)  # an even position cuts one character
+    new_lens = lens + shift
+    if np.any(new_lens > rows.shape[1]):
+        raise SentenceError("an edited row does not fit its width")
+    moved = rows.copy()  # each row's characters from the edit on, at their new places
+    grow, shrink = shift == 1, shift == -1
+    moved[grow, 1:] = rows[grow, :-1]
+    moved[shrink, :-1] = rows[shrink, 1:]
+    moved[shrink, -1] = 0
+    out = np.where(np.arange(rows.shape[1]) < kept[:, None], rows, moved)
+    at = np.flatnonzero(inserted)
+    out[at, kept[at]] = codes[at]
+    return out, new_lens
 
 
 def single_edits(s: str, positions: Iterable[int], chars: Sequence[str], keep=None):

@@ -7,8 +7,8 @@ features are hashed gram by gram and the mixture loss is evaluated on feature
 rows. The simplex-projection reference is ``charmer.verify``'s active-set
 search. The edit-history reference follows each character index through an
 edit by hand, and the margin loss takes the per-row Python ``max``. The PGA
-loop reference runs every step, and the ball sampler reference keeps only
-the set of sentences its walks reach.
+loop reference runs every step, and the ball sampler reference draws from
+``random.Random`` itself and builds every sentence with ``single_edit``.
 """
 
 from __future__ import annotations
@@ -153,16 +153,27 @@ def reference_pga_ascent(classifier, logit_rows, y: int, step_size: float, itera
     return u, losses, fixed_at
 
 
-def reference_sample_ball(s: str, alphabet, k: int, cap: int, seed: int) -> list[str]:
-    """The sorted set of sentences that seeded walks of k single edits reach."""
+def reference_sample_walks(s: str, alphabet, k: int, cap: int, seed: int) -> dict[str, tuple]:
+    """The sentences that seeded walks of k single edits reach, each with the first walk that did.
+
+    A walk is its edits ``((i_1, c_1), ..., (i_k, c_k))``; ``s`` itself is
+    reached by the empty walk before any is drawn.
+    """
     rng = random.Random(seed)
-    out = {s}
+    out = {s: ()}
     chars = alphabet.replacement_chars()
     attempts = cap * 20
     while len(out) < cap and attempts > 0:
         attempts -= 1
-        t = s
+        t, walk = s, []
         for _ in range(k):
-            t = single_edit(t, rng.randrange(2 * len(t) + 1) + 1, rng.choice(chars))
-        out.add(t)
-    return sorted(out)
+            edit = (rng.randrange(2 * len(t) + 1) + 1, rng.choice(chars))
+            t = single_edit(t, *edit)
+            walk.append(edit)
+        out.setdefault(t, tuple(walk))
+    return out
+
+
+def reference_sample_ball(s: str, alphabet, k: int, cap: int, seed: int) -> list[str]:
+    """The sorted set of sentences that seeded walks of k single edits reach."""
+    return sorted(reference_sample_walks(s, alphabet, k, cap, seed))

@@ -386,6 +386,11 @@ class TestEquivalenceAndBaselines:
             AttackConfig(alphabet=desk_alphabet, n=0)
         with pytest.raises(ValueError):
             AttackConfig(alphabet=desk_alphabet, k=0)
+        # counts are ints: a float, a bool or a string would fail later as a bare TypeError, or not at all
+        for name in ("n", "k", "budget", "segment_preselect"):
+            for bad in (2.5, 2.0, True, "3", None if name in ("n", "k") else 0.5):
+                with pytest.raises(ValueError, match=name):
+                    AttackConfig(alphabet=desk_alphabet, **{name: bad})
 
     @pytest.mark.parametrize(
         "fields", [{"budget": -5}, {"budget": 0}, {"segment_preselect": 0}, {"budget": -5, "segment_preselect": 0}]

@@ -405,8 +405,8 @@ WALK_CHARS = "ab é€😀"
 
 @st.composite
 def walks_from(draw, s, k):
-    """A walk of k single edits from s: ``(i_1, t_1, ..., i_k, t_k)``."""
-    t, walk = s, ()
+    """A walk of k single edits from s: its positions, its code points (0 for the sentinel) and its sentence."""
+    t, positions, codes = s, [], []
     for _ in range(k):
         top = 2 * len(t) + 1
         i = draw(st.one_of(st.just(1), st.just(top), st.integers(1, top)))  # both ends, or anywhere
@@ -418,21 +418,23 @@ def walks_from(draw, s, k):
         else:
             c = draw(st.sampled_from(WALK_CHARS))
         t = single_edit(t, i, c)
-        walk += (i, t)
-    return walk
+        positions.append(i)
+        codes.append(ord(c))
+    return positions, codes, t
 
 
 def check_walk_rows(clf):
     """Hypothesis: ``walk_logits`` rows equal ``candidate_logits`` of the walks' sentences."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet=WALK_CHARS, max_size=12), st.data())
-    def walks_score_as_their_sentences(s, data):
-        walks = [data.draw(walks_from(s, data.draw(st.integers(1, 3)))) for _ in range(data.draw(st.integers(0, 7)))]
-        walks.append(())
-        sentences = [w[-1] if w else s for w in walks]
-        with mock.patch.object(classifier_module, "_CHUNK_ROWS", 3):
-            assert clf.walk_logits(s, walks).tobytes() == clf.candidate_logits(sentences).tobytes()
+    @given(st.text(alphabet=WALK_CHARS, max_size=12), st.integers(0, 4), st.data())
+    def walks_score_as_their_sentences(s, k, data):
+        walks = [data.draw(walks_from(s, k)) for _ in range(data.draw(st.integers(0, 7)))]
+        walks.append(([1] * k, [0] * k, s))  # k no-op edits: s itself
+        positions = np.array([w[0] for w in walks], dtype=np.int64).reshape(len(walks), k)
+        codes = np.array([w[1] for w in walks], dtype=np.int64).reshape(len(walks), k)
+        rows = clf.walk_logits(s, positions, codes)
+        assert rows.tobytes() == clf.candidate_logits([w[2] for w in walks]).tobytes()
 
     walks_score_as_their_sentences()
 
@@ -463,11 +465,13 @@ class TestWalkLogits:
     def test_a_sentence_past_the_bound_raises_as_in_candidate_logits(self, clf):
         s = "a" * clf._max_chars
         longer = s + "a"
-        shrink = (2, single_edit(longer, 2, XI))  # back within the bound
-        for base, walks in ((s, [(1, single_edit(s, 1, "b"))]), (longer, [(), shrink])):
+        for base, positions, codes in ((s, [[1]], [[ord("b")]]), (longer, [[1], [2]], [[0], [0]])):
+            # the second base's walks: a no-op, which stays past the bound, and a deletion back within it
+            sentences = [single_edit(base, p[0], chr(c[0])) for p, c in zip(positions, codes)]
             with pytest.raises(OracleError):
-                clf.candidate_logits([w[-1] if w else base for w in walks])
+                clf.candidate_logits(sentences)
             with pytest.raises(OracleError):
-                clf.walk_logits(base, walks)
+                clf.walk_logits(base, np.array(positions), np.array(codes))
         # a base past the bound whose walks all come back within it is still exact
-        assert clf.walk_logits(longer, [shrink]).tobytes() == clf.candidate_logits([shrink[-1]]).tobytes()
+        shrunk = clf.walk_logits(longer, np.array([[2]]), np.array([[0]]))
+        assert shrunk.tobytes() == clf.candidate_logits([single_edit(longer, 2, XI)]).tobytes()

@@ -80,6 +80,14 @@ class TestRun:
                     cur = single_edit(cur, pos, char)
             assert cur == line["adversarial"]
 
+    def test_summary_keeps_the_counts_without_attackable_samples(self, model_path, tmp_path, capsys):
+        data = tmp_path / "flipped.jsonl"
+        with open(data, "w", encoding="utf-8") as fh:  # every label wrong: all four records are skipped
+            for r in make_keyword_corpus(4, seed=7):
+                fh.write(json.dumps({"id": r.id, "text": r.text, "label": 1 - r.label}) + "\n")
+        assert main(["run", "--dataset", str(data), "--oracle", f"builtin:{model_path}"]) == 0
+        assert capsys.readouterr().out == "attacked 0/4 (skipped 4, errors 0); no attackable samples\n"
+
     def test_seeded_rerun_byte_identical(self, eval_path, model_path, tmp_path):
         args = ("--attack", "random", "--seed", "5", "--n", "5", "--k", "4")
         t1, r1 = run_attack(eval_path, model_path, tmp_path, "a", args)

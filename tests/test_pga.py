@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from charmer import pga as pga_module
 from charmer.classifier import BuiltinClassifier, TrainConfig, train_builtin
 from charmer.pga import GradientUnavailableError, PgaConfig, _ascend, _sample_ball, pga_attack, project_simplex
-from charmer.sentence import Alphabet, levenshtein, single_edit
+from charmer.sentence import XI, Alphabet, SentenceError, levenshtein, single_edit
 from charmer.verify import reference_simplex_projection
-from reference import reference_pga_ascent, reference_sample_ball
+from reference import reference_pga_ascent, reference_sample_ball, reference_sample_walks
 
 finite_vec = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
@@ -117,6 +117,10 @@ class TestPgaAttack:
         for bad in (dict(candidate_cap=0), dict(candidate_cap=-3), dict(k=0), dict(k=-1)):
             with pytest.raises(ValueError):
                 PgaConfig(**bad)
+        for name in ("iterations", "k", "candidate_cap"):
+            for bad in (2.5, 2.0, True, "3", None):
+                with pytest.raises(ValueError, match=name):
+                    PgaConfig(**{name: bad})
 
 
 def _bias_only(bias) -> BuiltinClassifier:
@@ -168,6 +172,29 @@ class TestFixedPointExit:
             assert [step.loss for step in outcome.trace] == losses
 
 
+def _replayed(s, positions, codes):
+    """The sentences that sampled walks reach, replayed edit by edit through ``single_edit``."""
+    out = []
+    for walk_positions, walk_codes in zip(positions.tolist(), codes.tolist()):
+        t = s
+        for i, c in zip(walk_positions, walk_codes):
+            t = single_edit(t, i, chr(c))
+        out.append(t)
+    return out
+
+
+def check_sample(s, alphabet, k, cap, seed):
+    """The sampled walks are the reference's first walks, in the sorted order of their sentences."""
+    positions, codes = _sample_ball(s, alphabet, k, cap, seed)
+    walks = reference_sample_walks(s, alphabet, k, cap, seed)
+    assert positions.shape == codes.shape == (len(walks), k)
+    assert _replayed(s, positions, codes) == sorted(walks)
+    for candidate, walk_positions, walk_codes in zip(sorted(walks), positions.tolist(), codes.tolist()):
+        edits = walks[candidate] or ((1, XI),) * k  # s itself: k no-op edits
+        assert list(zip(walk_positions, map(chr, walk_codes))) == list(edits)
+    return walks
+
+
 class TestSampleBall:
     @pytest.mark.parametrize(
         "s,k,cap,seed",
@@ -176,13 +203,28 @@ class TestSampleBall:
     )
     def test_candidates_equal_the_set_sampler_and_walks_replay(self, s, k, cap, seed):
         alphabet = Alphabet(tuple("ab é😀"))
-        candidates, walks = _sample_ball(s, alphabet, k, cap, seed)
-        assert candidates == reference_sample_ball(s, alphabet, k, cap, seed)
-        chars = alphabet.replacement_chars()
-        for candidate, walk in zip(candidates, walks):
-            assert len(walk) == (0 if candidate == s else 2 * k)
-            t = s
-            for i, after in zip(walk[0::2], walk[1::2]):
-                assert after in {single_edit(t, i, c) for c in chars}
-                t = after
-            assert t == candidate
+        walks = check_sample(s, alphabet, k, cap, seed)
+        assert sorted(walks) == reference_sample_ball(s, alphabet, k, cap, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.text(alphabet="ab é€😀\U00010348", max_size=6),  # code points of one, two and three bytes
+        chars=st.sampled_from(["", "a", "ab", "a€", "ab é😀", "x😀\U00010348"]),  # "": the sentinel alone
+        k=st.sampled_from([1, 2, 3, 4, 10]),
+        cap=st.one_of(st.just(1), st.integers(2, 60)),
+        seed=st.one_of(st.integers(-(2**40), -1), st.integers(0, 9), st.integers(2**32, 2**70)),
+    )
+    def test_draws_what_random_draws(self, s, chars, k, cap, seed):
+        walks = check_sample(s, Alphabet(tuple(chars)), k, cap, seed)
+        event("ball smaller than cap" if len(walks) < cap else "cap reached")
+
+    def test_rounds_stop_at_the_cap(self):
+        # a first round too small for the cap, so that later rounds must top it up exactly
+        alphabet = Alphabet(tuple("ab é😀"))
+        with mock.patch.object(pga_module, "_ROUND_CODES", 1), mock.patch.object(pga_module, "_CHUNK_ROWS", 7):
+            walks = check_sample("the movie was good fun", alphabet, 2, 300, 3)
+        assert len(walks) == 300
+
+    def test_sentinel_in_the_sentence_raises(self):
+        with pytest.raises(SentenceError):
+            _sample_ball("a" + XI, Alphabet(("a",)), 1, 4, 0)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from charmer.sentence import (
     generate_neighbors,
     levenshtein,
     single_edit,
+    single_edit_rows,
     single_edits,
 )
 from charmer.verify import reference_levenshtein
@@ -122,6 +124,34 @@ class TestSingleEdit:
     def test_rejects_sentinel(self):
         with pytest.raises(SentenceError):
             single_edit("a" + XI, 1, "b")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="ab é€😀\U00010348", max_size=8), min_size=1, max_size=6), st.data())
+    def test_rows_equal_single_edit(self, texts, data):
+        width = max(map(len, texts)) + data.draw(st.integers(1, 3))
+        rows = np.zeros((len(texts), width), dtype=np.int32)
+        for r, t in enumerate(texts):
+            rows[r, : len(t)] = [ord(c) for c in t]
+        lens = np.array([len(t) for t in texts])
+        ends = [st.one_of(st.just(1), st.just(2 * len(t) + 1), st.integers(1, 2 * len(t) + 1)) for t in texts]
+        positions = [data.draw(end) for end in ends]  # both ends, or anywhere
+        chars = [data.draw(st.sampled_from("a😀" + XI + t)) for t in texts]  # a replacement may keep the character
+        out, new_lens = single_edit_rows(rows, lens, np.array(positions), np.array([ord(c) for c in chars]))
+        for r, t in enumerate(texts):
+            edited = single_edit(t, positions[r], chars[r])
+            assert new_lens[r] == len(edited)
+            assert out[r].tolist() == [ord(c) for c in edited] + [0] * (width - len(edited))
+        assert rows.tolist() == [[ord(c) for c in t] + [0] * (width - len(t)) for t in texts]  # left as it was
+
+    def test_rows_out_of_range_or_too_narrow(self):
+        rows, lens = np.array([[ord("a"), ord("b")]], dtype=np.int32), np.array([2])
+        for position in (0, 6):
+            with pytest.raises(SentenceError):
+                single_edit_rows(rows, lens, np.array([position]), np.array([ord("c")]))
+        with pytest.raises(SentenceError):  # an insertion into a full row
+            single_edit_rows(rows, lens, np.array([1]), np.array([ord("c")]))
+        out, new_lens = single_edit_rows(rows, lens, np.array([2]), np.array([0]))
+        assert out.tolist() == [[ord("b"), 0]] and new_lens.tolist() == [1]
 
     @given(
         st.text(alphabet="ab é€😀", max_size=16),
@@ -254,6 +284,13 @@ class TestAlphabetAndValidation:
     def test_sentinel_excluded(self):
         with pytest.raises(SentenceError):
             Alphabet(("a", XI))
+
+    @pytest.mark.parametrize("test_char", ["xy", "", "😀😀", "a" + XI])
+    def test_test_char_must_be_one_scalar_value(self, test_char):
+        with pytest.raises(SentenceError):
+            Alphabet(("a",), test_char=test_char)
+        with pytest.raises(SentenceError):
+            Alphabet.from_texts(["ab"], test_char=test_char)
 
     def test_from_texts_sorted(self):
         alphabet = Alphabet.from_texts(["ba", "ab"])
