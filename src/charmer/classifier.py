@@ -18,6 +18,8 @@ int64; a longer row raises ``OracleError``.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 from collections import Counter
@@ -28,6 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
+from .attack import check_counts
 from .oracle import Oracle, OracleError
 from .sentence import XI, SentenceError, single_edit_rows
 
@@ -236,9 +239,12 @@ def _distinct(columns: list[np.ndarray], bits: list[int]) -> tuple[np.ndarray, n
     return order[fresh], same
 
 
-def _check_orders(orders: tuple[int, ...]) -> None:
-    if not orders or len(set(orders)) != len(orders) or not set(orders) <= set(_ORDERS):
-        raise OracleError(f"n-gram orders must be a non-empty choice of 1, 2 and 3, not {tuple(orders)}")
+def _check_orders(orders) -> tuple[int, ...]:
+    """``orders`` as a tuple; ``OracleError`` unless it is a non-empty choice of 1, 2 and 3."""
+    checked = tuple(orders) if isinstance(orders, (tuple, list)) else ()
+    if not checked or len(set(checked)) != len(checked) or not all(type(n) is int and n in _ORDERS for n in checked):
+        raise OracleError(f"n-gram orders must be a non-empty choice of 1, 2 and 3, not {orders!r}")
+    return checked
 
 
 def _scale_bits(weights: np.ndarray, bias: np.ndarray) -> int:
@@ -267,7 +273,15 @@ class BuiltinClassifier:
     bias: np.ndarray  # (num_classes,)
 
     def __post_init__(self):
-        _check_orders(self.ngram_orders)
+        self.ngram_orders = _check_orders(self.ngram_orders)
+        dim = self.feature_dim
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise OracleError(f"feature_dim must be an integer >= 1, not {dim!r}")
+        shape = np.shape(self.weights)
+        if len(shape) != 2 or shape[0] < 2 or shape[1] != dim:
+            raise OracleError(f"weights of shape {shape} are not (classes >= 2, feature_dim = {dim})")
+        if np.shape(self.bias) != shape[:1]:
+            raise OracleError(f"bias of shape {np.shape(self.bias)} does not match {shape[0]} classes")
         # the fixed-point copy scoring uses; the float weights are not read again
         self.scale_bits: int = _scale_bits(self.weights, self.bias)
         self._wq_t = np.ascontiguousarray(np.rint(np.ldexp(self.weights.T, self.scale_bits)).astype(np.int64))
@@ -428,18 +442,33 @@ class BuiltinClassifier:
 
     @classmethod
     def load(cls, path) -> "BuiltinClassifier":
+        """A saved model; ``OracleError`` naming ``path`` for a damaged or foreign file."""
         with open(path, "rb") as fh:
-            if fh.read(4) != MAGIC:
-                raise OracleError("not a builtin classifier file (bad magic)")
-            (version,) = struct.unpack("<I", fh.read(4))
+            left = os.fstat(fh.fileno()).st_size
+
+            def read(size: int, what: str) -> bytes:
+                nonlocal left
+                if size > left:
+                    raise OracleError(f"{path}: model file cut short in its {what}")
+                left -= size
+                return fh.read(size)
+
+            if read(4, "magic") != MAGIC:
+                raise OracleError(f"{path}: not a builtin classifier file (bad magic)")
+            (version,) = struct.unpack("<I", read(4, "header"))
             if version != FORMAT_VERSION:
-                raise OracleError(f"unsupported model format version {version}")
-            (n_orders,) = struct.unpack("<I", fh.read(4))
-            orders = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(n_orders))
-            dim, o = struct.unpack("<II", fh.read(8))
-            weights = np.frombuffer(fh.read(8 * dim * o), dtype="<f8").reshape(o, dim).copy()
-            bias = np.frombuffer(fh.read(8 * o), dtype="<f8").copy()
-        return cls(ngram_orders=orders, feature_dim=dim, weights=weights, bias=bias)
+                raise OracleError(f"{path}: unsupported model format version {version}")
+            (n_orders,) = struct.unpack("<I", read(4, "header"))
+            orders = struct.unpack(f"<{n_orders}I", read(4 * n_orders, "header"))
+            dim, o = struct.unpack("<II", read(8, "header"))
+            weights = np.frombuffer(read(8 * dim * o, "weights"), dtype="<f8").reshape(o, dim).copy()
+            bias = np.frombuffer(read(8 * o, "bias"), dtype="<f8").copy()
+            if left:
+                raise OracleError(f"{path}: {left} bytes past the end of the model")
+        try:
+            return cls(ngram_orders=orders, feature_dim=dim, weights=weights, bias=bias)
+        except OracleError as exc:
+            raise OracleError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -451,6 +480,20 @@ class TrainConfig:
     l2: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self):
+        self.ngram_orders = _check_orders(self.ngram_orders)
+        check_counts(self, "feature_dim", "steps")
+        lr, l2 = self.learning_rate, self.l2
+        if not (_real(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, not {lr!r}")
+        if not (_real(l2) and l2 >= 0):
+            raise ValueError(f"l2 must be a finite number >= 0, not {l2!r}")
+
+
+def _real(value) -> bool:
+    """A finite int or float; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
 
 def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = TrainConfig()) -> BuiltinClassifier:
     """Full-batch gradient descent on softmax cross-entropy over hashed counts.
@@ -458,7 +501,6 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     Reproducible: the seed fixes the weight initialization and the rest of
     the procedure is deterministic.
     """
-    _check_orders(config.ngram_orders)
     if not dataset:
         raise OracleError("training dataset is empty")
     texts = [t for t, _ in dataset]
@@ -474,19 +516,27 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     Y[np.arange(len(texts)), labels] = 1.0
 
     rng = np.random.default_rng(config.seed)
-    W = rng.normal(0.0, 1e-3, size=(o, config.feature_dim))
+    # the weights transposed, (feature_dim, classes) in C order: the layout scipy
+    # multiplies a sparse matrix by; it would copy W.T into it on every step
+    Wt = np.ascontiguousarray(rng.normal(0.0, 1e-3, size=(o, config.feature_dim)).T)
     b = np.zeros(o)
     n = len(texts)
+    Xt = X.T  # a CSC view, no copy
+    step = np.empty_like(Wt)
     for _ in range(config.steps):
-        Z = X @ W.T + b
+        Z = X @ Wt + b
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
         G = (P - Y) / n
-        W -= config.learning_rate * (np.asarray(G.T @ X) + config.l2 * W)
+        # W -= lr·(Gᵀ·X + l2·W), the same operation on each element, in one buffer
+        np.multiply(Wt, config.l2, out=step)
+        step += Xt @ G
+        step *= config.learning_rate
+        Wt -= step
         b -= config.learning_rate * G.sum(axis=0)
     return BuiltinClassifier(
-        ngram_orders=config.ngram_orders, feature_dim=config.feature_dim, weights=W, bias=b
+        ngram_orders=config.ngram_orders, feature_dim=config.feature_dim, weights=np.ascontiguousarray(Wt.T), bias=b
     )
 
 

@@ -90,13 +90,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train_builtin(args) -> int:
-    records = load_dataset(args.dataset, args.format, cap=args.cap)
     config = TrainConfig(
         feature_dim=args.dim,
         steps=args.steps,
         learning_rate=args.lr,
         seed=args.seed,
     )
+    records = load_dataset(args.dataset, args.format, cap=args.cap)
     clf = train_builtin([(r.text, r.label) for r in records], config)
     clf.save(args.out)
     acc = float((clf.predict([r.text for r in records]) == [r.label for r in records]).mean())

@@ -8,7 +8,9 @@ rows. The simplex-projection reference is ``charmer.verify``'s active-set
 search. The edit-history reference follows each character index through an
 edit by hand, and the margin loss takes the per-row Python ``max``. The PGA
 loop reference runs every step, and the ball sampler reference draws from
-``random.Random`` itself and builds every sentence with ``single_edit``.
+``random.Random`` itself and builds every sentence with ``single_edit``. The
+training reference keeps its weights as ``(classes, feature_dim)`` and
+updates them in one expression.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import zlib
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
 
 from charmer.classifier import mixture_loss_and_grad
 from charmer.pga import project_simplex
@@ -58,6 +61,33 @@ def reference_hashed_counts(text: str, orders: tuple[int, ...], dim: int):
             h = zlib.crc32(padded[i : i + n].encode("utf-8") + salt) % dim
             counts[h] = counts.get(h, 0.0) + 1.0
     return np.array(list(counts), dtype=np.int64), np.array(list(counts.values()))
+
+
+def reference_train_builtin(dataset, orders: tuple[int, ...], dim: int, steps: int, lr: float, l2: float, seed: int):
+    """Weights ``(classes, dim)`` and bias of full-batch softmax regression on
+    hashed counts: ``steps`` gradient steps from ``normal(0, 1e-3)`` weights."""
+    rows = [reference_hashed_counts(text, orders, dim) for text, _ in dataset]
+    X = sparse.csr_matrix(
+        (np.concatenate([v for _, v in rows]), np.concatenate([i for i, _ in rows]),
+         np.cumsum([0] + [len(i) for i, _ in rows])),
+        shape=(len(rows), dim),
+    )
+    labels = np.array([y for _, y in dataset])
+    o = int(labels.max()) + 1
+    Y = np.zeros((len(dataset), o))
+    Y[np.arange(len(dataset)), labels] = 1.0
+    W = np.random.default_rng(seed).normal(0.0, 1e-3, size=(o, dim))
+    b = np.zeros(o)
+    n = len(dataset)
+    for _ in range(steps):
+        Z = X @ W.T + b
+        Z -= Z.max(axis=1, keepdims=True)
+        P = np.exp(Z)
+        P /= P.sum(axis=1, keepdims=True)
+        G = (P - Y) / n
+        W -= lr * (np.asarray(G.T @ X) + l2 * W)
+        b -= lr * G.sum(axis=0)
+    return W, b
 
 
 def reference_window_counts(text: str, orders: tuple[int, ...], dim: int, lo: int, width: int) -> Counter:

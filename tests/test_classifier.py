@@ -1,3 +1,5 @@
+import math
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -26,10 +28,22 @@ from reference import (
     central_difference_gradient,
     feature_mixture_loss_and_grad,
     reference_hashed_counts,
+    reference_train_builtin,
     reference_window_counts,
 )
 
 SMALL = TrainConfig(feature_dim=4096, steps=200, seed=0)
+
+
+@st.composite
+def corpora(draw):
+    """Small labelled corpora: repeated texts, empty and non-BMP ones, and
+    labels that may skip a class index."""
+    pool = draw(st.lists(st.text(st.sampled_from("ab é😀𝔸"), max_size=8), min_size=1, max_size=4))
+    corpus = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 3)), min_size=1, max_size=8))
+    if max(y for _, y in corpus) == 0:
+        corpus[-1] = (corpus[-1][0], draw(st.integers(1, 3)))
+    return corpus
 
 
 class TestFeatures:
@@ -138,6 +152,59 @@ class TestTraining:
         with pytest.raises(OracleError):
             train_builtin([("a", 0), ("b", 0)], SMALL)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpora(),
+        st.sampled_from([(1,), (3, 1), (1, 2, 3)]),
+        st.sampled_from([1, 97, 4096]),
+        st.sampled_from([0.0, 1e-4]),
+        st.sampled_from([0.5, 1.0]),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([("", 0), ("😀𝔸", 2), ("😀𝔸", 2)], (1, 2, 3), 97, 1e-4, 1.0, 3, 0)  # no sample of class 1
+    def test_bit_equal_to_the_reference_loop(self, corpus, orders, dim, l2, lr, steps, seed):
+        config = TrainConfig(ngram_orders=orders, feature_dim=dim, steps=steps, learning_rate=lr, l2=l2, seed=seed)
+        clf = train_builtin(corpus, config)
+        weights, bias = reference_train_builtin(corpus, orders, dim, steps, lr, l2, seed)
+        assert clf.weights.shape == weights.shape
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.bias.tobytes() == bias.tobytes()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("feature_dim", 0), ("feature_dim", -3), ("feature_dim", 2.0), ("feature_dim", True),
+            ("steps", 0), ("steps", -5), ("steps", "3"), ("steps", None),
+            ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", math.nan),
+            ("learning_rate", math.inf), ("learning_rate", True), ("learning_rate", "1"),
+            ("l2", -1e-4), ("l2", math.nan), ("l2", math.inf), ("l2", False), ("l2", None),
+        ],
+    )
+    def test_bad_values_raise_value_error(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: bad})
+
+    @pytest.mark.parametrize("orders", [(1.0,), (True, 2), 3, "123", None])
+    def test_orders_that_are_not_ints_raise_oracle_error(self, orders):
+        with pytest.raises(OracleError, match="orders"):
+            TrainConfig(ngram_orders=orders)
+
+    def test_valid_values_are_kept(self):
+        assert TrainConfig() == TrainConfig((1, 2, 3), 1 << 16, 200, 1.0, 1e-4, 0)
+        config = TrainConfig(ngram_orders=[1, 2, 3], feature_dim=1, steps=1, learning_rate=2, l2=0)
+        assert config.ngram_orders == (1, 2, 3)
+        assert (config.feature_dim, config.steps, config.learning_rate, config.l2) == (1, 1, 2, 0)
+
+    def test_orders_given_as_a_list_train(self):
+        data = [("good", 1), ("bad", 0)]
+        listed = train_builtin(data, TrainConfig(ngram_orders=[1, 2, 3], feature_dim=64, steps=2))
+        tupled = train_builtin(data, TrainConfig(ngram_orders=(1, 2, 3), feature_dim=64, steps=2))
+        assert listed.ngram_orders == (1, 2, 3)
+        assert listed.weights.tobytes() == tupled.weights.tobytes()
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
@@ -159,6 +226,60 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(OracleError):
             BuiltinClassifier.load(path)
+
+
+class TestDamagedModel:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "model.bin"
+        BuiltinClassifier((1, 2), 4, rng.normal(size=(2, 4)), rng.normal(size=2)).save(path)
+        return path
+
+    # the file: 28 header bytes (magic, version, 2 orders, dim, classes), 64 of weights, 16 of bias
+    @pytest.mark.parametrize("size", [0, 3, 6, 10, 14, 19, 24, 27, 28, 36, 91, 92, 100, 107])
+    def test_a_cut_file_names_itself(self, saved, size):
+        saved.write_bytes(saved.read_bytes()[:size])
+        with pytest.raises(OracleError, match=re.escape(str(saved))):
+            BuiltinClassifier.load(saved)
+
+    def test_trailing_bytes_are_rejected(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00")
+        with pytest.raises(OracleError, match=re.escape(str(saved)) + ".*1 bytes past the end"):
+            BuiltinClassifier.load(saved)
+
+    @pytest.mark.parametrize("dim, classes", [(0, 2), (4, 1), (4, 0)])
+    def test_a_header_without_features_or_classes_is_rejected(self, tmp_path, dim, classes):
+        path = tmp_path / "model.bin"
+        _write_model(path, (1, 2, 3), dim=dim, classes=classes)
+        with pytest.raises(OracleError, match=re.escape(str(path))):
+            BuiltinClassifier.load(path)
+
+    def test_a_huge_header_fails_before_reading(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(MAGIC + struct.pack("<IIIII", 1, 1, 1, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(OracleError, match="cut short in its weights"):
+            BuiltinClassifier.load(path)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "dim, weights, bias",
+        [
+            (0, np.zeros((2, 0)), np.zeros(2)),
+            (-1, np.zeros((2, 4)), np.zeros(2)),
+            (4.0, np.zeros((2, 4)), np.zeros(2)),
+            (4, np.zeros((1, 4)), np.zeros(1)),
+            (4, np.zeros((2, 3)), np.zeros(2)),
+            (4, np.zeros(8), np.zeros(2)),
+            (4, np.zeros((2, 4)), np.zeros(3)),
+            (4, np.zeros((2, 4)), np.zeros((2, 1))),
+        ],
+        ids=["dim-0", "dim-negative", "dim-float", "one-class", "weights-width", "weights-1d", "bias-length", "bias-2d"],
+    )
+    def test_bad_shapes_raise_oracle_error(self, dim, weights, bias):
+        with pytest.raises(OracleError):
+            BuiltinClassifier((1,), dim, weights, bias)
 
 
 class TestOracleAdapter:

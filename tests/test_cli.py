@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -59,6 +60,31 @@ class TestTrainBuiltin:
         assert main(
             ["train-builtin", "--dataset", str(tmp_path / "no.jsonl"), "--out", str(tmp_path / "m")]
         ) == 1
+
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--dim", "0", "feature_dim"), ("--dim", "-3", "feature_dim"), ("--steps", "0", "steps"),
+         ("--steps", "-5", "steps"), ("--lr", "0", "learning_rate"), ("--lr", "nan", "learning_rate")],
+        ids=["dim-0", "dim-negative", "steps-0", "steps-negative", "lr-0", "lr-nan"],
+    )
+    def test_values_argparse_accepts_but_training_rejects_exit_1(self, dataset_path, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "m.bin"
+        assert main(["train-builtin", "--dataset", str(dataset_path), "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
+
+def damaged(data: bytes, damage: str) -> bytes:
+    """A model file with orders 1-3 (a 32-byte header) damaged one way."""
+    if damage == "header":
+        return data[:22]
+    if damage == "weights":
+        return data[:40]
+    if damage == "trailing":
+        return data + b"\x00"
+    return data[:24] + struct.pack("<II", 0, 2) + data[-16:]  # no features, two classes
 
 
 class TestRun:
@@ -152,6 +178,15 @@ class TestRun:
         code = main(["run", "--dataset", str(data), "--oracle", f"builtin:{model_path}", "--out", str(out)])
         assert code == 1
         assert "bad.jsonl:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["header", "weights", "trailing", "no-features"])
+    def test_damaged_model_file_exits_1_and_names_it(self, eval_path, model_path, tmp_path, capsys, damage):
+        path = tmp_path / "damaged.bin"
+        path.write_bytes(damaged(model_path.read_bytes(), damage))
+        assert main(["run", "--dataset", str(eval_path), "--oracle", f"builtin:{path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
 
     def test_bad_oracle_spec_exits_1(self, eval_path):
         assert main(["run", "--dataset", str(eval_path), "--oracle", "ftp://x"]) == 1
