@@ -14,6 +14,10 @@ logits, and a sentence scored from the difference of its n-grams with a
 nearby one gets the same logits as when scored from scratch. ``s`` is the
 largest scale at which ``_MAX_GRAMS`` weights and the bias cannot overflow
 int64; a longer row raises ``OracleError``.
+
+``scipy.sparse`` is imported where a CSR matrix is first built, so a
+process that never featurizes, such as a run against a remote oracle, never
+loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .attack import check_counts
 from .oracle import Oracle, OracleError
@@ -50,6 +53,8 @@ _CODE_BITS = 21
 _CHUNK_ROWS = 512
 # a row whose changed middle is wider than this is scored from scratch
 _DELTA_WIDTH = 8
+# classes a model file can hold: its class count is one "<I" field
+_MAX_CLASSES = 2**32 - 1
 
 
 def _unpack(key: int) -> str:
@@ -110,11 +115,16 @@ def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> s
     Each row lists its features in first-occurrence order, which fixes the
     float summation order of training.
     """
+    from scipy import sparse
+
     indptr = [0]
     indices: list[np.ndarray] = []
     data: list[np.ndarray] = []
     for t in texts:
-        idx, val = _hashed_counts(t, orders, dim)
+        try:
+            idx, val = _hashed_counts(t, orders, dim)
+        except UnicodeEncodeError as exc:
+            raise _lone_surrogate(exc) from None
         indices.append(idx)
         data.append(val)
         indptr.append(indptr[-1] + len(idx))
@@ -126,13 +136,18 @@ def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> s
     )
 
 
+def _lone_surrogate(exc: UnicodeEncodeError) -> OracleError:
+    """The error for a sentence that fails to encode: grams hash as UTF-8, which has no lone surrogates."""
+    return OracleError(f"cannot score the lone surrogate U+{ord(exc.object[exc.start]):04X}")
+
+
 def _padded_codes(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Code points of the padded sentences, concatenated, and their lengths."""
     joined = _BOUNDARY_LEFT + (_BOUNDARY_RIGHT + _BOUNDARY_LEFT).join(texts) + _BOUNDARY_RIGHT
     try:
         raw = joined.encode("utf-32-le")
-    except UnicodeEncodeError as exc:  # grams hash as UTF-8, which has no lone surrogates
-        raise OracleError(f"cannot score the lone surrogate U+{ord(joined[exc.start]):04X}") from None
+    except UnicodeEncodeError as exc:
+        raise _lone_surrogate(exc) from None
     codes = np.frombuffer(raw, dtype="<u4").view(np.int32)
     lens = np.fromiter((len(t) + 2 for t in texts), dtype=np.int64, count=len(texts))
     return (codes if len(texts) else codes[:0]), lens
@@ -166,6 +181,8 @@ def _window_counts(
     ``sign``, the entries of a row are grouped together, and repeats of a
     column add up.
     """
+    from scipy import sparse
+
     n = np.asarray(orders, dtype=np.int64)
     first = np.maximum(lo[:, None] + 1 - n, 0)
     count = np.maximum(np.minimum((lo + width - 1)[:, None], lens[:, None] - n) - first + 1, 0).ravel()
@@ -504,12 +521,14 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     if not dataset:
         raise OracleError("training dataset is empty")
     texts = [t for t, _ in dataset]
+    for row, (_, y) in enumerate(dataset):
+        # a bool is an int; the class count must fit the model file's "<I" field
+        if not isinstance(y, (int, np.integer)) or isinstance(y, bool) or not 0 <= y < _MAX_CLASSES:
+            raise OracleError(f"training row {row}: label {y!r} is not an int from 0 to {_MAX_CLASSES - 1}")
     labels = np.asarray([y for _, y in dataset], dtype=np.int64)
     o = int(labels.max()) + 1
     if o < 2:
         raise OracleError("need at least 2 classes in the training data")
-    if labels.min() < 0:
-        raise OracleError("labels must be nonnegative class indices")
 
     X = feature_matrix(texts, config.ngram_orders, config.feature_dim)
     Y = np.zeros((len(texts), o))

@@ -152,6 +152,23 @@ class TestTraining:
         with pytest.raises(OracleError):
             train_builtin([("a", 0), ("b", 0)], SMALL)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, True, "1", None, -1, 2**40])
+    def test_a_label_that_is_not_a_class_index_names_its_row(self, bad):
+        # 2**40 classes do not fit the class count field of a model file
+        with pytest.raises(OracleError, match=r"^training row 2: label "):
+            train_builtin([("a", 0), ("b", 1), ("c", bad)], SMALL)
+
+    def test_a_numpy_integer_label_is_a_class_index(self):
+        clf = train_builtin([("a", np.int64(0)), ("b", np.int64(1))], SMALL)
+        assert clf.num_classes == 2
+
+    def test_a_lone_surrogate_raises_as_in_scoring(self, desk_classifier):
+        with pytest.raises(OracleError) as scored:
+            desk_classifier.logits(["\ud800"])
+        with pytest.raises(OracleError) as trained:
+            train_builtin([("\ud800", 0), ("b", 1)], SMALL)
+        assert str(trained.value) == str(scored.value) == "cannot score the lone surrogate U+D800"
+
     @settings(max_examples=60, deadline=None)
     @given(
         corpora(),
