@@ -42,7 +42,6 @@ from .sentence import (
     generate_neighbors,
     levenshtein,
     single_edit,
-    single_edits,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "select_positions",
     "similarity",
     "single_edit",
-    "single_edits",
     "train_builtin",
 ]
 

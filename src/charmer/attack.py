@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .oracle import CountingOracle, Oracle, cw_loss
-from .sentence import XI, Alphabet, generate_neighbors, single_edit, single_edits
+from .sentence import XI, Alphabet, distinct_edits, generate_neighbors, single_edit
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
 _WORD = re.compile("[^ ]+")
@@ -174,24 +174,25 @@ def candidate_edits(
     alphabet: Alphabet,
     constraints: Optional[PjcConstraints] = None,
     history: Optional[EditHistory] = None,
-) -> list[tuple[str, int, str]]:
-    """Deduplicated (candidate, position, char) triples in canonical order.
+) -> np.ndarray:
+    """Distinct single edits in canonical order, as ``(m, 2)`` ``[position, code]`` rows.
 
     Positions are sorted ascending so the candidate order is independent of
-    the ranking that produced them; a sentence rejected at one parametrization
-    may still enter through another.
+    the ranking that produced them (``sentence.distinct_edits``); a sentence
+    rejected at one parametrization may still enter through another.
     """
-    spans = word_spans(s)
-    edited = history.edited if history is not None else frozenset()
+    positions = sorted(set(positions))
+    chars = alphabet.replacement_chars()
     keep = None
     if constraints is not None and constraints.any():
-
-        def keep(cand: str, i: int, c: str) -> bool:
-            # the no-op edit never violates anything
-            return cand == s or not pjc_violates(s, i, c, constraints, edited, spans)
-
-    chars = alphabet.replacement_chars()
-    return list(single_edits(s, sorted(set(positions)), chars, keep))
+        spans = word_spans(s)
+        edited = history.edited if history is not None else frozenset()
+        # the no-op edit never violates anything
+        keep = [
+            [single_edit(s, i, c) == s or not pjc_violates(s, i, c, constraints, edited, spans) for c in chars]
+            for i in positions
+        ]
+    return distinct_edits(s, positions, chars, keep)
 
 
 def select_positions(
@@ -213,11 +214,8 @@ def select_positions(
     idxs = [i for i in range(1, 2 * len(s) + 2) if allowed is None or i in allowed]
     if not idxs:
         return []
-    probes = [
-        single_edit(s, i, XI if i % 2 == 0 and s[i // 2 - 1] == test_char else test_char)
-        for i in idxs
-    ]
-    losses = cw_loss(oracle.score_near(probes, s), y)
+    codes = [0 if i % 2 == 0 and s[i // 2 - 1] == test_char else ord(test_char) for i in idxs]
+    losses = cw_loss(oracle.score_edits(s, np.array(idxs), np.array(codes)), y)
     return [idxs[j] for j in np.argsort(-losses, kind="stable")[:n]]
 
 
@@ -241,7 +239,7 @@ def preselect_segments(
     if len(spans) <= m:
         return set(range(1, 2 * len(s) + 2))
     masked = [s[: a - 1] + test_char + s[b:] for a, b in spans]
-    losses = cw_loss(oracle.score_near(masked, s), y)
+    losses = cw_loss(oracle.score_batch(masked), y)
     allowed: set[int] = set()
     for j in np.argsort(-losses, kind="stable")[:m]:
         a, b = spans[j]
@@ -281,13 +279,12 @@ def _greedy_attack(
         if positions is None:  # budget refused the probe batch
             break
         edits = candidate_edits(cur, positions, config.alphabet, config.constraints, history)
-        if not edits:
+        if not len(edits) or not budget_allows(len(edits)):
             break
-        if not budget_allows(len(edits)):
-            break
-        losses = cw_loss(counting.score_near([c for c, _, _ in edits], cur), y)
+        losses = cw_loss(counting.score_edits(cur, edits[:, 0], edits[:, 1]), y)
         j = int(np.argmax(losses))  # first maximum on ties
-        chosen, pos, char = edits[j]
+        pos, char = int(edits[j, 0]), chr(edits[j, 1])
+        chosen = single_edit(cur, pos, char)
         history.record(cur, pos, char, chosen)
         cur = chosen
         final_loss = float(losses[j])
@@ -334,11 +331,20 @@ def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfi
 
 
 def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
-    """Score the full single-edit neighborhood and move to the loss maximizer."""
+    """Score the full single-edit neighborhood and move to the loss maximizer.
+
+    A neighborhood larger than ``config.budget`` is not scored at all: the
+    outcome is then the unattacked sentence.
+    """
     counting = CountingOracle(oracle)
     start = time.perf_counter()
     neighbors = generate_neighbors(s, config.alphabet)
-    losses = cw_loss(counting.score_near(neighbors, s), y)
+    if config.budget is not None and len(neighbors) > config.budget:
+        return AttackOutcome(
+            original=s, adversarial=s, success=False, edits_used=0, final_loss=None, queries=0,
+            elapsed=time.perf_counter() - start, trace=[],
+        )
+    losses = cw_loss(counting.score_batch(neighbors), y)
     j = int(np.argmax(losses))  # first maximum on ties
     loss = float(losses[j])
     return AttackOutcome(

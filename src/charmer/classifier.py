@@ -29,7 +29,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,8 +51,6 @@ _ORDERS = (1, 2, 3)
 _CODE_BITS = 21
 # rows scored together; bounds the memory of a large batch
 _CHUNK_ROWS = 512
-# a row whose changed middle is wider than this is scored from scratch
-_DELTA_WIDTH = 8
 # classes a model file can hold: its class count is one "<I" field
 _MAX_CLASSES = 2**32 - 1
 
@@ -169,7 +167,7 @@ def _hash_keys(keys: np.ndarray, dim: int) -> np.ndarray:
 
 def _window_counts(
     codes: np.ndarray, starts: np.ndarray, lens: np.ndarray, lo: np.ndarray, width: np.ndarray,
-    orders: tuple[int, ...], dim: int, sign: int,
+    orders: tuple[int, ...], dim: int, sign,
 ) -> sparse.csr_matrix:
     """Hashed counts of the grams of each padded row that overlap its window.
 
@@ -177,9 +175,9 @@ def _window_counts(
     the ``width[r]`` codes from ``lo[r]`` on; a zero-width window takes the
     grams that span its position. Each gram packs into one int64 key,
     ``_CODE_BITS`` bits per code point plus one, so that no two grams of any
-    orders share a key; each distinct key is hashed once. Every entry is
-    ``sign``, the entries of a row are grouped together, and repeats of a
-    column add up.
+    orders share a key; each distinct key is hashed once. Every entry of
+    row ``r`` is ``sign``, or ``sign[r]`` for an array, the entries of a row
+    are grouped together, and repeats of a column add up.
     """
     from scipy import sparse
 
@@ -192,8 +190,9 @@ def _window_counts(
         keys |= (codes.take(at + j, mode="clip").astype(np.int64) + 1) << (_CODE_BITS * j)
     own = np.array([(1 << (_CODE_BITS * k)) - 1 for k in orders], dtype=np.int64)  # a key's own order
     keys &= np.repeat(np.tile(own, len(lens)), count)
-    data = np.full(len(keys), sign, dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(count.reshape(len(lens), len(n)).sum(axis=1))))
+    per_row = count.reshape(len(lens), len(n)).sum(axis=1)
+    data = np.repeat(np.broadcast_to(np.asarray(sign, dtype=np.int64), lens.shape), per_row)
+    indptr = np.concatenate(([0], np.cumsum(per_row)))
     return sparse.csr_matrix((data, _hash_keys(keys, dim), indptr), shape=(len(lens), dim))
 
 
@@ -315,15 +314,9 @@ class BuiltinClassifier:
         """Hashed n-gram counts, int64, one row per sentence (``packed_feature_matrix``)."""
         return packed_feature_matrix(texts, self.ngram_orders, self.feature_dim)
 
-    def logits(self, texts: Sequence[str], base: Optional[str] = None) -> np.ndarray:
-        """Exact logits ``(X·Wq + bq) / 2^s``, one row per sentence.
-
-        ``base`` is a hint and never changes the result: a sentence that
-        differs from it only in a middle of at most ``_DELTA_WIDTH``
-        characters is scored as the base's integer logits plus its n-grams
-        that overlap that middle, minus the base's.
-        """
-        Z = self._integer_logits(list(texts), base) + self._bq
+    def logits(self, texts: Sequence[str]) -> np.ndarray:
+        """Exact logits ``(X·Wq + bq) / 2^s``, one row per sentence."""
+        Z = self._integer_logits(list(texts)) + self._bq
         return np.ldexp(Z.astype(np.float64), -self.scale_bits)
 
     def candidate_logits(self, texts: Sequence[str]) -> np.ndarray:
@@ -344,12 +337,16 @@ class BuiltinClassifier:
         these lie within the ``r = max(orders) - 1`` codes on either side of
         ``lo`` (``_edit_hoods``). So edits with the same such neighbourhood,
         code and parity change the logits alike: each distinct one is scored
-        once, as a short row of its neighbourhood, by one ``_window_counts``
-        call for all the inserted grams and one for all the cut grams. A
-        sentence is the integer logits of ``base`` plus the changes of its
-        walk's edits. The sums are exact, so the rows equal
+        once, as a short row of its neighbourhood; one ``_window_counts``
+        call counts the grams of ``base``, and all the cut and all the
+        inserted grams. A sentence is the integer logits of ``base`` plus the
+        changes of its walk's edits. The sums are exact, so the rows equal
         ``candidate_logits`` of the sentences bit for bit.
         """
+        return np.ldexp(self._integer_walk(base, positions, codes).astype(np.float64), -self.scale_bits)
+
+    def _integer_walk(self, base: str, positions, codes) -> np.ndarray:
+        """``walk_logits`` in int64, before the scale."""
         if XI in base:
             raise SentenceError("cannot edit a sentence containing the sentinel")
         positions, codes = np.asarray(positions, dtype=np.int64), np.asarray(codes, dtype=np.int64)
@@ -360,10 +357,6 @@ class BuiltinClassifier:
         odd, sentinel = positions % 2 == 1, codes == 0
         grown = (odd & ~sentinel).sum(axis=1) - (~odd & sentinel).sum(axis=1)  # insertions minus deletions
         self._check_length(len(base) + int(grown.max()) if m else 0)
-        Z = np.empty((m, self.num_classes), dtype=np.int64)
-        Z[:] = (self.features([base]) @ self._wq_t)[0]
-        if not m * k:
-            return np.ldexp(Z.astype(np.float64), -self.scale_bits)
         r = max(self.ngram_orders) - 1
         hood = _edit_hoods(base, positions, codes, r)
         put, cut = codes.ravel(), 1 - positions.ravel() % 2
@@ -378,13 +371,22 @@ class BuiltinClassifier:
         rows[cols >= lens[:, None]] = 0
         at = r - before  # the edit's code in the short row
         edited, edited_lens = single_edit_rows(rows, lens, 2 * at + 1 + cut, put)
-        starts = np.arange(len(rows)) * rows.shape[1]
-        orders, dim = self.ngram_orders, self.feature_dim
-        old = _window_counts(rows.ravel(), starts, lens, at, cut, orders, dim, -1)
-        new = _window_counts(edited.ravel(), starts, edited_lens, at, (put != 0).astype(np.int64), orders, dim, 1)
-        change = new @ self._wq_t + old @ self._wq_t
-        Z += change[same].reshape(m, k, self.num_classes).sum(axis=1)
-        return np.ldexp(Z.astype(np.float64), -self.scale_bits)
+        n, width = len(rows), rows.shape[1]
+        bcodes, blens = _padded_codes([base])
+        # one matrix: the full row of the base, then each distinct edit's cut grams, then its inserted grams
+        counts = _window_counts(
+            np.concatenate((bcodes, rows.ravel(), edited.ravel())),
+            np.concatenate(([0], len(bcodes) + np.arange(2 * n) * width)),
+            np.concatenate((blens, lens, edited_lens)),
+            np.concatenate(([0], at, at)),
+            np.concatenate((blens, cut, put != 0)),
+            self.ngram_orders,
+            self.feature_dim,
+            np.repeat([1, -1, 1], [1, n, n]),
+        )
+        Z = counts @ self._wq_t
+        change = Z[1 : n + 1] + Z[n + 1 :]
+        return Z[0] + change[same].reshape(m, k, self.num_classes).sum(axis=1)
 
     def _check_length(self, longest: int) -> None:
         if longest > self._max_chars:
@@ -393,52 +395,12 @@ class BuiltinClassifier:
                 f"{self._max_chars} characters ({_MAX_GRAMS} n-grams)"
             )
 
-    def _integer_logits(self, texts: list[str], base: Optional[str] = None) -> np.ndarray:
+    def _integer_logits(self, texts: list[str]) -> np.ndarray:
         """``X·Wq`` in int64, ``_CHUNK_ROWS`` rows at a time."""
         self._check_length(max(map(len, texts), default=0))
         Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
         for start in range(0, len(texts), _CHUNK_ROWS):
-            chunk = texts[start : start + _CHUNK_ROWS]
-            rows = self.features(chunk) @ self._wq_t if base is None else self._delta_logits(chunk, base)
-            Z[start : start + len(chunk)] = rows
-        return Z
-
-    def _delta_logits(self, texts: list[str], base: str) -> np.ndarray:
-        """``X·Wq`` of rows scored against ``base``.
-
-        Works on the padded sentences. A row's common prefix and suffix with
-        the padded base leave a middle of ``mt`` codes in the row and ``mb``
-        in the base. A row near the base, both middles at most
-        ``_DELTA_WIDTH``, is the base's logits plus its grams that overlap
-        its middle minus the base's grams that overlap the base's middle;
-        grams that overlap neither are the same in both. A far row is its
-        full window alone. int64 sums wrap modulo 2^64 and each finished row
-        fits, so partial sums may overflow without changing the result.
-        """
-        # rows sorted by length, so that each length is one (rows, length) block
-        order = np.argsort(np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)), kind="stable")
-        codes, lens = _padded_codes([texts[r] for r in order])
-        bcodes, (lb,) = _padded_codes([base])
-        starts = np.cumsum(lens) - lens
-        pre, suf = np.zeros_like(lens), np.zeros_like(lens)
-        for width in np.unique(lens[np.abs(lens - lb) <= _DELTA_WIDTH]).tolist():
-            group = np.flatnonzero(lens == width)
-            block = codes[starts[group[0]] : starts[group[-1]] + width].reshape(len(group), width)
-            m = min(width, lb)
-            same = block[:, :m] == bcodes[:m]
-            pre[group] = np.where(same.all(axis=1), m, same.argmin(axis=1))
-            same = block[:, ::-1][:, :m] == bcodes[::-1][:m]
-            suf[group] = np.minimum(np.where(same.all(axis=1), m, same.argmin(axis=1)), m - pre[group])
-        mt, mb = lens - pre - suf, lb - pre - suf
-        near = np.maximum(mt, mb) <= _DELTA_WIDTH
-        lo = np.where(near, pre, 0)
-        orders, dim = self.ngram_orders, self.feature_dim
-        new = _window_counts(codes, starts, lens, lo, np.where(near, mt, lens), orders, dim, 1)
-        zero = np.zeros_like(lens)
-        old = _window_counts(bcodes, zero, zero + lb, lo, np.where(near, mb, 0), orders, dim, -1)
-        idx, val = _hashed_counts(base, orders, dim)
-        Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
-        Z[order] = new @ self._wq_t + old @ self._wq_t + near[:, None] * (val.astype(np.int64) @ self._wq_t[idx])
+            Z[start : start + _CHUNK_ROWS] = self.features(texts[start : start + _CHUNK_ROWS]) @ self._wq_t
         return Z
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
@@ -594,21 +556,19 @@ class BuiltinOracle(Oracle):
     """Oracle adapter around a trained builtin classifier (raw logits out).
 
     Each batch goes to the classifier whole; it scores ``_CHUNK_ROWS`` rows
-    at a time.
+    at a time. Single edits are scored as walks of one edit
+    (``BuiltinClassifier.walk_logits``), with the bias added in int64 so that
+    the rows equal ``score_batch`` of the edited sentences bit for bit.
     """
 
     def __init__(self, classifier: BuiltinClassifier):
         self.classifier = classifier
         self.num_classes = classifier.num_classes
-        self._base: Optional[str] = None  # the hint of the score_near call in flight
 
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        return self.classifier.logits(sentences, self._base)
+        return self.classifier.logits(sentences)
 
-    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
-        # through score_batch, so that every batch still passes that one method
-        self._base = base
-        try:
-            return self.score_batch(sentences)
-        finally:
-            self._base = None
+    def score_edits(self, base: str, positions, codes) -> np.ndarray:
+        clf = self.classifier
+        Z = clf._integer_walk(base, np.reshape(positions, (-1, 1)), np.reshape(codes, (-1, 1))) + clf._bq
+        return np.ldexp(Z.astype(np.float64), -clf.scale_bits)

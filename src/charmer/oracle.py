@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .sentence import single_edit
+
 
 class OracleError(Exception):
     pass
@@ -86,15 +88,17 @@ class Oracle:
             return np.empty((0, getattr(self, "num_classes", None) or 0))
         return np.concatenate(parts)
 
-    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
-        """``score_batch(sentences)``, with ``base`` as a hint.
+    def score_edits(self, base: str, positions, codes) -> np.ndarray:
+        """The scores of single edits of ``base``, one row per edit.
 
-        The attack passes the sentence its batch was edited from. An oracle
-        may use it to score faster, but the result must equal
-        ``score_batch(sentences)`` bit for bit whatever ``base`` is; the
-        score of ``base`` itself is not asked for.
+        Edit ``r`` replaces expanded position ``positions[r]`` of ``base``
+        with the code point ``codes[r]``, 0 for the sentinel. The rows must
+        equal ``score_batch`` of the edited sentences (``single_edit``) bit
+        for bit; by default they are that. The score of ``base`` itself is
+        not asked for.
         """
-        return self.score_batch(sentences)
+        edits = zip(np.asarray(positions).tolist(), np.asarray(codes).tolist())
+        return self.score_batch([single_edit(base, i, chr(c)) for i, c in edits])
 
     def _score_chunk(self, sentences: list[str]):  # an array or a list of number rows
         raise NotImplementedError
@@ -120,10 +124,9 @@ class CountingOracle(Oracle):
         self.queries += len(sentences)
         return check_rows(self.inner.score_batch(sentences), len(sentences), self.num_classes)
 
-    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
-        sentences = list(sentences)
-        self.queries += len(sentences)  # the hint is not a query
-        return check_rows(self.inner.score_near(sentences, base), len(sentences), self.num_classes)
+    def score_edits(self, base: str, positions, codes) -> np.ndarray:
+        self.queries += len(positions)  # one per edited sentence; base is not scored
+        return check_rows(self.inner.score_edits(base, positions, codes), len(positions), self.num_classes)
 
 
 class PairedOracle(Oracle):
@@ -146,6 +149,6 @@ class PairedOracle(Oracle):
         prefix = self.premise + self.separator
         return self.inner.score_batch([prefix + s for s in sentences])
 
-    def score_near(self, sentences: Sequence[str], base: str) -> np.ndarray:
-        prefix = self.premise + self.separator
-        return self.inner.score_near([prefix + s for s in sentences], prefix + base)
+    def score_edits(self, base: str, positions, codes) -> np.ndarray:
+        prefix = self.premise + self.separator  # moves every expanded position by two per character
+        return self.inner.score_edits(prefix + base, np.asarray(positions) + 2 * len(prefix), codes)

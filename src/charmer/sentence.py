@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,8 +130,9 @@ def single_edit(s: str, i: int, c: str) -> str:
     characters, an even ``i`` replaces character ``i // 2`` (1-based); the
     sentinel stands for nothing, so it deletes on even positions and leaves
     ``s`` unchanged on odd ones. The result is always within edit distance 1
-    of ``s``. This and ``single_edits`` are the only builders of single-edit
-    sentences; ``single_edit_rows`` is the same edit on rows of code points.
+    of ``s``. It is the only builder of single-edit sentences;
+    ``single_edit_rows`` is the same edit on rows of code points, and
+    ``distinct_edits`` lists the distinct edits of a sentence.
     """
     if XI in s:
         raise SentenceError("cannot edit a sentence containing the sentinel")
@@ -169,22 +170,42 @@ def single_edit_rows(rows: np.ndarray, lens: np.ndarray, positions: np.ndarray, 
     return out, new_lens
 
 
-def single_edits(s: str, positions: Iterable[int], chars: Sequence[str], keep=None):
-    """Distinct ``(candidate, position, char)`` single edits of ``s``.
+def distinct_edits(s: str, positions: Sequence[int], chars: Sequence[str], keep=None) -> np.ndarray:
+    """The distinct single edits of ``s``, as ``(m, 2)`` int64 ``[position, code]`` rows.
 
-    Yielded position by position as given, then ``chars`` in order; a
-    candidate keeps its first parametrization. ``keep(candidate, position,
-    char)``, if given, filters parametrizations: a candidate it rejects at
-    one position may still enter through another.
+    Edits are taken position by position as given, then ``chars`` in order;
+    the code is the character's code point, 0 for the sentinel. Two edits
+    are the same when they give the same sentence (``single_edit``), and
+    the first of them is kept. That is, every no-op (the sentinel at an odd
+    position, or an even position's own character) is one edit; a deletion
+    is the deletion of the leftmost character of its run of equal
+    characters; an insertion of ``c`` is the insertion at the leftmost slot
+    of its run of ``c``; a replacement is itself. ``keep``, if given, is a
+    boolean mask over the ``len(positions)`` × ``len(chars)`` grid: an edit
+    it rejects at one parametrization may still enter through another.
     """
-    seen: set[str] = set()
-    for i in positions:
-        for c in chars:
-            cand = single_edit(s, i, c)
-            if cand in seen or (keep is not None and not keep(cand, i, c)):
-                continue
-            seen.add(cand)
-            yield cand, i, c
+    if XI in s:
+        raise SentenceError("cannot edit a sentence containing the sentinel")
+    at = np.asarray(positions, dtype=np.int64)
+    if np.any((at < 1) | (at > 2 * len(s) + 1)):
+        raise SentenceError(f"an edit position is out of range [1, {2 * len(s) + 1}]")
+    codes = np.fromiter(map(ord, chars), dtype=np.int64, count=len(chars))
+    # the sentence after a code no character has, so that index i // 2 is the
+    # character an even i replaces, or the one before the slot of an odd i
+    text = np.fromiter(map(ord, s), dtype=np.int64, count=len(s))
+    padded = np.concatenate(([-1], text))
+    run = np.arange(len(padded))  # the index of the first character of each run of equal characters
+    run[1:][padded[1:] == padded[:-1]] = 0
+    run = np.maximum.accumulate(run)[at // 2][:, None]
+    i, c = np.broadcast_arrays(at[:, None], codes[None, :])
+    even, same = i % 2 == 0, padded[at // 2][:, None] == c
+    # each edit's first form, as a position and a code; every no-op is (1, 0)
+    where = np.where(even & (c == 0), 2 * run, np.where(~even & same, 2 * run - 1, i))
+    noop = np.where(even, same, c == 0)
+    key = (np.where(noop, 1, where) * 0x110000 + np.where(noop, 0, c)).ravel()
+    live = np.flatnonzero(np.ones(i.shape, dtype=bool) if keep is None else np.reshape(np.asarray(keep, dtype=bool), i.shape))
+    first = np.sort(live[np.unique(key[live], return_index=True)[1]])
+    return np.stack([i.ravel()[first], c.ravel()[first]], axis=1)
 
 
 def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
@@ -194,8 +215,8 @@ def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
     sentinel last), deduplicated keeping the first occurrence. Contains ``s``
     itself whenever every character of ``s`` lies in the alphabet.
     """
-    positions = range(1, 2 * len(s) + 2)
-    return [cand for cand, _, _ in single_edits(s, positions, alphabet.replacement_chars())]
+    edits = distinct_edits(s, range(1, 2 * len(s) + 2), alphabet.replacement_chars())
+    return [single_edit(s, i, chr(c)) for i, c in edits.tolist()]
 
 
 def _ball_lower_bound(s: str, alphabet: Alphabet, k: int) -> int:

@@ -10,7 +10,8 @@ edit by hand, and the margin loss takes the per-row Python ``max``. The PGA
 loop reference runs every step, and the ball sampler reference draws from
 ``random.Random`` itself and builds every sentence with ``single_edit``. The
 training reference keeps its weights as ``(classes, feature_dim)`` and
-updates them in one expression.
+updates them in one expression. The single-edit reference builds every
+candidate sentence and deduplicates them as strings.
 """
 
 from __future__ import annotations
@@ -39,6 +40,24 @@ def brute_force_ball(s: str, chars: tuple[str, ...], k: int) -> set[str]:
             if reference_levenshtein(s, cand) <= k:
                 out.add(cand)
     return out
+
+
+def reference_single_edits(s: str, positions, chars, keep=None):
+    """Distinct ``(candidate, position, char)`` single edits of ``s``.
+
+    Yielded position by position as given, then ``chars`` in order; a
+    candidate keeps its first parametrization. ``keep(candidate, position,
+    char)``, if given, filters parametrizations: a candidate it rejects at
+    one position may still enter through another.
+    """
+    seen: set[str] = set()
+    for i in positions:
+        for c in chars:
+            cand = single_edit(s, i, c)
+            if cand in seen or (keep is not None and not keep(cand, i, c)):
+                continue
+            seen.add(cand)
+            yield cand, i, c
 
 
 def central_difference_gradient(fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:

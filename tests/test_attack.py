@@ -21,9 +21,14 @@ from charmer.attack import (
 from charmer.classifier import BuiltinClassifier, BuiltinOracle
 from charmer.oracle import CountingOracle, Oracle, OracleError, cw_loss
 from charmer.sentence import XI, Alphabet, generate_neighbors, levenshtein, single_edit
-from reference import ReferenceEditHistory, reference_hashed_counts
+from reference import ReferenceEditHistory, reference_hashed_counts, reference_single_edits
 
 ALPHA_AB = Alphabet(("a", "b"))
+
+
+def as_triples(s, edits):
+    """``candidate_edits`` rows as (candidate, position, char), the candidate built by ``single_edit``."""
+    return [(single_edit(s, i, chr(c)), i, chr(c)) for i, c in edits.tolist()]
 
 
 class LengthOracle(Oracle):
@@ -139,7 +144,7 @@ class TestSelectPositions:
 class TestCandidates:
     def test_worked_example(self):
         # positions sorted; the no-op (3, ξ) repeats "ab" and is dropped
-        assert candidate_edits("ab", [3, 2], ALPHA_AB) == [
+        assert as_triples("ab", candidate_edits("ab", [3, 2], ALPHA_AB)) == [
             ("ab", 2, "a"),
             ("bb", 2, "b"),
             ("b", 2, XI),
@@ -148,7 +153,7 @@ class TestCandidates:
         ]
 
     def test_dedup_keeps_first_parametrization(self):
-        edits = candidate_edits("aa", [1, 2], ALPHA_AB)
+        edits = as_triples("aa", candidate_edits("aa", [1, 2], ALPHA_AB))
         cands = [c for c, _, _ in edits]
         assert cands == sorted(set(cands), key=cands.index)
         # "aaa" reachable from both positions; kept with its earliest position
@@ -156,7 +161,7 @@ class TestCandidates:
         assert triples["aaa"] == (1, "a")
 
     def test_positions_sorted_so_order_is_rank_independent(self):
-        assert candidate_edits("ab", [3, 1], ALPHA_AB) == candidate_edits("ab", [1, 3], ALPHA_AB)
+        assert candidate_edits("ab", [3, 1], ALPHA_AB).tolist() == candidate_edits("ab", [1, 3], ALPHA_AB).tolist()
 
     def test_out_of_range_position(self):
         with pytest.raises(ValueError):
@@ -164,9 +169,33 @@ class TestCandidates:
 
     def test_all_candidates_within_one_edit(self):
         alphabet = Alphabet(tuple("abc"))
-        for cand, i, c in candidate_edits("abc", list(range(1, 8)), alphabet):
+        for cand, i, c in as_triples("abc", candidate_edits("abc", list(range(1, 8)), alphabet)):
             assert levenshtein("abc", cand) <= 1
             assert cand == single_edit("abc", i, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="aab héllo wörld", max_size=14),
+        st.lists(st.integers(1, 29), max_size=8),
+        st.sets(st.sampled_from(PjcConstraints.FLAG_NAMES)),
+        st.sets(st.integers(0, 3)),
+    )
+    def test_equal_the_string_reference(self, s, positions, flags, edited):
+        # the bench counts attack.candidates as the length of this array
+        positions = [i for i in positions if i <= 2 * len(s) + 1]
+        alphabet = Alphabet(tuple("aelo É"))
+        history = EditHistory()
+        history.edited = edited
+        constraints = PjcConstraints.from_names(sorted(flags))
+        spans = word_spans(s)
+
+        def keep(cand, i, c):
+            return cand == s or not pjc_violates(s, i, c, constraints, edited, spans)
+
+        edits = candidate_edits(s, positions, alphabet, constraints, history)
+        expected = list(reference_single_edits(s, sorted(set(positions)), alphabet.replacement_chars(), keep))
+        assert as_triples(s, edits) == expected
+        assert len(edits) == len({cand for cand, _, _ in expected})
 
 
 class TestPjc:
@@ -207,13 +236,13 @@ class TestPjc:
 
     def test_filtering_in_candidate_edits(self):
         c = PjcConstraints(length=True)
-        edits = candidate_edits("hi", [3], ALPHA_AB, constraints=c)
+        edits = as_triples("hi", candidate_edits("hi", [3], ALPHA_AB, constraints=c))
         # only the no-op survives: every real edit touches the 2-char word
         assert edits == [("hi", 3, XI)]
 
     def test_noop_bypasses_filters(self):
         c = PjcConstraints.all_enabled()
-        edits = candidate_edits("aaaa", [2], Alphabet(("a",)), constraints=c)
+        edits = as_triples("aaaa", candidate_edits("aaaa", [2], Alphabet(("a",)), constraints=c))
         assert ("aaaa", 2, "a") in edits
 
     def test_from_names(self):
@@ -363,6 +392,23 @@ class TestEquivalenceAndBaselines:
             best = exhaustive_k1(desk_oracle, record.text, record.label, config)
             assert greedy.adversarial == best.adversarial
             assert greedy.final_loss == pytest.approx(best.final_loss, abs=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_exhaustive_refuses_a_neighborhood_past_the_budget(self, desk_oracle, desk_alphabet, attackable_records, budget):
+        record = attackable_records[0]
+        inner = BatchLogOracle(desk_oracle)
+        outcome = exhaustive_k1(inner, record.text, record.label, AttackConfig(alphabet=desk_alphabet, budget=budget))
+        assert inner.batch_sizes == []
+        assert (outcome.adversarial, outcome.success, outcome.edits_used) == (record.text, False, 0)
+        assert (outcome.final_loss, outcome.queries, outcome.trace) == (None, 0, [])
+
+    def test_exhaustive_within_the_budget(self, desk_oracle, desk_alphabet, attackable_records):
+        record = attackable_records[0]
+        size = len(generate_neighbors(record.text, desk_alphabet))
+        free = exhaustive_k1(desk_oracle, record.text, record.label, AttackConfig(alphabet=desk_alphabet))
+        exact = exhaustive_k1(desk_oracle, record.text, record.label, AttackConfig(alphabet=desk_alphabet, budget=size))
+        assert exact.queries == free.queries == size
+        assert (exact.adversarial, exact.final_loss) == (free.adversarial, free.final_loss)
 
     def test_random_baseline_deterministic(self, desk_oracle, desk_alphabet, attackable_records):
         record = attackable_records[0]

@@ -407,8 +407,11 @@ class TestExactLogits:
         assert Counter(reference_gram_list(one)) == Counter(reference_gram_list(two))
         rows = clf.logits([one, two])
         assert rows[0].tobytes() == rows[1].tobytes()
-        base = head + dup + mid + dup + tail
-        assert clf.logits([one, two], base).tobytes() == rows.tobytes()
+        # an insertion at either end keeps the multisets equal: both sentences
+        # start and end with the same two characters
+        oracle = BuiltinOracle(clf)
+        ends = [oracle.score_edits(t, np.array([1, 2 * len(t) + 1]), np.array([ord("a")] * 2)) for t in (one, two)]
+        assert ends[0].tobytes() == ends[1].tobytes()
 
     def test_integer_logits_close_to_float(self, clf):
         texts = [r.text for r in make_keyword_corpus(20, seed=4)] + ["", "é€😀"]
@@ -433,16 +436,17 @@ class TestExactLogits:
         text = "a" * longest
         total = grams(longest) * wq + wq
         expected = [float(Fraction(total, 2**s)), float(Fraction(-total, 2**s))]
+        oracle = BuiltinOracle(model)
         assert model.logits([text]).tolist() == [expected]
-        assert model.logits([text], base=text[:-1]).tolist() == [expected]
+        assert oracle.score_edits(text[:-1], np.array([2 * longest - 1]), np.array([ord("a")])).tolist() == [expected]
         # a base past the bound is still exact: its own logits wrap modulo 2^64
-        assert model.logits([text], base=text + "aa").tolist() == [expected]
+        assert oracle.score_edits(text + "a", np.array([2]), np.array([0])).tolist() == [expected]
         if orders == (1,):
             assert grams(longest) == bound
         with pytest.raises(OracleError):
             model.logits([text + "a"])
         with pytest.raises(OracleError):
-            model.logits([text + "a"], base=text)
+            oracle.score_edits(text, np.array([1]), np.array([ord("a")]))
         with pytest.raises(OracleError):
             model.candidate_logits([text + "a"])
 
@@ -491,51 +495,44 @@ def reference_gram_list(text, orders=(1, 2, 3)):
     return [padded[i : i + n] for n in orders for i in range(len(padded) - n + 1)]
 
 
-class TestScoreNear:
+def scored_edits(oracle, s, positions, chars):
+    """``oracle.score_edits`` of the edits and ``oracle.score_batch`` of their sentences."""
+    codes = np.array([ord(c) for c in chars], dtype=np.int64)
+    rows = oracle.score_edits(s, np.array(positions, dtype=np.int64), codes)
+    return rows, oracle.score_batch([single_edit(s, i, c) for i, c in zip(positions, chars)])
+
+
+class TestScoreEdits:
     @settings(max_examples=150, deadline=None)
-    @given(st.text(alphabet="ab é€😀", max_size=40), st.lists(edits, max_size=6), st.data())
-    def test_equals_score_batch_for_any_base(self, clf, s, row_edits, data):
-        rows = []
-        for steps in row_edits:
-            t = s
-            for i, c, op in steps:
-                t = _edit(t, i, c, op)
-            rows.append(t)
-        rows += [s, "", "an unrelated sentence"]
-        bases = [s, rows[0], "", "zzzz", s * 3]
-        oracles = [BuiltinOracle(clf), PairedOracle(BuiltinOracle(clf), premise=data.draw(chars))]
-        for oracle in oracles:
-            full = np.array(oracle.score_batch(rows))
-            for base in bases:
-                near = np.array(oracle.score_near(rows, base))
-                assert near.tobytes() == full.tobytes()
+    @given(st.text(alphabet="ab é€😀", max_size=40), st.data())
+    def test_equals_score_batch_for_any_edits(self, clf, s, data):
+        top = 2 * len(s) + 1
+        positions = data.draw(st.lists(st.one_of(st.just(1), st.just(top), st.integers(1, top)), max_size=12))
+        # a replacement may keep its character; the sentinel deletes, or does nothing at an odd position
+        replaced = [data.draw(st.sampled_from("ab é😀x" + XI + s)) for _ in positions]
+        for oracle in (BuiltinOracle(clf), PairedOracle(BuiltinOracle(clf), premise=data.draw(chars))):
+            rows, full = scored_edits(oracle, s, positions, replaced)
+            assert rows.tobytes() == np.array(full).tobytes()
 
     @pytest.mark.parametrize("length", [0, 1, 2, 5, 32, 256, 1024])
     def test_equals_score_batch_at_every_length(self, clf, length):
         rng = np.random.default_rng(length)
+        pool = list("ab é😀") + [XI]
+        s = "".join(rng.choice(pool[:-1], size=length))
+        top = 2 * length + 1
+        positions = [1, top] + rng.integers(1, top + 1, size=120).tolist()
+        replaced = [pool[j] for j in rng.integers(0, len(pool), size=len(positions))]  # numpy would drop XI
+        rows, full = scored_edits(BuiltinOracle(clf), s, positions, replaced)
+        assert rows.tobytes() == full.tobytes()
 
-        def pick(k):
-            return "".join(rng.choice(list("ab é😀"), size=k))
-
-        s = pick(length)
-        rows = []
-        for _ in range(60):
-            t = s
-            for _ in range(int(rng.integers(0, 4))):
-                t = _edit(t, int(rng.integers(0, length + 1)), pick(1), int(rng.integers(0, 3)))
-            rows.append(t)
-        rows += [pick(length), pick(3)]
-        oracle = BuiltinOracle(clf)
-        assert np.array(oracle.score_near(rows, s)).tobytes() == np.array(oracle.score_batch(rows)).tobytes()
-
-    def test_chunks_keep_the_hint(self, clf, monkeypatch):
+    def test_chunks_score_alike(self, clf, monkeypatch):
         s = "the movie was good " * 4
-        rows = [s[:i] + "x" + s[i + 1 :] for i in range(len(s))]
-        whole = BuiltinOracle(clf).score_batch(rows)
+        positions = list(range(1, 2 * len(s) + 2)) * 2
+        replaced = ["x"] * (2 * len(s) + 1) + [XI] * (2 * len(s) + 1)
+        _, whole = scored_edits(BuiltinOracle(clf), s, positions, replaced)
         monkeypatch.setattr(classifier_module, "_CHUNK_ROWS", 7)
-        limited = BuiltinOracle(clf)
-        assert limited.score_near(rows, s).tobytes() == whole.tobytes()
-        assert limited._base is None
+        rows, limited = scored_edits(BuiltinOracle(clf), s, positions, replaced)
+        assert rows.tobytes() == limited.tobytes() == whole.tobytes()
 
 
 WALK_CHARS = "ab é€😀"

@@ -180,34 +180,45 @@ class TestBatching:
         assert scores.tolist() == [[6.0, 0.0]]
 
 
-class NearRecordingOracle(RecordingOracle):
-    """Records the hint of every score_near call."""
+class EditRecordingOracle(RecordingOracle):
+    """Logs every sentence it scores and every score_edits call."""
 
     def __init__(self):
         super().__init__()
-        self.hints = []
+        self.sentences = []
+        self.edits = []
 
-    def score_near(self, sentences, base):
-        self.hints.append((list(sentences), base))
-        return super().score_near(sentences, base)
+    def _score_chunk(self, sentences):
+        self.sentences += sentences
+        return super()._score_chunk(sentences)
+
+    def score_edits(self, base, positions, codes):
+        self.edits.append((base, list(positions), list(codes)))
+        return super().score_edits(base, positions, codes)
 
 
-class TestScoreNear:
-    def test_default_is_score_batch(self):
-        oracle = RecordingOracle()
-        assert oracle.score_near(["a", "bb"], "anything").tobytes() == oracle.score_batch(["a", "bb"]).tobytes()
-        assert oracle.batches == [2, 2]
+class TestScoreEdits:
+    def test_default_is_score_batch_of_the_edited_sentences(self):
+        oracle = EditRecordingOracle()
+        codes = [ord("x"), 0, ord("b"), ord("😀"), 0]
+        rows = oracle.score_edits("ab", np.array([1, 2, 4, 5, 3]), np.array(codes))
+        assert oracle.sentences == ["xab", "b", "ab", "ab😀", "ab"]
+        assert rows.tobytes() == oracle.score_batch(oracle.sentences[:]).tobytes()
+        assert oracle.batches == [5, 5]
 
-    def test_counting_counts_sentences_not_the_hint(self):
-        inner = NearRecordingOracle()
+    def test_counting_counts_rows(self):
+        inner = EditRecordingOracle()
         counting = CountingOracle(inner)
-        counting.score_near(["a", "bb"], "base")
-        counting.score_near([], "base")
-        assert counting.queries == 2
-        assert inner.hints == [(["a", "bb"], "base"), ([], "base")]
+        counting.score_edits("ab", np.array([1, 2]), np.array([ord("x"), 0]))
+        counting.score_edits("ab", np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        counting.score_edits("ab", np.array([1, 3, 5]), np.array([ord("y")] * 3))
+        assert counting.queries == 5
+        assert inner.edits == [("ab", [1, 2], [ord("x"), 0]), ("ab", [], []), ("ab", [1, 3, 5], [ord("y")] * 3)]
 
-    def test_paired_prefixes_premise_to_both(self):
-        inner = NearRecordingOracle()
+    def test_paired_shifts_positions_past_the_premise(self):
+        inner = EditRecordingOracle()
         paired = PairedOracle(inner, premise="pre")
-        assert paired.score_near(["xy"], "xz").tolist() == [[6.0, 0.0]]
-        assert inner.hints == [(["pre\nxy"], "pre\nxz")]
+        rows = paired.score_edits("xy", np.array([1, 4]), np.array([ord("z"), 0]))
+        assert inner.edits == [("pre\nxy", [9, 12], [ord("z"), 0])]
+        assert inner.sentences == ["pre\nzxy", "pre\nx"]
+        assert rows.tobytes() == paired.score_batch(["zxy", "x"]).tobytes()

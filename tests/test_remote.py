@@ -12,6 +12,7 @@ import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 import requests
 
@@ -22,6 +23,7 @@ from charmer.remote import (
     RemoteStatusError,
     RemoteTransportError,
 )
+from charmer.sentence import single_edit
 
 
 class StubHandler(BaseHTTPRequestHandler):
@@ -322,6 +324,17 @@ class TestKeepAlive:
         assert raw == json.dumps(doc, allow_nan=False).encode()
         assert raw == requests.Request("POST", url, json=doc).prepare().body
         assert headers["Content-Type"] == "application/json"
+
+    def test_score_edits_sends_the_bodies_of_the_edited_sentences(self, serve, clean_env):
+        stub, url = serve(KeepAliveStub)
+        base = 'quote " é😀'
+        positions, codes = [1, 4, 21, 2, 3], [ord("x"), 0, ord("😀"), ord("q"), 0]
+        sentences = [single_edit(base, i, chr(c)) for i, c in zip(positions, codes)]
+        rows = RemoteOracle(url, batch_limit=3).score_edits(base, np.array(positions), np.array(codes))
+        assert rows.tobytes() == RemoteOracle(url, batch_limit=3).score_batch(sentences).tobytes()
+        bodies = [raw for _, raw, _ in stub.seen]
+        assert bodies[:2] == bodies[2:]
+        assert bodies[:2] == [json.dumps({"sentences": part}).encode() for part in (sentences[:3], sentences[3:])]
 
 
 class TestProxyEnvironment:

@@ -13,16 +13,16 @@ from charmer.sentence import (
     SentenceError,
     ball_size_bounds,
     contract,
+    distinct_edits,
     enumerate_ball,
     expand,
     generate_neighbors,
     levenshtein,
     single_edit,
     single_edit_rows,
-    single_edits,
 )
 from charmer.verify import reference_levenshtein
-from reference import brute_force_ball
+from reference import brute_force_ball, reference_single_edits
 
 ALPHA_AB = Alphabet(("a", "b"))
 ALPHA_A = Alphabet(("a",))
@@ -168,10 +168,57 @@ class TestSingleEdit:
             assert edited == contract(e[: slot - 1] + c + e[slot:])
             assert levenshtein(s, edited) <= 1
 
-    def test_single_edits_keep(self):
+    def test_distinct_edits_keep(self):
         # "aab" is reachable from slots 1 and 3; rejected at 1, it enters at 3
-        got = list(single_edits("ab", [1, 3], ("a",), keep=lambda cand, i, c: i != 1))
-        assert got == [("aab", 3, "a")]
+        got = distinct_edits("ab", [1, 3], ("a",), keep=[[False], [True]])
+        assert got.dtype == np.int64 and got.tolist() == [[3, ord("a")]]
+
+
+@st.composite
+def edit_grids(draw):
+    """A sentence, positions (repeats allowed, in any order), replacement chars and an optional keep rule.
+
+    The rule rejects a set of (position, char) pairs, so it is the same for
+    every grid cell that holds the same pair.
+    """
+    s = draw(st.text(alphabet="aab é€😀", max_size=10))
+    top = 2 * len(s) + 1
+    positions = draw(st.lists(st.one_of(st.just(1), st.just(top), st.integers(1, top)), max_size=8))
+    chars = draw(st.lists(st.sampled_from("ab é€😀x" + XI), max_size=6))
+    pairs = st.tuples(st.sampled_from(positions), st.sampled_from(chars)) if positions and chars else st.nothing()
+    rejected = draw(st.none() | st.sets(pairs))
+    return s, positions, chars, rejected
+
+
+class TestDistinctEdits:
+    """``distinct_edits`` rows equal the string-built ``reference_single_edits``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(edit_grids())
+    @example(("", [1], ["a", XI], None))
+    @example(("aaab", [1, 2, 3, 4, 5, 6, 7, 8, 9], ["a", "b", XI], None))
+    @example(("ab é€😀", list(range(1, 14)), list("ab é€😀" + XI), None))
+    @example(("aab", [7, 5, 3, 1], ["a", "b"], {(5, "a")}))
+    def test_rows_are_the_reference_edits(self, grid):
+        s, positions, chars, rejected = grid
+        keep = ref_keep = None
+        if rejected is not None:
+            keep = [[(i, c) not in rejected for c in chars] for i in positions]
+            ref_keep = lambda cand, i, c: (i, c) not in rejected  # noqa: E731
+        rows = distinct_edits(s, positions, chars, keep)
+        assert rows.dtype == np.int64 and rows.shape == (len(rows), 2)
+        got = [(single_edit(s, i, chr(c)), i, chr(c)) for i, c in rows.tolist()]
+        assert got == list(reference_single_edits(s, positions, chars, ref_keep))
+
+    def test_runs_take_their_leftmost_form(self):
+        # the deletions of "aa", the insertions of "a" next to "aa", and every no-op
+        rows = distinct_edits("aab", [4, 2, 5, 3, 1, 7, 6], ["a", XI])
+        assert rows.tolist() == [[4, ord("a")], [4, 0], [5, ord("a")], [7, ord("a")], [6, ord("a")], [6, 0]]
+
+    @pytest.mark.parametrize("s,positions", [("ab", [0]), ("ab", [6]), ("a" + XI, [1])])
+    def test_bad_input_raises_as_single_edit(self, s, positions):
+        with pytest.raises(SentenceError):
+            distinct_edits(s, positions, ["a"])
 
 
 class TestNeighbors:
