@@ -15,6 +15,13 @@ nearby one gets the same logits as when scored from scratch. ``s`` is the
 largest scale at which ``_MAX_GRAMS`` weights and the bias cannot overflow
 int64; a longer row raises ``OracleError``.
 
+Whole rows are hashed into CSR count rows and multiplied by ``Wq``. Single
+edits (``walk_logits``) are not: the grams an edit removes or inserts are a
+few fixed windows of the codes around it (``_edit_windows``), whose weights
+are gathered from a class-major copy of ``Wq`` with one zero column for the
+windows that do not count, ``(classes, feature_dim + 1)`` int64, about 1 MB
+per model of two classes at the default dimension.
+
 ``scipy.sparse`` is imported where a CSR matrix is first built, so a
 process that never featurizes, such as a run against a remote oracle, never
 loads it.
@@ -35,7 +42,7 @@ import numpy as np
 
 from .attack import check_counts
 from .oracle import Oracle, OracleError
-from .sentence import XI, SentenceError, single_edit_rows
+from .sentence import XI, SentenceError
 
 MAGIC = b"CHNG"
 FORMAT_VERSION = 1
@@ -165,41 +172,62 @@ def _hash_keys(keys: np.ndarray, dim: int) -> np.ndarray:
     return hashes[inverse]
 
 
-def _window_counts(
-    codes: np.ndarray, starts: np.ndarray, lens: np.ndarray, lo: np.ndarray, width: np.ndarray,
-    orders: tuple[int, ...], dim: int, sign,
-) -> sparse.csr_matrix:
-    """Hashed counts of the grams of each padded row that overlap its window.
+def _gram_keys(codes: np.ndarray, lens: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The packed key of every gram of each padded row, row by row, and each row's gram count.
 
-    Row ``r`` is ``codes[starts[r] : starts[r] + lens[r]]`` and its window
-    the ``width[r]`` codes from ``lo[r]`` on; a zero-width window takes the
-    grams that span its position. Each gram packs into one int64 key,
-    ``_CODE_BITS`` bits per code point plus one, so that no two grams of any
-    orders share a key; each distinct key is hashed once. Every entry of
-    row ``r`` is ``sign``, or ``sign[r]`` for an array, the entries of a row
-    are grouped together, and repeats of a column add up.
+    Row ``r`` is the ``lens[r]`` codes after those of the rows before it.
+    Each gram packs into one int64 key, ``_CODE_BITS`` bits per code point
+    plus one, so that no two grams of any orders share a key.
     """
-    from scipy import sparse
-
     n = np.asarray(orders, dtype=np.int64)
-    first = np.maximum(lo[:, None] + 1 - n, 0)
-    count = np.maximum(np.minimum((lo + width - 1)[:, None], lens[:, None] - n) - first + 1, 0).ravel()
-    at = _ranges((starts[:, None] + first).ravel(), count)
+    count = np.maximum(lens[:, None] - n + 1, 0).ravel()
+    at = _ranges(np.repeat(np.cumsum(lens) - lens, len(n)), count)
     keys = codes[at].astype(np.int64) + 1
     for j in range(1, max(orders)):  # past a row's end only for a lower order, masked off below
         keys |= (codes.take(at + j, mode="clip").astype(np.int64) + 1) << (_CODE_BITS * j)
     own = np.array([(1 << (_CODE_BITS * k)) - 1 for k in orders], dtype=np.int64)  # a key's own order
     keys &= np.repeat(np.tile(own, len(lens)), count)
-    per_row = count.reshape(len(lens), len(n)).sum(axis=1)
-    data = np.repeat(np.broadcast_to(np.asarray(sign, dtype=np.int64), lens.shape), per_row)
+    return keys, count.reshape(len(lens), len(n)).sum(axis=1)
+
+
+def _window_counts(codes: np.ndarray, lens: np.ndarray, orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
+    """Hashed counts of the grams of each padded row (``_gram_keys``) as int64 CSR rows.
+
+    Each distinct key is hashed once; the entries of a row are grouped
+    together, and repeats of a column add up.
+    """
+    from scipy import sparse
+
+    keys, per_row = _gram_keys(codes, lens, orders)
     indptr = np.concatenate(([0], np.cumsum(per_row)))
+    data = np.ones(len(keys), dtype=np.int64)
     return sparse.csr_matrix((data, _hash_keys(keys, dim), indptr), shape=(len(lens), dim))
 
 
 def packed_feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram counts of a batch as int64 rows: each row's full window."""
-    codes, lens = _padded_codes(list(texts))
-    return _window_counts(codes, np.cumsum(lens) - lens, lens, np.zeros_like(lens), lens, orders, dim, 1)
+    """Hashed n-gram counts of a batch as int64 rows."""
+    return _window_counts(*_padded_codes(list(texts)), orders, dim)
+
+
+def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grams an edit can remove or insert, as windows of its neighbourhoods.
+
+    An edit's neighbourhood is ``2r + 1`` codes, ``r = max(orders) - 1``,
+    with its site at column ``r``; the edited neighbourhood follows it in
+    the same array, from column ``2r + 1`` on (``_integer_walk``). The
+    grams that overlap a site of one code are, for each order ``n``, the
+    ``n`` windows from column ``r - n + 1`` to ``r`` on; those that span a
+    site of no codes leave out the window from ``r`` on. Returns, per
+    window, removed windows first, the ``max(orders)`` columns it reads
+    (``(2W, max(orders))``), which of them are its own (the first ``n``),
+    and whether it starts at the site.
+    """
+    r = max(orders) - 1
+    order = np.repeat(orders, orders)
+    start = r + 1 - order + np.concatenate([np.arange(n) for n in orders])
+    cols = start[:, None] + np.arange(max(orders))
+    own = np.arange(max(orders)) < order[:, None]
+    return np.concatenate((cols, cols + 2 * r + 1)), np.tile(own, (2, 1)), np.tile(start == r, 2)
 
 
 def _edit_hoods(base: str, positions: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
@@ -302,6 +330,10 @@ class BuiltinClassifier:
         self.scale_bits: int = _scale_bits(self.weights, self.bias)
         self._wq_t = np.ascontiguousarray(np.rint(np.ldexp(self.weights.T, self.scale_bits)).astype(np.int64))
         self._bq = np.rint(np.ldexp(self.bias, self.scale_bits)).astype(np.int64)
+        # class-major, for gathers of a few weights per edit; the last column is zero
+        self._wq = np.zeros((shape[0], dim + 1), dtype=np.int64)
+        self._wq[:, :dim] = self._wq_t.T
+        self._windows = _edit_windows(self.ngram_orders)
         # the longest sentence whose padded n-grams, len(orders)·(L + 3) - sum(orders),
         # number at most _MAX_GRAMS
         self._max_chars = (_MAX_GRAMS + sum(self.ngram_orders)) // len(self.ngram_orders) - 3
@@ -336,12 +368,21 @@ class BuiltinClassifier:
         inserted code and takes away the grams that overlap the cut one, and
         these lie within the ``r = max(orders) - 1`` codes on either side of
         ``lo`` (``_edit_hoods``). So edits with the same such neighbourhood,
-        code and parity change the logits alike: each distinct one is scored
-        once, as a short row of its neighbourhood; one ``_window_counts``
-        call counts the grams of ``base``, and all the cut and all the
-        inserted grams. A sentence is the integer logits of ``base`` plus the
-        changes of its walk's edits. The sums are exact, so the rows equal
-        ``candidate_logits`` of the sentences bit for bit.
+        code and parity change the logits alike; for walks of more than one
+        edit, which share their first edits, each distinct one is scored once.
+        An edit's removed grams are the windows of its neighbourhood that
+        overlap the cut code, or span ``lo`` when nothing is cut; its
+        inserted grams are the windows of the edited neighbourhood (the
+        ``r`` codes before ``lo``, the inserted code if there is one, the
+        ``r`` codes after the cut) that overlap the inserted code, or span
+        the gap when nothing is inserted. These are at most ``sum(orders)``
+        windows a side, at fixed columns (``_edit_windows``); a window that
+        reaches past the row counts for nothing. The edits' keys and the
+        base's are hashed together, and their integer weights are summed
+        from gathers of the class-major ``Wq``. A sentence is the integer
+        logits of ``base`` plus the changes of its walk's edits. The sums
+        are exact, so the rows equal ``candidate_logits`` of the sentences
+        bit for bit.
         """
         return np.ldexp(self._integer_walk(base, positions, codes).astype(np.float64), -self.scale_bits)
 
@@ -359,34 +400,41 @@ class BuiltinClassifier:
         self._check_length(len(base) + int(grown.max()) if m else 0)
         r = max(self.ngram_orders) - 1
         hood = _edit_hoods(base, positions, codes, r)
-        put, cut = codes.ravel(), 1 - positions.ravel() % 2
-        # one edit per distinct neighbourhood, code and parity
-        one, same = _distinct([*hood.T, put, cut], [_CODE_BITS] * (2 * r + 2) + [1])
-        hood, put, cut = hood[one], put[one], cut[one]
-        # each distinct edit on a short row: its neighbourhood from the row's first code on, and a spare
-        before = (hood[:, :r] == 0).sum(axis=1)  # neighbourhood codes before the row's start
-        lens = (hood != 0).sum(axis=1)
-        cols = np.arange(2 * r + 2)
-        rows = np.take_along_axis(hood, np.minimum(cols + before[:, None], 2 * r), axis=1)
-        rows[cols >= lens[:, None]] = 0
-        at = r - before  # the edit's code in the short row
-        edited, edited_lens = single_edit_rows(rows, lens, 2 * at + 1 + cut, put)
-        n, width = len(rows), rows.shape[1]
-        bcodes, blens = _padded_codes([base])
-        # one matrix: the full row of the base, then each distinct edit's cut grams, then its inserted grams
-        counts = _window_counts(
-            np.concatenate((bcodes, rows.ravel(), edited.ravel())),
-            np.concatenate(([0], len(bcodes) + np.arange(2 * n) * width)),
-            np.concatenate((blens, lens, edited_lens)),
-            np.concatenate(([0], at, at)),
-            np.concatenate((blens, cut, put != 0)),
-            self.ngram_orders,
-            self.feature_dim,
-            np.repeat([1, -1, 1], [1, n, n]),
+        put, cut = codes.ravel(), positions.ravel() % 2 == 0
+        if k > 1:  # one edit per distinct neighbourhood, code and parity; walks share their first edits
+            one, same = _distinct([*hood.T, put, cut], [_CODE_BITS] * (2 * r + 2) + [1])
+            hood, put, cut = hood[one], put[one], cut[one]
+        # each edit's neighbourhood, then the edited one: the r codes before the site, the
+        # inserted code if there is one, the r codes after the cut, and a zero to fill
+        inserted = put != 0
+        after = np.where(cut[:, None], hood[:, r + 1 :], hood[:, r:-1])
+        right = np.where(
+            inserted[:, None],
+            np.concatenate((put[:, None], after), axis=1),
+            np.concatenate((after, np.zeros_like(put)[:, None]), axis=1),
         )
-        Z = counts @ self._wq_t
-        change = Z[1 : n + 1] + Z[n + 1 :]
-        return Z[0] + change[same].reshape(m, k, self.num_classes).sum(axis=1)
+        both = np.concatenate((hood, hood[:, :r], right), axis=1)
+        cols, own, at_site = self._windows
+        # a window counts if it lies in the row, and a window that starts at a site of no codes does not
+        gap = np.repeat(np.stack((~cut, ~inserted), axis=1), len(cols) // 2, axis=1)
+        counted = ~(gap & at_site)
+        keys = np.zeros(counted.shape, dtype=np.int64)
+        for j in range(cols.shape[1]):  # the j-th code of every window
+            code = both[:, cols[:, j]]
+            keys |= ((code + 1) << (_CODE_BITS * j)) * own[:, j]
+            counted &= (code != 0) | ~own[:, j]
+        live = keys[counted]
+        base_keys, _ = _gram_keys(*_padded_codes([base]), self.ngram_orders)
+        hashed = _hash_keys(np.concatenate((live, base_keys)), self.feature_dim)
+        index = np.full(keys.shape, self.feature_dim)  # the zero column
+        index[counted] = hashed[: len(live)]
+        weights = self._wq.take(index, axis=1)
+        removed, added = np.split(weights, 2, axis=2)
+        change = (added.sum(axis=2) - removed.sum(axis=2)).T
+        if k > 1:
+            change = change[same]
+        base_logits = self._wq.take(hashed[len(live) :], axis=1).sum(axis=1)
+        return base_logits + change.reshape(m, k, self.num_classes).sum(axis=1)
 
     def _check_length(self, longest: int) -> None:
         if longest > self._max_chars:

@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import statistics
 from dataclasses import dataclass
@@ -237,9 +238,10 @@ def run_attack_suite(
 ) -> dict:
     """Attack every correctly-classified record and aggregate a report.
 
-    One transcript line per record is appended as soon as it is produced.
-    Oracle failures on individual samples are recorded and the suite
-    continues.
+    One transcript line per record is written as soon as it is produced. A
+    transcript that exists and is not empty raises ``FileExistsError``
+    before any record is attacked, and is left as it was. Oracle failures
+    on individual samples are recorded and the suite continues.
     """
     if attack not in ATTACKS:
         raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACK_NAMES}")
@@ -258,6 +260,8 @@ def run_attack_suite(
     fingerprint = config_fingerprint(attack, config, pga_config)
     alpha_fp = config.alphabet.fingerprint()
 
+    if transcript_path and os.path.exists(transcript_path) and os.path.getsize(transcript_path):
+        raise FileExistsError(f"transcript {transcript_path} exists and is not empty; give a new or empty file")
     out_fh = open(transcript_path, "a", encoding="utf-8") if transcript_path else None
     per_sample = []
     elapsed_all: list[float] = []

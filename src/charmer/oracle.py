@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sentence import single_edit
+from .sentence import XI, SentenceError
 
 
 class OracleError(Exception):
@@ -95,10 +95,20 @@ class Oracle:
         with the code point ``codes[r]``, 0 for the sentinel. The rows must
         equal ``score_batch`` of the edited sentences (``single_edit``) bit
         for bit; by default they are that. The score of ``base`` itself is
-        not asked for.
+        not asked for. ``base`` and the positions are checked once for the
+        batch, with the ``SentenceError`` that ``single_edit`` gives the
+        first row it refuses.
         """
-        edits = zip(np.asarray(positions).tolist(), np.asarray(codes).tolist())
-        return self.score_batch([single_edit(base, i, chr(c)) for i, c in edits])
+        positions, codes = np.asarray(positions).tolist(), np.asarray(codes).tolist()
+        if positions and XI in base:
+            raise SentenceError("cannot edit a sentence containing the sentinel")
+        top = 2 * len(base) + 1
+        for i in positions:
+            if not 1 <= i <= top:
+                raise SentenceError(f"position {i} out of range [1, {top}]")
+        # single_edit's slices: an odd i inserts after (i - 1) // 2 characters, an even one replaces
+        edited = [base[: (i - 1) // 2] + (chr(c) if c else "") + base[i // 2 :] for i, c in zip(positions, codes)]
+        return self.score_batch(edited)
 
     def _score_chunk(self, sentences: list[str]):  # an array or a list of number rows
         raise NotImplementedError

@@ -15,7 +15,7 @@ import numpy as np
 from .attack import AttackConfig, charmer_attack, exhaustive_k1
 from .classifier import BuiltinOracle, TrainConfig, train_builtin
 from .pga import project_simplex
-from .sentence import Alphabet, contract, expand, levenshtein
+from .sentence import Alphabet, contract, distinct_edits, expand, levenshtein, single_edit
 from .synth import make_keyword_corpus
 
 SUITES = ("sentence-space", "projection", "equivalence")
@@ -137,17 +137,24 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
     ok = True
     lines = []
     for record in eval_records:
-        config = AttackConfig(alphabet=alphabet, n=2 * len(record.text) + 1, k=1)
-        outcome = charmer_attack(oracle, record.text, record.label, config)
-        best = exhaustive_k1(oracle, record.text, record.label, config)
-        same_loss = abs(outcome.final_loss - best.final_loss) <= 1e-12
-        if outcome.adversarial != best.adversarial or not same_loss:
+        s = record.text
+        edits = distinct_edits(s, range(1, 2 * len(s) + 2), alphabet.replacement_chars())
+        by_edit = oracle.score_edits(s, edits[:, 0], edits[:, 1])
+        by_sentence = oracle.score_batch([single_edit(s, i, chr(c)) for i, c in edits.tolist()])
+        if by_edit.tobytes() != by_sentence.tobytes():
             ok = False
-            lines.append(f"FAIL equivalence on record {record.id}: {record.text!r}")
+            lines.append(f"FAIL single-edit scores differ from the edited sentences' on record {record.id}: {s!r}")
+            break
+        config = AttackConfig(alphabet=alphabet, n=2 * len(s) + 1, k=1)
+        outcome = charmer_attack(oracle, s, record.label, config)
+        best = exhaustive_k1(oracle, s, record.label, config)
+        if outcome.adversarial != best.adversarial or outcome.final_loss != best.final_loss:
+            ok = False
+            lines.append(f"FAIL equivalence on record {record.id}: {s!r}")
             break
     lines.append(
-        f"{'PASS' if ok else 'FAIL'} equivalence: full-width single-edit attack "
-        f"matches the exhaustive scan on {samples} samples"
+        f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores equal the edited sentences' and the "
+        f"full-width single-edit attack matches the exhaustive scan exactly on {samples} samples"
     )
     return ok, lines
 

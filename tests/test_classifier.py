@@ -93,28 +93,20 @@ class TestFeatures:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(st.text(alphabet="ab é€😀\x02\x03", max_size=16), min_size=1, max_size=4),
+        st.lists(st.text(alphabet="ab é€😀\x02\x03", max_size=16), max_size=4),
         st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=3, unique=True),
-        st.data(),
     )
-    def test_window_counts_are_the_grams_overlapping_the_window(self, texts, orders, data):
+    def test_window_counts_are_the_grams_overlapping_the_window(self, texts, orders):
         orders = tuple(orders)
         codes, lens = classifier_module._padded_codes(texts)
-        windows = []
-        for length in lens.tolist():
-            lo = data.draw(st.integers(0, length))
-            windows.append((lo, data.draw(st.integers(0, length - lo))))
-        lo, width = (np.array(w, dtype=np.int64) for w in zip(*windows))
-        starts = np.cumsum(lens) - lens
-        for dim, sign in ((1 << 16, 1), (7, -1)):
-            X = classifier_module._window_counts(codes, starts, lens, lo, width, orders, dim, sign)
+        for dim in (1 << 16, 7):
+            X = classifier_module._window_counts(codes, lens, orders, dim)
             assert X.shape == (len(texts), dim) and X.dtype == np.int64
             for i, text in enumerate(texts):
                 got = Counter()
                 for col, count in zip(X[i].indices.tolist(), X[i].data.tolist()):
                     got[col] += count
-                ref = reference_window_counts(text, orders, dim, int(lo[i]), int(width[i]))
-                assert got == Counter({col: sign * count for col, count in ref.items()})
+                assert got == reference_window_counts(text, orders, dim, 0, len(text) + 2)
 
     def test_gram_table_cap(self, monkeypatch):
         monkeypatch.setattr(classifier_module, "_GRAM_TABLE_CAP", 3)
@@ -535,7 +527,7 @@ class TestScoreEdits:
         assert rows.tobytes() == limited.tobytes() == whole.tobytes()
 
 
-WALK_CHARS = "ab é€😀"
+WALK_CHARS = "ab é€😀\x02\x03"  # the boundary codes may be characters of a sentence too
 
 
 @st.composite
@@ -558,11 +550,11 @@ def walks_from(draw, s, k):
     return positions, codes, t
 
 
-def check_walk_rows(clf):
+def check_walk_rows(clf, ks=st.integers(0, 4), examples=200):
     """Hypothesis: ``walk_logits`` rows equal ``candidate_logits`` of the walks' sentences."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet=WALK_CHARS, max_size=12), st.integers(0, 4), st.data())
+    @settings(max_examples=examples, deadline=None)
+    @given(st.text(alphabet=WALK_CHARS, max_size=12), ks, st.data())
     def walks_score_as_their_sentences(s, k, data):
         walks = [data.draw(walks_from(s, k)) for _ in range(data.draw(st.integers(0, 7)))]
         walks.append(([1] * k, [0] * k, s))  # k no-op edits: s itself
@@ -578,24 +570,36 @@ class TestWalkLogits:
     def test_equal_candidate_logits(self, clf):
         check_walk_rows(clf)
 
+    @pytest.mark.parametrize("orders", [(1,), (2,), (3, 1), (1, 2, 3)])
+    @pytest.mark.parametrize("dim", [1, 97, 1 << 16])
+    def test_equal_candidate_logits_for_every_orders_and_dim(self, orders, dim):
+        rng = np.random.default_rng(dim)
+        model = BuiltinClassifier(orders, dim, rng.normal(size=(3, dim)), rng.normal(size=3))
+        for k in range(4):
+            check_walk_rows(model, ks=st.just(k), examples=40)
+
     @pytest.mark.parametrize(
-        "shift",
+        "removed, inserted",
         [
-            lambda lo, sign: lo + (sign < 0),  # the cut window one code late
-            lambda lo, sign: lo + ((lo > 0) & (sign > 0)),  # the inserted window one code late
-            lambda lo, sign: lo - (lo > 0),  # both windows one code early
+            (1, 0),  # the removed windows one code late
+            (0, 1),  # the inserted windows one code late
+            (-1, -1),  # both one code early
         ],
         ids=["cut+1", "inserted+1", "both-1"],
     )
-    def test_an_off_by_one_window_fails_it(self, clf, shift):
-        real = classifier_module._window_counts
+    def test_an_off_by_one_window_fails_it(self, clf, removed, inserted):
+        real = classifier_module._edit_windows
 
-        def mutant(codes, starts, lens, lo, width, orders, dim, sign):
-            return real(codes, starts, lens, shift(lo, sign), width, orders, dim, sign)
+        def mutant(orders):
+            cols, own, at_site = real(orders)
+            half, last = len(cols) // 2, 4 * max(orders) - 3  # the last column of the edited neighbourhood
+            cols = np.concatenate((cols[:half] + removed, np.minimum(cols[half:] + inserted, last)))
+            return cols, own, at_site
 
-        with mock.patch.object(classifier_module, "_window_counts", mutant):
-            with pytest.raises(AssertionError):
-                check_walk_rows(clf)
+        with mock.patch.object(classifier_module, "_edit_windows", mutant):
+            mutated = BuiltinClassifier(clf.ngram_orders, clf.feature_dim, clf.weights, clf.bias)
+        with pytest.raises(AssertionError):
+            check_walk_rows(mutated)
 
     def test_a_sentence_past_the_bound_raises_as_in_candidate_logits(self, clf):
         s = "a" * clf._max_chars

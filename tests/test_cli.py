@@ -129,6 +129,24 @@ class TestRun:
         assert stable_lines(t1) == stable_lines(t2)
         assert report_body(r1) == report_body(r2)
 
+    def test_a_second_run_into_one_transcript_exits_1_and_leaves_it(self, eval_path, model_path, tmp_path, capsys):
+        args = ("--attack", "random", "--seed", "5", "--n", "5", "--k", "4")
+        transcript, _ = run_attack(eval_path, model_path, tmp_path, "once", args)
+        written = transcript.read_bytes()
+        report = tmp_path / "again.json"
+        capsys.readouterr()
+        code = main(
+            ["run", "--dataset", str(eval_path), "--oracle", f"builtin:{model_path}",
+             "--out", str(transcript), "--report", str(report), *args]
+        )
+        assert code == 1
+        assert str(transcript) in capsys.readouterr().err
+        assert transcript.read_bytes() == written and not report.exists()
+        empty = tmp_path / "empty.jsonl"
+        empty.touch()  # an empty transcript is written as a new one
+        again, _ = run_attack(eval_path, model_path, tmp_path, "empty", args)
+        assert len(again.read_bytes().splitlines()) == len(written.splitlines()) == 20
+
     def test_all_attack_modes(self, eval_path, model_path, tmp_path):
         for attack in ("charmer-fast", "exhaustive-k1", "pga"):
             _, report = run_attack(

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,6 +254,15 @@ class TestSuite:
                 if pos is not None:
                     cur = single_edit(cur, pos, char)
             assert cur == line["adversarial"]
+
+    def test_a_transcript_that_holds_lines_is_refused_before_any_record(self, tmp_path, suite_records, desk_alphabet):
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text('{"id": 0}\n')
+        untouchable = FailingOracle(None, trigger="")  # any scored sentence fails the test
+        config = AttackConfig(alphabet=desk_alphabet, n=5, k=2)
+        with pytest.raises(FileExistsError, match=re.escape(str(transcript))):
+            run_attack_suite(suite_records, untouchable, "charmer", config, transcript_path=transcript)
+        assert transcript.read_text() == '{"id": 0}\n'
 
     def test_seeded_rerun_is_byte_identical(self, suite_records, desk_oracle, desk_alphabet):
         config = AttackConfig(alphabet=desk_alphabet, n=5, k=4, seed=3)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmer.oracle import CountingOracle, Oracle, OracleError, PairedOracle, cw_loss, is_adversarial
+from charmer.sentence import SentenceError, single_edit
 from reference import reference_cw_loss
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -222,3 +223,30 @@ class TestScoreEdits:
         assert inner.edits == [("pre\nxy", [9, 12], [ord("z"), 0])]
         assert inner.sentences == ["pre\nzxy", "pre\nx"]
         assert rows.tobytes() == paired.score_batch(["zxy", "x"]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="ab é😀\x00", max_size=8),
+        st.lists(st.tuples(st.integers(-1, 19), st.sampled_from([0, ord("a"), ord("é"), ord("😀")])), max_size=6),
+    )
+    @example("ab", [(5, ord("x")), (0, 0)])
+    @example("a\x00", [])
+    @example("a\x00", [(1, ord("b"))])
+    def test_default_edits_as_single_edit_does_row_by_row(self, base, edits):
+        expected, error = [], None
+        for i, c in edits:
+            try:
+                expected.append(single_edit(base, i, chr(c)))
+            except SentenceError as exc:
+                error = str(exc)
+                break
+        oracle = EditRecordingOracle()
+        positions = np.array([i for i, _ in edits], dtype=np.int64)
+        codes = np.array([c for _, c in edits], dtype=np.int64)
+        if error is None:
+            rows = oracle.score_edits(base, positions, codes)
+            assert oracle.sentences == expected and len(rows) == len(edits)
+        else:
+            with pytest.raises(SentenceError) as raised:
+                oracle.score_edits(base, positions, codes)
+            assert str(raised.value) == error and oracle.sentences == []
