@@ -20,7 +20,14 @@ edits (``walk_logits``) are not: the grams an edit removes or inserts are a
 few fixed windows of the codes around it (``_edit_windows``), whose weights
 are gathered from a class-major copy of ``Wq`` with one zero column for the
 windows that do not count, ``(classes, feature_dim + 1)`` int64, about 1 MB
-per model of two classes at the default dimension.
+per model of two classes at the default dimension, built on the first walk.
+
+In scoring, each gram is one packed int64 key, and its feature index comes
+from an open-addressing table per feature width (``_KeyTable``): two fixed
+arrays of 2^17 slots, 2 MB, probed for a whole batch at once. Only the keys
+it does not hold are hashed one by one in Python; the table is cleared when
+they would fill more than half its slots. Training hashes gram strings
+through a dict per feature width instead (``_GramHashes``).
 
 ``scipy.sparse`` is imported where a CSR matrix is first built, so a
 process that never featurizes, such as a run against a remote oracle, never
@@ -34,14 +41,14 @@ import os
 import struct
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .attack import check_counts
-from .oracle import Oracle, OracleError
+from .oracle import Oracle, OracleError, check_edits
 from .sentence import XI, SentenceError
 
 MAGIC = b"CHNG"
@@ -71,23 +78,26 @@ def _unpack(key: int) -> str:
     return "".join(chars)
 
 
-class _GramHashes(dict):
-    """Feature index of each n-gram for one feature width, hashed on first use.
+def _gram_index(gram: str, dim: int) -> int:
+    """The feature index of one n-gram: its CRC32 salted with its order, ``len(gram)``."""
+    return zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % dim
 
-    A gram is looked up as its string or as its packed key. The n-gram
-    order is the gram's length, so the salt is ``len(gram)``. The table is
-    cleared when it reaches ``_GRAM_TABLE_CAP`` entries.
+
+class _GramHashes(dict):
+    """Feature index of each n-gram string for one feature width, hashed on first use.
+
+    Training's ``_hashed_counts`` looks grams up here; the table is cleared
+    when it reaches ``_GRAM_TABLE_CAP`` entries.
     """
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, gram) -> int:
+    def __missing__(self, gram: str) -> int:
         if len(self) >= _GRAM_TABLE_CAP:
             self.clear()
-        text = gram if isinstance(gram, str) else _unpack(gram)
-        h = self[gram] = zlib.crc32(text.encode("utf-8") + bytes([len(text)])) % self.dim
+        h = self[gram] = _gram_index(gram, self.dim)
         return h
 
 
@@ -100,6 +110,85 @@ def _gram_table(dim: int) -> _GramHashes:
     if table is None:
         table = _GRAM_TABLES[dim] = _GramHashes(dim)
     return table
+
+
+# slots of each packed-key table, 2 ** 17: two int64 arrays of 1 MB, at most half of them used
+_KEY_TABLE_BITS = 17
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, rounded to odd
+
+
+class _KeyTable:
+    """Feature index of each packed gram key for one feature width (``_gram_keys``).
+
+    An open-addressing table in two fixed arrays of ``2 ** bits`` slots, the
+    keys and their feature indices (linear probing; Knuth, TAOCP vol. 3
+    §6.4). A key's first slot is ``key · 0x9E3779B97F4A7C15 mod 2^64``
+    shifted right by ``64 - bits`` (Fibonacci hashing); when that slot holds
+    another key it tries the next, wrapping at the end. Key 0 marks a free
+    slot: no packed key is 0, as each code is stored plus one. A batch is
+    probed with array operations, so a key found costs no Python; the keys
+    not found are hashed once each (``_gram_index``) and inserted. The table
+    is cleared when an insert would fill more than half its slots, so every
+    probe ends at a free slot; a batch with more new keys than that inserts
+    only the first of them, and still returns every index.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.bits = _KEY_TABLE_BITS
+        self.keys = np.zeros(1 << self.bits, dtype=np.int64)
+        self.index = np.zeros(1 << self.bits, dtype=np.int64)
+        self.used = 0
+
+    def _first_slot(self, keys: np.ndarray) -> np.ndarray:
+        return ((keys.view(np.uint64) * _FIBONACCI) >> np.uint64(64 - self.bits)).astype(np.intp)
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The feature index of each of the int64 ``keys``."""
+        wrap = len(self.keys) - 1
+        slot = self._first_slot(keys)
+        found = self.keys[slot]
+        out = self.index[slot]  # right where the key is in its first slot
+        going = np.flatnonzero(found != keys)
+        slot, found = slot[going], found[going]
+        missed = []
+        while len(going):
+            free = found == 0
+            missed.append(going[free])
+            going, slot = going[~free], (slot[~free] + 1) & wrap
+            found = self.keys[slot]
+            hit = found == keys[going]
+            out[going[hit]] = self.index[slot[hit]]
+            going, slot, found = going[~hit], slot[~hit], found[~hit]
+        missed = np.concatenate(missed) if missed else going
+        if len(missed):
+            new, same = np.unique(keys[missed], return_inverse=True)
+            index = np.array([_gram_index(gram, self.dim) for gram in map(_unpack, new.tolist())], dtype=np.int64)
+            out[missed] = index[same]
+            self._insert(new, index)
+        return out
+
+    def _insert(self, keys: np.ndarray, index: np.ndarray) -> None:
+        """Add distinct keys that the table does not hold."""
+        room = len(self.keys) // 2
+        if self.used + len(keys) > room:
+            self.keys[:] = 0
+            self.used = 0
+            keys, index = keys[:room], index[:room]
+        self.used += len(keys)
+        wrap = len(self.keys) - 1
+        slot = self._first_slot(keys)
+        while len(keys):
+            free = np.flatnonzero(self.keys[slot] == 0)
+            self.keys[slot[free]] = keys[free]  # of keys that share a free slot, one lands
+            won = free[self.keys[slot[free]] == keys[free]]
+            self.index[slot[won]] = index[won]
+            lost = np.ones(len(keys), dtype=bool)
+            lost[won] = False
+            keys, index, slot = keys[lost], index[lost], (slot[lost] + 1) & wrap
+
+
+_KEY_TABLES: dict[int, _KeyTable] = {}
 
 
 @lru_cache(maxsize=1 << 12)
@@ -165,11 +254,11 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def _hash_keys(keys: np.ndarray, dim: int) -> np.ndarray:
-    """Feature index of each packed key; each distinct key is looked up once."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    table = _gram_table(dim)
-    hashes = np.fromiter(map(table.__getitem__, uniq.tolist()), dtype=np.int64, count=len(uniq))
-    return hashes[inverse]
+    """Feature index of each packed key, from the table of its feature width (``_KeyTable``)."""
+    table = _KEY_TABLES.get(dim)
+    if table is None:
+        table = _KEY_TABLES[dim] = _KeyTable(dim)
+    return table.lookup(keys)
 
 
 def _gram_keys(codes: np.ndarray, lens: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -330,9 +419,6 @@ class BuiltinClassifier:
         self.scale_bits: int = _scale_bits(self.weights, self.bias)
         self._wq_t = np.ascontiguousarray(np.rint(np.ldexp(self.weights.T, self.scale_bits)).astype(np.int64))
         self._bq = np.rint(np.ldexp(self.bias, self.scale_bits)).astype(np.int64)
-        # class-major, for gathers of a few weights per edit; the last column is zero
-        self._wq = np.zeros((shape[0], dim + 1), dtype=np.int64)
-        self._wq[:, :dim] = self._wq_t.T
         self._windows = _edit_windows(self.ngram_orders)
         # the longest sentence whose padded n-grams, len(orders)·(L + 3) - sum(orders),
         # number at most _MAX_GRAMS
@@ -341,6 +427,17 @@ class BuiltinClassifier:
     @property
     def num_classes(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def _wq(self) -> np.ndarray:
+        """``Wq`` class-major, for gathers of a few weights per edit, with a last column of zeros.
+
+        Built on the first walk: a model that only trains or scores whole
+        rows never allocates it.
+        """
+        wq = np.zeros((self.num_classes, self.feature_dim + 1), dtype=np.int64)
+        wq[:, :-1] = self._wq_t.T
+        return wq
 
     def features(self, texts: Sequence[str]) -> sparse.csr_matrix:
         """Hashed n-gram counts, int64, one row per sentence (``packed_feature_matrix``)."""
@@ -378,11 +475,14 @@ class BuiltinClassifier:
         the gap when nothing is inserted. These are at most ``sum(orders)``
         windows a side, at fixed columns (``_edit_windows``); a window that
         reaches past the row counts for nothing. The edits' keys and the
-        base's are hashed together, and their integer weights are summed
-        from gathers of the class-major ``Wq``. A sentence is the integer
-        logits of ``base`` plus the changes of its walk's edits. The sums
-        are exact, so the rows equal ``candidate_logits`` of the sentences
-        bit for bit.
+        base's are looked up together (``_hash_keys``), and their integer
+        weights are summed from gathers of the class-major ``Wq``. A
+        sentence is the integer logits of ``base`` plus the changes of its
+        walk's edits. The sums are exact, so the rows equal
+        ``candidate_logits`` of the sentences bit for bit. Each edit is
+        checked against its own ``t_j``: the first out of range, walk by
+        walk, raises ``single_edit``'s ``SentenceError``, and so do arrays
+        of two shapes.
         """
         return np.ldexp(self._integer_walk(base, positions, codes).astype(np.float64), -self.scale_bits)
 
@@ -391,13 +491,20 @@ class BuiltinClassifier:
         if XI in base:
             raise SentenceError("cannot edit a sentence containing the sentinel")
         positions, codes = np.asarray(positions, dtype=np.int64), np.asarray(codes, dtype=np.int64)
+        if positions.shape != codes.shape:
+            raise SentenceError(f"edit positions of shape {positions.shape} but codes of shape {codes.shape}")
+        m, k = positions.shape
+        odd, sentinel = positions % 2 == 1, codes == 0
+        shift = (odd & ~sentinel).astype(np.int64) - (~odd & sentinel)  # an insertion, a deletion or neither
+        top = 2 * (len(base) + np.cumsum(shift, axis=1) - shift) + 1  # the last position of each t_j
+        outside = (positions < 1) | (positions > top)
+        if outside.any():
+            w, j = np.argwhere(outside)[0]  # the first in the order single_edit would meet them
+            raise SentenceError(f"position {positions[w, j]} out of range [1, {top[w, j]}]")
         bad = codes[((codes >= 0xD800) & (codes <= 0xDFFF)) | (codes < 0) | (codes > 0x10FFFF)]
         if len(bad):
             raise OracleError(f"cannot score the code point {int(bad[0]):#x}; it is not a Unicode scalar value")
-        m, k = positions.shape
-        odd, sentinel = positions % 2 == 1, codes == 0
-        grown = (odd & ~sentinel).sum(axis=1) - (~odd & sentinel).sum(axis=1)  # insertions minus deletions
-        self._check_length(len(base) + int(grown.max()) if m else 0)
+        self._check_length(len(base) + int(shift.sum(axis=1).max()) if m else 0)
         r = max(self.ngram_orders) - 1
         hood = _edit_hoods(base, positions, codes, r)
         put, cut = codes.ravel(), positions.ravel() % 2 == 0
@@ -618,5 +725,6 @@ class BuiltinOracle(Oracle):
 
     def score_edits(self, base: str, positions, codes) -> np.ndarray:
         clf = self.classifier
-        Z = clf._integer_walk(base, np.reshape(positions, (-1, 1)), np.reshape(codes, (-1, 1))) + clf._bq
+        positions, codes = check_edits(positions, codes)
+        Z = clf._integer_walk(base, positions[:, None], codes[:, None]) + clf._bq
         return np.ldexp(Z.astype(np.float64), -clf.scale_bits)

@@ -42,6 +42,14 @@ def check_rows(scores, m: int, num_classes) -> np.ndarray:
     return z
 
 
+def check_edits(positions, codes) -> tuple[np.ndarray, np.ndarray]:
+    """``positions`` and ``codes`` of single edits as 1-D arrays; ``SentenceError`` unless they match in length."""
+    positions, codes = np.ravel(positions), np.ravel(codes)
+    if len(positions) != len(codes):
+        raise SentenceError(f"{len(positions)} edit positions but {len(codes)} codes")
+    return positions, codes
+
+
 def cw_loss(scores, y: int):
     """Margin loss: best score among the other classes minus the true-class score.
 
@@ -97,9 +105,11 @@ class Oracle:
         for bit; by default they are that. The score of ``base`` itself is
         not asked for. ``base`` and the positions are checked once for the
         batch, with the ``SentenceError`` that ``single_edit`` gives the
-        first row it refuses.
+        first row it refuses; so is one code per position
+        (``check_edits``).
         """
-        positions, codes = np.asarray(positions).tolist(), np.asarray(codes).tolist()
+        positions, codes = check_edits(positions, codes)
+        positions, codes = positions.tolist(), codes.tolist()
         if positions and XI in base:
             raise SentenceError("cannot edit a sentence containing the sentinel")
         top = 2 * len(base) + 1

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import zlib
 
 import numpy as np
 
 from .attack import AttackConfig, charmer_attack, exhaustive_k1
-from .classifier import BuiltinOracle, TrainConfig, train_builtin
+from .classifier import _CODE_BITS, BuiltinOracle, TrainConfig, _gram_keys, _hash_keys, _padded_codes, train_builtin
 from .pga import project_simplex
 from .sentence import Alphabet, contract, distinct_edits, expand, levenshtein, single_edit
 from .synth import make_keyword_corpus
@@ -128,6 +129,23 @@ def run_projection_suite(instances: int = 100, seed: int = 0) -> tuple[bool, lis
     return ok, lines
 
 
+def misindexed_gram(classifier, sentences: list[str]) -> str | None:
+    """The first n-gram of ``sentences`` whose packed key the scorer indexes wrongly, described.
+
+    Each distinct packed key is looked up as scoring looks it up
+    (``_hash_keys``), unpacked here and checked against CRC32 of the gram's
+    UTF-8 bytes salted with its order, modulo the feature dimension.
+    """
+    keys = np.unique(_gram_keys(*_padded_codes(sentences), classifier.ngram_orders)[0])
+    mask = (1 << _CODE_BITS) - 1
+    for key, got in zip(keys.tolist(), _hash_keys(keys, classifier.feature_dim).tolist()):
+        gram = "".join(chr((key >> shift & mask) - 1) for shift in range(0, 63, _CODE_BITS) if key >> shift)
+        want = zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % classifier.feature_dim
+        if got != want:
+            return f"the n-gram {gram!r} has feature index {got}, not {want}"
+    return None
+
+
 def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list[str]]:
     corpus = make_keyword_corpus(300, seed=seed)
     clf = train_builtin([(r.text, r.label) for r in corpus], TrainConfig(seed=seed))
@@ -140,10 +158,17 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
         s = record.text
         edits = distinct_edits(s, range(1, 2 * len(s) + 2), alphabet.replacement_chars())
         by_edit = oracle.score_edits(s, edits[:, 0], edits[:, 1])
-        by_sentence = oracle.score_batch([single_edit(s, i, chr(c)) for i, c in edits.tolist()])
+        edited = [single_edit(s, i, chr(c)) for i, c in edits.tolist()]
+        by_sentence = oracle.score_batch(edited)
         if by_edit.tobytes() != by_sentence.tobytes():
             ok = False
             lines.append(f"FAIL single-edit scores differ from the edited sentences' on record {record.id}: {s!r}")
+            break
+        # both scorers look grams up in one table, so a wrong entry would not show above
+        wrong = misindexed_gram(clf, [s, *edited])
+        if wrong:
+            ok = False
+            lines.append(f"FAIL {wrong} on record {record.id}: {s!r}")
             break
         config = AttackConfig(alphabet=alphabet, n=2 * len(s) + 1, k=1)
         outcome = charmer_attack(oracle, s, record.label, config)
@@ -153,8 +178,9 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
             lines.append(f"FAIL equivalence on record {record.id}: {s!r}")
             break
     lines.append(
-        f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores equal the edited sentences' and the "
-        f"full-width single-edit attack matches the exhaustive scan exactly on {samples} samples"
+        f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores equal the edited sentences', every "
+        f"n-gram has its CRC32 feature index, and the full-width single-edit attack matches the exhaustive "
+        f"scan exactly on {samples} samples"
     )
     return ok, lines
 

@@ -3,15 +3,15 @@
 These deliberately avoid the production code paths: balls are brute-force
 enumerations over all short strings, measured with the full-matrix distance
 table of ``charmer.verify``, gradients are central finite differences, n-gram
-features are hashed gram by gram and the mixture loss is evaluated on feature
-rows. The simplex-projection reference is ``charmer.verify``'s active-set
-search. The edit-history reference follows each character index through an
-edit by hand, and the margin loss takes the per-row Python ``max``. The PGA
-loop reference runs every step, and the ball sampler reference draws from
-``random.Random`` itself and builds every sentence with ``single_edit``. The
-training reference keeps its weights as ``(classes, feature_dim)`` and
-updates them in one expression. The single-edit reference builds every
-candidate sentence and deduplicates them as strings.
+features (and the packed keys of n-grams) are hashed gram by gram and the
+mixture loss is evaluated on feature rows. The simplex-projection reference is
+``charmer.verify``'s active-set search. The edit-history reference follows
+each character index through an edit by hand, and the margin loss takes the
+per-row Python ``max``. The PGA loop reference runs every step, and the ball
+sampler reference draws from ``random.Random`` itself and builds every
+sentence with ``single_edit``. The training reference keeps its weights as
+``(classes, feature_dim)`` and updates them in one expression. The single-edit
+reference builds every candidate sentence and deduplicates them as strings.
 """
 
 from __future__ import annotations
@@ -80,6 +80,16 @@ def reference_hashed_counts(text: str, orders: tuple[int, ...], dim: int):
             h = zlib.crc32(padded[i : i + n].encode("utf-8") + salt) % dim
             counts[h] = counts.get(h, 0.0) + 1.0
     return np.array(list(counts), dtype=np.int64), np.array(list(counts.values()))
+
+
+def reference_gram_index(gram: str, dim: int) -> int:
+    """The feature index of one n-gram: CRC32 of its UTF-8 bytes and its order, modulo ``dim``."""
+    return zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % dim
+
+
+def reference_pack(gram: str) -> int:
+    """The packed key of an n-gram: its i-th code point plus one in bits ``21 i`` to ``21 i + 20``."""
+    return sum((ord(c) + 1) << (21 * i) for i, c in enumerate(gram))
 
 
 def reference_train_builtin(dataset, orders: tuple[int, ...], dim: int, steps: int, lr: float, l2: float, seed: int):

@@ -21,13 +21,15 @@ from charmer.classifier import (
     packed_feature_matrix,
     train_builtin,
 )
-from charmer.oracle import OracleError, PairedOracle, cw_loss
-from charmer.sentence import XI, single_edit
+from charmer.oracle import Oracle, OracleError, PairedOracle, cw_loss
+from charmer.sentence import XI, SentenceError, single_edit
 from charmer.synth import make_keyword_corpus
 from reference import (
     central_difference_gradient,
     feature_mixture_loss_and_grad,
+    reference_gram_index,
     reference_hashed_counts,
+    reference_pack,
     reference_train_builtin,
     reference_window_counts,
 )
@@ -116,6 +118,75 @@ class TestFeatures:
         ref_idx, ref_val = reference_hashed_counts(text, (1, 2, 3), 4096)
         assert idx.tolist() == ref_idx.tolist() and val.tolist() == ref_val.tolist()
         assert len(classifier_module._GRAM_TABLES[4096]) <= 3
+
+
+# code points of every kind a packed key holds: ASCII, the BMP, past it, the boundary markers, the last one
+KEY_CHARS = "ab ~é€中😀𝔸\x02\x03\U0010ffff"
+
+
+def first_slot(key: int, bits: int) -> int:
+    """A key's first slot in a table of ``2 ** bits`` slots: Fibonacci hashing, in Python integers."""
+    return (key * 0x9E3779B97F4A7C15) % 2**64 >> (64 - bits)
+
+
+def check_key_table(table, dim):
+    """Every key a table holds maps to its reference index, and at most half of its slots are used."""
+    held = np.flatnonzero(table.keys)
+    assert len(held) == table.used <= len(table.keys) // 2
+    for slot in held.tolist():
+        key = int(table.keys[slot])
+        gram = "".join(chr(((key >> (21 * i)) & ((1 << 21) - 1)) - 1) for i in range(3) if key >> (21 * i))
+        assert reference_pack(gram) == key
+        assert table.index[slot] == reference_gram_index(gram, dim)
+
+
+class TestKeyTable:
+    """``_hash_keys``, the open-addressing table of packed keys, against per-gram CRC32."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(st.sampled_from(KEY_CHARS), min_size=1, max_size=3), min_size=1, max_size=12),
+        st.sampled_from([1, 97, 1 << 16]),
+        st.sampled_from([1, 2, 3, 17]),
+        st.data(),
+    )
+    def test_matches_per_gram_hashing(self, pool, dim, bits, data):
+        # a table of 2 ** bits slots: a few slots make collisions, wrap-arounds, clears and
+        # batches of more new keys than the table holds common
+        batches = data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=20), min_size=1, max_size=4))
+        with mock.patch.object(classifier_module, "_KEY_TABLE_BITS", bits), mock.patch.object(
+            classifier_module, "_KEY_TABLES", {}
+        ):
+            for grams in batches:  # repeats within and across batches
+                keys = np.array([reference_pack(g) for g in grams], dtype=np.int64)
+                got = classifier_module._hash_keys(keys, dim)
+                assert got.dtype == np.int64
+                assert got.tolist() == [reference_gram_index(g, dim) for g in grams]
+                check_key_table(classifier_module._KEY_TABLES[dim], dim)
+
+    def test_collisions_wrap_clears_and_overflow(self):
+        bits, dim = 2, 97  # four slots, two used at most
+        grams = [a + b for a in KEY_CHARS for b in KEY_CHARS]
+        last = [g for g in grams if first_slot(reference_pack(g), bits) == 3]
+        lookup = classifier_module._hash_keys
+
+        def check(batch):
+            keys = np.array([reference_pack(g) for g in batch], dtype=np.int64)
+            assert lookup(keys, dim).tolist() == [reference_gram_index(g, dim) for g in batch]
+            check_key_table(table, dim)
+
+        with mock.patch.object(classifier_module, "_KEY_TABLE_BITS", bits), mock.patch.object(
+            classifier_module, "_KEY_TABLES", {}
+        ):
+            table = classifier_module._KEY_TABLES[dim] = classifier_module._KeyTable(dim)
+            check(last[:2] * 2)  # two keys for the last slot: one lands there, the other wraps to slot 0
+            assert sorted(table.keys.tolist()) == sorted([0, 0, *map(reference_pack, last[:2])])
+            assert {table.keys[3], table.keys[0]} == set(map(reference_pack, last[:2]))
+            check(last[1::-1])  # found again, one of them past the wrap
+            check(grams[-1:])  # a third key would fill more than half: cleared first
+            assert table.used == 1 and table.keys.tolist().count(reference_pack(grams[-1])) == 1
+            check(grams[:5] + grams[:5])  # more new keys than the table holds
+            assert table.used == 2
 
 
 class TestTraining:
@@ -527,6 +598,45 @@ class TestScoreEdits:
         assert rows.tobytes() == limited.tobytes() == whole.tobytes()
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(alphabet="ab é😀", max_size=6),
+        st.lists(st.tuples(st.integers(-2, 16), st.sampled_from([0, ord("a"), ord("😀")])), max_size=5),
+    )
+    @example("abc", [(9, 65)])
+    @example("abc", [(1, 65), (0, 65), (-1, 0), (100, 66)])
+    def test_bad_positions_raise_as_in_the_default(self, clf, base, edits):
+        positions = np.array([i for i, _ in edits], dtype=np.int64)
+        codes = np.array([c for _, c in edits], dtype=np.int64)
+        outcomes = []
+        for oracle in (BuiltinOracle(clf), ByBatch(clf)):
+            try:
+                outcomes.append(oracle.score_edits(base, positions, codes).tobytes())
+            except SentenceError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("positions, codes", [([1, 2], [65]), ([3], [65, 0]), ([], [65])])
+    def test_positions_and_codes_of_different_lengths_raise(self, clf, positions, codes):
+        message = f"{len(positions)} edit positions but {len(codes)} codes"
+        for oracle in (BuiltinOracle(clf), ByBatch(clf)):
+            with pytest.raises(SentenceError, match=message):
+                oracle.score_edits("abc", np.array(positions, dtype=np.int64), np.array(codes, dtype=np.int64))
+        with pytest.raises(SentenceError, match="shape"):
+            clf.walk_logits("abc", np.array([positions]), np.array([codes]))
+
+
+class ByBatch(Oracle):
+    """The builtin classifier behind the default ``Oracle.score_edits``."""
+
+    def __init__(self, clf):
+        self.clf = clf
+        self.num_classes = clf.num_classes
+
+    def _score_chunk(self, sentences):
+        return self.clf.logits(sentences)
+
+
 WALK_CHARS = "ab é€😀\x02\x03"  # the boundary codes may be characters of a sentence too
 
 
@@ -600,6 +710,46 @@ class TestWalkLogits:
             mutated = BuiltinClassifier(clf.ngram_orders, clf.feature_dim, clf.weights, clf.bias)
         with pytest.raises(AssertionError):
             check_walk_rows(mutated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab é😀", max_size=6), st.integers(1, 3), st.data())
+    def test_bad_positions_raise_as_single_edit_raises(self, clf, base, k, data):
+        # each edit is checked against its own t_j; the first bad one, walk by walk, is named
+        edit = st.tuples(st.integers(-1, 2 * len(base) + 2 * k + 2), st.sampled_from([0, ord("a"), ord("😀")]))
+        walks = data.draw(st.lists(st.lists(edit, min_size=k, max_size=k), max_size=4))
+        sentences, error = [], None
+        for walk in walks:
+            t = base
+            try:
+                for i, c in walk:
+                    t = single_edit(t, i, chr(c) if c else XI)
+            except SentenceError as exc:
+                error = str(exc)
+                break
+            sentences.append(t)
+        positions = np.array([[i for i, _ in w] for w in walks], dtype=np.int64).reshape(len(walks), k)
+        codes = np.array([[c for _, c in w] for w in walks], dtype=np.int64).reshape(len(walks), k)
+        if error is None:
+            assert clf.walk_logits(base, positions, codes).tobytes() == clf.candidate_logits(sentences).tobytes()
+        else:
+            with pytest.raises(SentenceError) as raised:
+                clf.walk_logits(base, positions, codes)
+            assert str(raised.value) == error
+
+    def test_a_later_edit_is_checked_against_its_own_sentence(self, clf):
+        clf.walk_logits("abc", np.array([[2, 5]]), np.array([[0, 66]]))
+        with pytest.raises(SentenceError, match=re.escape("position 7 out of range [1, 5]")):
+            clf.walk_logits("abc", np.array([[2, 7]]), np.array([[0, 66]]))  # "a" deleted first
+
+    def test_weights_copy_is_built_on_the_first_walk(self):
+        model = train_builtin([(r.text, r.label) for r in make_keyword_corpus(30, seed=2)], SMALL)
+        model.logits(["a good movie"])
+        BuiltinOracle(model).score_batch(["a bad movie", ""])
+        assert "_wq" not in vars(model)  # training and whole rows never build it
+        check_walk_rows(model, examples=40)
+        assert model._wq.shape == (2, SMALL.feature_dim + 1)
+        assert model._wq[:, :-1].tobytes() == np.ascontiguousarray(model._wq_t.T).tobytes()
+        assert not model._wq[:, -1].any()
 
     def test_a_sentence_past_the_bound_raises_as_in_candidate_logits(self, clf):
         s = "a" * clf._max_chars

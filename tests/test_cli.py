@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from charmer import classifier
 from charmer.cli import main
 from charmer.harness import report_body
 from charmer.sentence import single_edit
@@ -221,6 +222,15 @@ class TestVerifyAndUsage:
     def test_verify_suites_pass(self, suite, capsys):
         assert main(["verify", "--suite", suite]) == 0
         assert "pass" in capsys.readouterr().out.lower()
+
+    def test_equivalence_names_a_misindexed_gram(self, monkeypatch, capsys):
+        # scoring by edits and by sentences share the wrong index, so only the audit sees it
+        right = classifier._gram_index
+        monkeypatch.setattr(classifier, "_gram_index", lambda gram, dim: (right(gram, dim) + (gram == "e")) % dim)
+        monkeypatch.setattr(classifier, "_KEY_TABLES", {})
+        assert main(["verify", "--suite", "equivalence"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL the n-gram 'e' has feature index" in out and "FAIL single-edit" not in out
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
