@@ -252,8 +252,9 @@ def _greedy_attack(
     s: str,
     y: int,
     config: AttackConfig,
-    position_picker,
+    rng: Optional[random.Random] = None,
 ) -> AttackOutcome:
+    """The greedy loop: probe-ranked positions, or ``rng``-drawn ones when given."""
     counting = CountingOracle(oracle)
     start = time.perf_counter()
     cur = s
@@ -275,8 +276,12 @@ def _greedy_attack(
                 allowed = preselect_segments(
                     counting, cur, y, config.segment_preselect, config.alphabet.test_char
                 )
-        positions = position_picker(counting, cur, y, allowed, budget_allows)
-        if positions is None:  # budget refused the probe batch
+        if rng is not None:
+            pool = sorted(allowed) if allowed is not None else list(range(1, 2 * len(cur) + 2))
+            positions = rng.sample(pool, min(config.n, len(pool)))
+        elif budget_allows(len(allowed) if allowed is not None else 2 * len(cur) + 1):  # one probe per position
+            positions = select_positions(counting, cur, y, config.n, config.alphabet.test_char, allowed=allowed)
+        else:
             break
         edits = candidate_edits(cur, positions, config.alphabet, config.constraints, history)
         if not len(edits) or not budget_allows(len(edits)):
@@ -307,27 +312,12 @@ def _greedy_attack(
 
 def charmer_attack(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Greedy attack with probe-based position pre-selection."""
-
-    def picker(counting, cur, y_, allowed, budget_allows):
-        probe_count = len(allowed) if allowed is not None else 2 * len(cur) + 1
-        if not budget_allows(probe_count):
-            return None
-        return select_positions(
-            counting, cur, y_, config.n, config.alphabet.test_char, allowed=allowed
-        )
-
-    return _greedy_attack(oracle, s, y, config, picker)
+    return _greedy_attack(oracle, s, y, config)
 
 
 def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Same greedy loop with positions drawn uniformly without replacement."""
-    rng = random.Random(config.seed)
-
-    def picker(counting, cur, y_, allowed, budget_allows):
-        pool = sorted(allowed) if allowed is not None else list(range(1, 2 * len(cur) + 2))
-        return rng.sample(pool, min(config.n, len(pool)))
-
-    return _greedy_attack(oracle, s, y, config, picker)
+    return _greedy_attack(oracle, s, y, config, random.Random(config.seed))
 
 
 def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:

@@ -1,7 +1,13 @@
 """Batch evaluation: dataset ingestion, metrics, transcripts and reports.
 
 Transcripts are JSON Lines, one object per record, written as produced so a
-crash loses at most the record in flight. Reports keep all timing statistics
+crash loses at most the record in flight. The report is
+``report_from_transcripts`` of those lines: each line's ``id``, ``skipped``,
+``success``, ``d_lev``, ``queries``, ``final_loss`` and ``error`` make its
+``per_sample`` row, with ``edit_sim`` from ``d_lev``, ``original`` and
+``adversarial``; the counts, ASR and means come from those rows;
+``queries_total`` sums ``queries`` plus 1 for each ``clean_loss`` (the clean
+score); ``timing`` comes from ``elapsed``. Reports keep all timing statistics
 under a single ``timing`` key so seeded reruns can be compared byte-for-byte
 on the remainder (see ``report_body``).
 
@@ -14,6 +20,7 @@ everywhere to avoid confusion with embedding-based similarity scores.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -236,12 +243,13 @@ def run_attack_suite(
     pga_config: Optional[PgaConfig] = None,
     transcript_path=None,
 ) -> dict:
-    """Attack every correctly-classified record and aggregate a report.
+    """Attack every correctly-classified record and report on them.
 
-    One transcript line per record is written as soon as it is produced. A
-    transcript that exists and is not empty raises ``FileExistsError``
-    before any record is attacked, and is left as it was. Oracle failures
-    on individual samples are recorded and the suite continues.
+    One transcript line per record is written as soon as it is produced, and
+    the report is ``report_from_transcripts`` of those lines. A transcript
+    that exists and is not empty raises ``FileExistsError`` before any
+    record is attacked, and is left as it was. Oracle failures on individual
+    samples are recorded and the suite continues.
     """
     if attack not in ATTACKS:
         raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACK_NAMES}")
@@ -259,24 +267,17 @@ def run_attack_suite(
 
     fingerprint = config_fingerprint(attack, config, pga_config)
     alpha_fp = config.alphabet.fingerprint()
-
     if transcript_path and os.path.exists(transcript_path) and os.path.getsize(transcript_path):
         raise FileExistsError(f"transcript {transcript_path} exists and is not empty; give a new or empty file")
-    out_fh = open(transcript_path, "a", encoding="utf-8") if transcript_path else None
-    per_sample = []
-    elapsed_all: list[float] = []
-    dlev_ok: list[int] = []
-    sim_ok: list[float] = []
-    queries_total = 0
-    skipped = successes = errors = 0
+    lines = _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, transcript_path)
+    return report_from_transcripts(lines, attack, fingerprint, alpha_fp)
 
-    try:
+
+def _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, transcript_path):
+    """Attack each record in turn; write, flush and yield its transcript line."""
+    with open(transcript_path, "a", encoding="utf-8") if transcript_path else contextlib.nullcontext() as out_fh:
         for record in records:
-            scoring = (
-                PairedOracle(oracle, record.paired_text)
-                if record.paired_text is not None
-                else oracle
-            )
+            scoring = PairedOracle(oracle, record.paired_text) if record.paired_text is not None else oracle
             # skipped and errored records keep these unattacked values
             entry = {
                 "schema": TRANSCRIPT_SCHEMA,
@@ -299,68 +300,64 @@ def run_attack_suite(
             try:
                 clean = scoring.score_batch([record.text])
                 clean_loss = cw_loss(check_rows(clean, 1, getattr(scoring, "num_classes", None))[0], record.label)
-                queries_total += 1
                 entry["clean_loss"] = clean_loss
                 if clean_loss >= 0:
-                    skipped += 1
                     entry.update(skipped=True, final_loss=clean_loss)
                 else:
                     outcome = run(scoring, record.text, record.label, config)
-                    queries_total += outcome.queries
-                    elapsed_all.append(outcome.elapsed)
                     entry.update(
                         adversarial=outcome.adversarial,
                         success=outcome.success,
                         edits_used=outcome.edits_used,
                         d_lev=levenshtein(record.text, outcome.adversarial),
-                        final_loss=outcome.final_loss
-                        if outcome.final_loss is not None
-                        else clean_loss,
+                        final_loss=outcome.final_loss if outcome.final_loss is not None else clean_loss,
                         queries=outcome.queries,
                         elapsed=outcome.elapsed,
                         trace=[[t.position, t.char, t.loss] for t in outcome.trace],
                     )
             except OracleError as exc:
-                errors += 1
                 entry["error"] = f"{type(exc).__name__}: {exc}"
                 log.warning("record %s failed: %s", record.id, exc)
 
             if out_fh is not None:
                 out_fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
                 out_fh.flush()
-            row = {
-                "id": entry["id"],
-                "skipped": entry["skipped"],
-                "success": entry["success"],
-                "d_lev": entry["d_lev"],
-                "edit_sim": _edit_sim(entry["d_lev"], record.text, entry["adversarial"]),
-                "queries": entry["queries"],
-                "final_loss": entry["final_loss"],
-                "error": entry["error"],
-            }
-            per_sample.append(row)
-            if row["success"]:
-                successes += 1
-                dlev_ok.append(row["d_lev"])
-                sim_ok.append(row["edit_sim"])
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+            yield entry
 
-    attackable = len(records) - skipped - errors
-    report = {
+
+def report_from_transcripts(lines, attack: str, config_fingerprint: str, alphabet_fingerprint: str) -> dict:
+    """The report of transcript lines (dicts, in record order); no I/O and no oracle.
+
+    See the module docstring for which line field feeds which report field;
+    ``timing`` reads only the lines that were attacked (not skipped, no error).
+    """
+    per_sample, elapsed, queries_total = [], [], 0
+    for line in lines:
+        row = {key: line[key] for key in ("id", "skipped", "success", "d_lev", "queries", "final_loss", "error")}
+        row["edit_sim"] = _edit_sim(line["d_lev"], line["original"], line["adversarial"])
+        per_sample.append(row)
+        queries_total += line["queries"] + (1 if "clean_loss" in line else 0)  # the clean score
+        if line["error"] is None and not line["skipped"]:
+            elapsed.append(line["elapsed"])
+    ok = [row for row in per_sample if row["success"]]
+    dlev_ok = [row["d_lev"] for row in ok]
+    sim_ok = [row["edit_sim"] for row in ok]
+    skipped = sum(row["skipped"] for row in per_sample)
+    errors = sum(row["error"] is not None for row in per_sample)
+    attackable = len(per_sample) - skipped - errors
+    return {
         "schema": REPORT_SCHEMA,
         "attack": attack,
-        "config_fingerprint": fingerprint,
-        "alphabet_fingerprint": alpha_fp,
+        "config_fingerprint": config_fingerprint,
+        "alphabet_fingerprint": alphabet_fingerprint,
         "counts": {
-            "total": len(records),
+            "total": len(per_sample),
             "skipped": skipped,
             "attackable": attackable,
-            "successes": successes,
+            "successes": len(ok),
             "errors": errors,
         },
-        "asr_percent": (100.0 * successes / attackable) if attackable else None,
+        "asr_percent": (100.0 * len(ok) / attackable) if attackable else None,
         "mean_dlev": statistics.fmean(dlev_ok) if dlev_ok else None,
         "std_dlev": statistics.pstdev(dlev_ok) if dlev_ok else None,
         "mean_edit_sim": statistics.fmean(sim_ok) if sim_ok else None,
@@ -368,12 +365,11 @@ def run_attack_suite(
         "note": None if attackable else "no attackable samples",
         "per_sample": per_sample,
         "timing": {
-            "mean_time": statistics.fmean(elapsed_all) if elapsed_all else None,
-            "std_time": statistics.pstdev(elapsed_all) if elapsed_all else None,
-            "total_time": math.fsum(elapsed_all),
+            "mean_time": statistics.fmean(elapsed) if elapsed else None,
+            "std_time": statistics.pstdev(elapsed) if elapsed else None,
+            "total_time": math.fsum(elapsed),
         },
     }
-    return report
 
 
 def report_body(report: dict) -> bytes:

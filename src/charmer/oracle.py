@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sentence import XI, SentenceError
+from .sentence import SentenceError, single_edit
 
 
 class OracleError(Exception):
@@ -103,22 +103,12 @@ class Oracle:
         with the code point ``codes[r]``, 0 for the sentinel. The rows must
         equal ``score_batch`` of the edited sentences (``single_edit``) bit
         for bit; by default they are that. The score of ``base`` itself is
-        not asked for. ``base`` and the positions are checked once for the
-        batch, with the ``SentenceError`` that ``single_edit`` gives the
-        first row it refuses; so is one code per position
-        (``check_edits``).
+        not asked for. The first row that ``single_edit`` refuses raises its
+        ``SentenceError`` before anything is scored; so does a count of codes
+        that differs from the count of positions (``check_edits``).
         """
         positions, codes = check_edits(positions, codes)
-        positions, codes = positions.tolist(), codes.tolist()
-        if positions and XI in base:
-            raise SentenceError("cannot edit a sentence containing the sentinel")
-        top = 2 * len(base) + 1
-        for i in positions:
-            if not 1 <= i <= top:
-                raise SentenceError(f"position {i} out of range [1, {top}]")
-        # single_edit's slices: an odd i inserts after (i - 1) // 2 characters, an even one replaces
-        edited = [base[: (i - 1) // 2] + (chr(c) if c else "") + base[i // 2 :] for i, c in zip(positions, codes)]
-        return self.score_batch(edited)
+        return self.score_batch([single_edit(base, i, chr(c)) for i, c in zip(positions.tolist(), codes.tolist())])
 
     def _score_chunk(self, sentences: list[str]):  # an array or a list of number rows
         raise NotImplementedError
@@ -141,12 +131,14 @@ class CountingOracle(Oracle):
 
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         sentences = list(sentences)
-        self.queries += len(sentences)
-        return check_rows(self.inner.score_batch(sentences), len(sentences), self.num_classes)
+        scores = self.inner.score_batch(sentences)
+        self.queries += len(sentences)  # a batch the inner oracle refuses is not counted
+        return check_rows(scores, len(sentences), self.num_classes)
 
     def score_edits(self, base: str, positions, codes) -> np.ndarray:
+        scores = self.inner.score_edits(base, positions, codes)
         self.queries += len(positions)  # one per edited sentence; base is not scored
-        return check_rows(self.inner.score_edits(base, positions, codes), len(positions), self.num_classes)
+        return check_rows(scores, len(positions), self.num_classes)
 
 
 class PairedOracle(Oracle):

@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -14,17 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmer.attack import AttackConfig
+from charmer.classifier import BuiltinOracle
 from charmer.harness import (
+    ATTACK_NAMES,
     DatasetError,
     DatasetRecord,
     config_fingerprint,
     extract_alphabet,
     load_dataset,
     report_body,
+    report_from_transcripts,
     run_attack_suite,
     similarity,
 )
-from charmer.oracle import Oracle, PairedOracle, cw_loss
+from charmer.oracle import Oracle, OracleError, PairedOracle, cw_loss
 from charmer.pga import GradientUnavailableError, PgaConfig
 from charmer.sentence import XI, single_edit
 from charmer.verify import reference_levenshtein
@@ -220,6 +225,90 @@ class FailingOracle(Oracle):
         if any(self.trigger in s for s in sentences):
             raise OracleError("simulated backend failure")
         return self.inner.score_batch(sentences)
+
+
+class RefusesEditsOf(BuiltinOracle):
+    """Scores ``victim`` alone but refuses every batch of its edits, so its
+    attack fails after the clean score, before any attack query is scored.
+    Refuses any batch that holds ``refused``, and counts every row it does
+    score."""
+
+    def __init__(self, classifier, victim, refused):
+        super().__init__(classifier)
+        self.victim, self.refused = victim, refused
+        self.rows = 0
+
+    def score_batch(self, sentences):
+        sentences = list(sentences)
+        if self.refused in sentences:
+            raise OracleError("simulated failure at the clean score")
+        if len(sentences) > 1 and self.victim in sentences:
+            raise OracleError("simulated failure mid-attack")
+        scores = super().score_batch(sentences)
+        self.rows += len(scores)
+        return scores
+
+    def score_edits(self, base, positions, codes):
+        if base == self.victim:
+            raise OracleError("simulated failure mid-attack")
+        scores = super().score_edits(base, positions, codes)
+        self.rows += len(scores)
+        return scores
+
+
+class TestReportFromTranscripts:
+    @pytest.fixture(scope="class")
+    def records(self, desk_oracle, attackable_records):
+        premise = "irrelevant premise"
+        scoring = PairedOracle(desk_oracle, premise)
+        paired = next(
+            r for r in attackable_records[3:] if cw_loss(scoring.score_batch([r.text])[0], r.label) < 0
+        )
+        ok, victim, flipped = attackable_records[:3]
+        return [
+            ok,
+            DatasetRecord("skipped", flipped.text, 1 - flipped.label),
+            DatasetRecord("clean-fails", "refused at the clean score", 1),
+            victim,
+            DatasetRecord("paired", paired.text, paired.label, paired_text=premise),
+        ]
+
+    @pytest.mark.parametrize("attack", ATTACK_NAMES)
+    def test_the_fold_of_the_read_back_transcript_is_the_report(
+        self, tmp_path, attack, records, desk_classifier, desk_alphabet
+    ):
+        oracle = RefusesEditsOf(desk_classifier, victim=records[3].text, refused=records[2].text)
+        config = AttackConfig(alphabet=desk_alphabet, n=5, k=2, seed=3)
+        transcript = tmp_path / "t.jsonl"
+        report = run_attack_suite(records, oracle, attack, config, transcript_path=transcript)
+        with open(transcript, encoding="utf-8") as fh:
+            folded = report_from_transcripts(
+                (json.loads(line) for line in fh), attack, report["config_fingerprint"], report["alphabet_fingerprint"]
+            )
+        assert report_body(folded) == report_body(report)
+        assert folded["timing"] == report["timing"]
+
+        lines = [json.loads(line) for line in transcript.read_text(encoding="utf-8").split("\n")[:-1]]
+        assert [row["id"] for row in report["per_sample"]] == [r.id for r in records]
+        assert lines[1]["skipped"] and lines[1]["error"] is None
+        assert lines[2]["error"] and "clean_loss" not in lines[2]
+        failed_mid_attack = [line for line in lines if line["error"] and "clean_loss" in line]
+        # pga attacks on the classifier, so only its paired_text record fails there
+        assert [line["id"] for line in failed_mid_attack] == ["paired" if attack == "pga" else records[3].id]
+        # every clean score is a query, also where the attack then failed
+        assert report["queries_total"] == sum(line["queries"] for line in lines) + len(records) - 1
+        if attack != "pga":  # pga scores its candidates on the classifier, not the oracle
+            assert report["queries_total"] == oracle.rows
+        attacked = [line["elapsed"] for line in lines if line["error"] is None and not line["skipped"]]
+        assert attacked and report["timing"]["mean_time"] == statistics.fmean(attacked)
+        assert report["timing"]["total_time"] == math.fsum(attacked)
+
+    @pytest.mark.parametrize("attack", ATTACK_NAMES)
+    def test_the_fold_of_no_lines_is_the_report_of_no_records(self, attack, desk_oracle, desk_alphabet):
+        report = run_attack_suite([], desk_oracle, attack, AttackConfig(alphabet=desk_alphabet))
+        folded = report_from_transcripts([], attack, report["config_fingerprint"], report["alphabet_fingerprint"])
+        assert report_body(folded) == report_body(report)
+        assert folded["timing"] == report["timing"] == {"mean_time": None, "std_time": None, "total_time": 0.0}
 
 
 class TestSuite:

@@ -173,6 +173,20 @@ class TestBatching:
         counting.score_batch(["ccc"])
         assert counting.queries == 3
 
+    def test_counting_skips_batches_the_inner_oracle_refuses(self, desk_oracle):
+        class Refusing(RecordingOracle):
+            def _score_chunk(self, sentences):
+                if "bad" in sentences:
+                    raise OracleError("refused")
+                return super()._score_chunk(sentences)
+
+        for inner, bad in ((Refusing(), "bad"), (desk_oracle, "a\ud800b")):
+            counting = CountingOracle(inner)
+            counting.score_batch(["a"])
+            with pytest.raises(OracleError):
+                counting.score_batch(["ok", bad])
+            assert counting.queries == 1
+
     def test_paired_prefix(self):
         inner = RecordingOracle()
         paired = PairedOracle(inner, premise="pre")
@@ -215,6 +229,17 @@ class TestScoreEdits:
         counting.score_edits("ab", np.array([1, 3, 5]), np.array([ord("y")] * 3))
         assert counting.queries == 5
         assert inner.edits == [("ab", [1, 2], [ord("x"), 0]), ("ab", [], []), ("ab", [1, 3, 5], [ord("y")] * 3)]
+
+    def test_counting_skips_edits_the_inner_oracle_refuses(self, desk_oracle):
+        for inner in (EditRecordingOracle(), desk_oracle):
+            counting = CountingOracle(inner)
+            with pytest.raises(SentenceError, match="out of range"):
+                counting.score_edits("abc", [9], [65])
+            with pytest.raises(SentenceError, match="2 edit positions but 1 codes"):
+                counting.score_edits("abc", [1, 2], [65])
+            assert counting.queries == 0
+            counting.score_edits("abc", [1], [65])
+            assert counting.queries == 1
 
     def test_paired_shifts_positions_past_the_premise(self):
         inner = EditRecordingOracle()
