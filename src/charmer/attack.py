@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .oracle import CountingOracle, Oracle, cw_loss
-from .sentence import XI, Alphabet, distinct_edits, generate_neighbors, single_edit
+from .sentence import XI, Alphabet, distinct_edits, single_edit
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
 _WORD = re.compile("[^ ]+")
@@ -328,20 +328,22 @@ def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Attac
     """
     counting = CountingOracle(oracle)
     start = time.perf_counter()
-    neighbors = generate_neighbors(s, config.alphabet)
-    if config.budget is not None and len(neighbors) > config.budget:
+    # generate_neighbors' sentences in its order, so that the first maximum is the same one
+    edits = distinct_edits(s, range(1, 2 * len(s) + 2), config.alphabet.replacement_chars())
+    if config.budget is not None and len(edits) > config.budget:
         return AttackOutcome(
             original=s, adversarial=s, success=False, edits_used=0, final_loss=None, queries=0,
             elapsed=time.perf_counter() - start, trace=[],
         )
-    losses = cw_loss(counting.score_batch(neighbors), y)
+    losses = cw_loss(counting.score_edits(s, edits[:, 0], edits[:, 1]), y)
     j = int(np.argmax(losses))  # first maximum on ties
     loss = float(losses[j])
+    adversarial = single_edit(s, int(edits[j, 0]), chr(edits[j, 1]))
     return AttackOutcome(
         original=s,
-        adversarial=neighbors[j],
+        adversarial=adversarial,
         success=loss >= 0,
-        edits_used=int(neighbors[j] != s),  # every neighbor is within one edit
+        edits_used=int(adversarial != s),  # every neighbor is within one edit
         final_loss=loss,
         queries=counting.queries,
         elapsed=time.perf_counter() - start,

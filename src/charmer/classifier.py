@@ -22,12 +22,16 @@ are gathered from a class-major copy of ``Wq`` with one zero column for the
 windows that do not count, ``(classes, feature_dim + 1)`` int64, about 1 MB
 per model of two classes at the default dimension, built on the first walk.
 
-In scoring, each gram is one packed int64 key, and its feature index comes
-from an open-addressing table per feature width (``_KeyTable``): two fixed
-arrays of 2^17 slots, 2 MB, probed for a whole batch at once. Only the keys
-it does not hold are hashed one by one in Python; the table is cleared when
-they would fill more than half its slots. Training hashes gram strings
-through a dict per feature width instead (``_GramHashes``).
+A sentence becomes counts one way (``_featurize``): each gram is one packed
+int64 key, and its feature index comes from an open-addressing table per
+feature width (``_KeyTable``): two fixed arrays of 2^17 slots, 2 MB, probed
+for a whole batch at once. Only the keys it does not hold are hashed one by
+one in Python; the table is cleared when they would fill more than half its
+slots. Training, whole-row scoring and the base row of a walk all fold these
+indices into per-row counts. The base row's counts are cached for the last
+sentence asked (``_hashed_counts``): the greedy loop scores its probes and then
+its candidates as edits of the same base, and never goes back to an earlier
+one.
 
 ``scipy.sparse`` is imported where a CSR matrix is first built, so a
 process that never featurizes, such as a run against a remote oracle, never
@@ -40,7 +44,6 @@ import math
 import os
 import struct
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -49,7 +52,7 @@ import numpy as np
 
 from .attack import check_counts
 from .oracle import Oracle, OracleError, check_edits
-from .sentence import XI, SentenceError
+from .sentence import XI, SentenceError, single_edit_rows
 
 MAGIC = b"CHNG"
 FORMAT_VERSION = 1
@@ -65,12 +68,14 @@ _ORDERS = (1, 2, 3)
 _CODE_BITS = 21
 # rows scored together; bounds the memory of a large batch
 _CHUNK_ROWS = 512
+# rows hashed together; bounds the memory of featurizing a large batch, such as a training set
+_FEATURE_ROWS = 64
 # classes a model file can hold: its class count is one "<I" field
 _MAX_CLASSES = 2**32 - 1
 
 
 def _unpack(key: int) -> str:
-    """The gram a packed key stands for (see ``_window_counts``)."""
+    """The gram a packed key stands for (see ``_gram_keys``)."""
     chars = []
     while key:
         chars.append(chr((key & ((1 << _CODE_BITS) - 1)) - 1))
@@ -81,35 +86,6 @@ def _unpack(key: int) -> str:
 def _gram_index(gram: str, dim: int) -> int:
     """The feature index of one n-gram: its CRC32 salted with its order, ``len(gram)``."""
     return zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % dim
-
-
-class _GramHashes(dict):
-    """Feature index of each n-gram string for one feature width, hashed on first use.
-
-    Training's ``_hashed_counts`` looks grams up here; the table is cleared
-    when it reaches ``_GRAM_TABLE_CAP`` entries.
-    """
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-
-    def __missing__(self, gram: str) -> int:
-        if len(self) >= _GRAM_TABLE_CAP:
-            self.clear()
-        h = self[gram] = _gram_index(gram, self.dim)
-        return h
-
-
-_GRAM_TABLE_CAP = 1 << 16
-_GRAM_TABLES: dict[int, _GramHashes] = {}
-
-
-def _gram_table(dim: int) -> _GramHashes:
-    table = _GRAM_TABLES.get(dim)
-    if table is None:
-        table = _GRAM_TABLES[dim] = _GramHashes(dim)
-    return table
 
 
 # slots of each packed-key table, 2 ** 17: two int64 arrays of 1 MB, at most half of them used
@@ -191,57 +167,13 @@ class _KeyTable:
 _KEY_TABLES: dict[int, _KeyTable] = {}
 
 
-@lru_cache(maxsize=1 << 12)
-def _hashed_counts(text: str, orders: tuple[int, ...], dim: int):
-    """Hashed n-gram counts of one sentence, in first-occurrence order."""
-    padded = _BOUNDARY_LEFT + text + _BOUNDARY_RIGHT
-    table = _gram_table(dim)
-    grams = [padded[i : i + n] for n in orders for i in range(len(padded) - n + 1)]
-    counts = Counter(map(table.__getitem__, grams))  # keys in first-occurrence order
-    idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    val = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    return idx, val
-
-
-def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram count rows for a batch of sentences, one row each.
-
-    Each row lists its features in first-occurrence order, which fixes the
-    float summation order of training.
-    """
-    from scipy import sparse
-
-    indptr = [0]
-    indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for t in texts:
-        try:
-            idx, val = _hashed_counts(t, orders, dim)
-        except UnicodeEncodeError as exc:
-            raise _lone_surrogate(exc) from None
-        indices.append(idx)
-        data.append(val)
-        indptr.append(indptr[-1] + len(idx))
-    if not texts:
-        return sparse.csr_matrix((0, dim), dtype=np.float64)
-    return sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), np.asarray(indptr)),
-        shape=(len(texts), dim),
-    )
-
-
-def _lone_surrogate(exc: UnicodeEncodeError) -> OracleError:
-    """The error for a sentence that fails to encode: grams hash as UTF-8, which has no lone surrogates."""
-    return OracleError(f"cannot score the lone surrogate U+{ord(exc.object[exc.start]):04X}")
-
-
 def _padded_codes(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Code points of the padded sentences, concatenated, and their lengths."""
     joined = _BOUNDARY_LEFT + (_BOUNDARY_RIGHT + _BOUNDARY_LEFT).join(texts) + _BOUNDARY_RIGHT
     try:
         raw = joined.encode("utf-32-le")
-    except UnicodeEncodeError as exc:
-        raise _lone_surrogate(exc) from None
+    except UnicodeEncodeError as exc:  # grams hash as UTF-8, which has no lone surrogates
+        raise OracleError(f"cannot score the lone surrogate U+{ord(exc.object[exc.start]):04X}") from None
     codes = np.frombuffer(raw, dtype="<u4").view(np.int32)
     lens = np.fromiter((len(t) + 2 for t in texts), dtype=np.int64, count=len(texts))
     return (codes if len(texts) else codes[:0]), lens
@@ -279,23 +211,45 @@ def _gram_keys(codes: np.ndarray, lens: np.ndarray, orders: tuple[int, ...]) -> 
     return keys, count.reshape(len(lens), len(n)).sum(axis=1)
 
 
-def _window_counts(codes: np.ndarray, lens: np.ndarray, orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed counts of the grams of each padded row (``_gram_keys``) as int64 CSR rows.
+def _featurize(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hashed n-gram counts of each sentence, as int64 CSR arrays: ``indptr``, ``indices`` and counts.
 
-    Each distinct key is hashed once; the entries of a row are grouped
-    together, and repeats of a column add up.
+    The grams of each padded sentence (``_gram_keys``) are hashed
+    (``_hash_keys``) and folded to the row's distinct features, in the order
+    in which each first occurs; that order fixes the float summation order of
+    training. ``_FEATURE_ROWS`` sentences are hashed at a time.
     """
+    texts = list(texts)
+    empty = np.zeros(0, dtype=np.int64)
+    sizes, indices, counts = [empty], [empty], [empty]
+    for start in range(0, len(texts), _FEATURE_ROWS):
+        chunk = texts[start : start + _FEATURE_ROWS]
+        codes, lens = _padded_codes(chunk)
+        keys, per_row = _gram_keys(codes, lens, orders)
+        cells = np.repeat(np.arange(len(chunk)), per_row) * dim + _hash_keys(keys, dim)
+        cells, first, count = np.unique(cells, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        cells, count = cells[order], count[order]
+        sizes.append(np.bincount(cells // dim, minlength=len(chunk)))
+        indices.append(cells % dim)
+        counts.append(count)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(sizes))))
+    return indptr, np.concatenate(indices), np.concatenate(counts)
+
+
+@lru_cache(maxsize=1)
+def _hashed_counts(text: str, orders: tuple[int, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_featurize`` of one sentence: its feature indices and their counts, cached; do not write to them."""
+    _, indices, counts = _featurize([text], orders, dim)
+    return indices, counts
+
+
+def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
+    """Hashed n-gram counts of a batch as int64 CSR rows, in first-occurrence order (``_featurize``)."""
     from scipy import sparse
 
-    keys, per_row = _gram_keys(codes, lens, orders)
-    indptr = np.concatenate(([0], np.cumsum(per_row)))
-    data = np.ones(len(keys), dtype=np.int64)
-    return sparse.csr_matrix((data, _hash_keys(keys, dim), indptr), shape=(len(lens), dim))
-
-
-def packed_feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram counts of a batch as int64 rows."""
-    return _window_counts(*_padded_codes(list(texts)), orders, dim)
+    indptr, indices, counts = _featurize(texts, orders, dim)
+    return sparse.csr_matrix((counts, indices, indptr), shape=(len(indptr) - 1, dim))
 
 
 def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -324,29 +278,24 @@ def _edit_hoods(base: str, positions: np.ndarray, codes: np.ndarray, r: int) -> 
 
     Edit ``j`` of walk ``w`` (see ``BuiltinClassifier.walk_logits``) gives
     row ``w * k + j``: the codes ``lo - r`` to ``lo + r`` of the padded
-    ``t_j``, for ``lo = (i + 1) // 2`` and the edit's position ``i``. No
-    ``t_j`` is built: each of its characters is followed back through the
-    walk's earlier edits, last first, to the code an edit inserted or to a
-    character of ``base``, as ``sentence.single_edit`` moves them.
+    ``t_j``, for ``lo = (i + 1) // 2`` and the edit's position ``i``. Each
+    ``t_j`` is a row of code points (``sentence.single_edit_rows``) that
+    holds ``r`` zeros, the padded sentence and zeros to its end, so that the
+    window of edit ``j`` is its ``2r + 1`` codes from ``lo`` on: ``t_0`` is
+    ``base``, one row for every walk, and no row is built after the last edit.
     """
     m, k = positions.shape
-    kept = (positions - 1) // 2  # characters an edit leaves before it
-    inserted = codes != 0
-    shift = inserted.astype(np.int64) - (1 - positions % 2)  # an even position cuts one character
-    lens = (len(base) + np.cumsum(shift, axis=1) - shift)[:, :, None]  # of t_j
-    at = ((positions + 1) // 2)[:, :, None] + np.arange(-r, r + 1) - 1  # characters of t_j; -1 is the left pad
-    out = np.zeros((m, k, 2 * r + 1), dtype=np.int32)
-    out[at == -1] = ord(_BOUNDARY_LEFT)
-    out[at == lens] = ord(_BOUNDARY_RIGHT)
-    live = (at >= 0) & (at < lens)  # characters not yet followed back to their code
-    for e in range(k - 2, -1, -1):  # edit e moved the characters of every later t_j
-        later = np.s_[:, e + 1 :]
-        made = live[later] & inserted[:, e, None, None] & (at[later] == kept[:, e, None, None])
-        out[later][made] = np.broadcast_to(codes[:, e, None, None], made.shape)[made]
-        live[later] &= ~made
-        at[later] -= (at[later] >= kept[:, e, None, None]) * shift[:, e, None, None]
-    out[live] = np.fromiter(map(ord, base), dtype=np.int32, count=len(base))[at[live]]
-    return out.reshape(m * k, 2 * r + 1)
+    lead = r + 1  # the codes of a row before those of its sentence: r zeros and the left pad
+    rows = np.zeros((1, r + len(base) + 2 + k + r), dtype=np.int32)  # with room for k insertions and r zeros
+    rows[0, r : len(base) + lead + 1] = _padded_codes([base])[0]
+    rows, lens = np.broadcast_to(rows, (m, rows.shape[1])), np.full(m, len(base) + lead + 1)
+    window, walks = np.arange(2 * r + 1), np.arange(m)[:, None]
+    hoods = np.empty((m, k, 2 * r + 1), dtype=np.int32)
+    for j in range(k):
+        if j:  # a row's sentence is t_{j-1} with its pads, edited inside them
+            rows, lens = single_edit_rows(rows, lens, positions[:, j - 1] + 2 * lead, codes[:, j - 1])
+        hoods[:, j] = rows[walks, (positions[:, j, None] + 1) // 2 + window]
+    return hoods.reshape(m * k, 2 * r + 1)
 
 
 def _distinct(columns: list[np.ndarray], bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -440,8 +389,8 @@ class BuiltinClassifier:
         return wq
 
     def features(self, texts: Sequence[str]) -> sparse.csr_matrix:
-        """Hashed n-gram counts, int64, one row per sentence (``packed_feature_matrix``)."""
-        return packed_feature_matrix(texts, self.ngram_orders, self.feature_dim)
+        """Hashed n-gram counts, int64, one row per sentence (``feature_matrix``)."""
+        return feature_matrix(texts, self.ngram_orders, self.feature_dim)
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """Exact logits ``(X·Wq + bq) / 2^s``, one row per sentence."""
@@ -474,15 +423,15 @@ class BuiltinClassifier:
         ``r`` codes after the cut) that overlap the inserted code, or span
         the gap when nothing is inserted. These are at most ``sum(orders)``
         windows a side, at fixed columns (``_edit_windows``); a window that
-        reaches past the row counts for nothing. The edits' keys and the
-        base's are looked up together (``_hash_keys``), and their integer
-        weights are summed from gathers of the class-major ``Wq``. A
-        sentence is the integer logits of ``base`` plus the changes of its
-        walk's edits. The sums are exact, so the rows equal
-        ``candidate_logits`` of the sentences bit for bit. Each edit is
-        checked against its own ``t_j``: the first out of range, walk by
-        walk, raises ``single_edit``'s ``SentenceError``, and so do arrays
-        of two shapes.
+        reaches past the row counts for nothing. The edits' keys are looked
+        up (``_hash_keys``) and the base's counts taken from
+        ``_hashed_counts``; their integer weights are summed from gathers of
+        the class-major ``Wq``. A sentence is the integer logits of ``base``
+        plus the changes of its walk's edits. The sums are exact, so the
+        rows equal ``candidate_logits`` of the sentences bit for bit. Each
+        edit is checked against its own ``t_j``: the first out of range,
+        walk by walk, raises ``single_edit``'s ``SentenceError``, and so do
+        arrays of two shapes.
         """
         return np.ldexp(self._integer_walk(base, positions, codes).astype(np.float64), -self.scale_bits)
 
@@ -531,16 +480,15 @@ class BuiltinClassifier:
             keys |= ((code + 1) << (_CODE_BITS * j)) * own[:, j]
             counted &= (code != 0) | ~own[:, j]
         live = keys[counted]
-        base_keys, _ = _gram_keys(*_padded_codes([base]), self.ngram_orders)
-        hashed = _hash_keys(np.concatenate((live, base_keys)), self.feature_dim)
+        base_index, base_counts = _hashed_counts(base, self.ngram_orders, self.feature_dim)
         index = np.full(keys.shape, self.feature_dim)  # the zero column
-        index[counted] = hashed[: len(live)]
+        index[counted] = _hash_keys(live, self.feature_dim)
         weights = self._wq.take(index, axis=1)
         removed, added = np.split(weights, 2, axis=2)
         change = (added.sum(axis=2) - removed.sum(axis=2)).T
         if k > 1:
             change = change[same]
-        base_logits = self._wq.take(hashed[len(live) :], axis=1).sum(axis=1)
+        base_logits = self._wq.take(base_index, axis=1) @ base_counts
         return base_logits + change.reshape(m, k, self.num_classes).sum(axis=1)
 
     def _check_length(self, longest: int) -> None:
@@ -647,7 +595,12 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     if o < 2:
         raise OracleError("need at least 2 classes in the training data")
 
-    X = feature_matrix(texts, config.ngram_orders, config.feature_dim)
+    from scipy import sparse
+
+    # float64 from the count arrays themselves: scipy's astype may sort a row's indices,
+    # and with them the order in which its terms are summed
+    indptr, indices, counts = _featurize(texts, config.ngram_orders, config.feature_dim)
+    X = sparse.csr_matrix((counts.astype(np.float64), indices, indptr), shape=(len(texts), config.feature_dim))
     Y = np.zeros((len(texts), o))
     Y[np.arange(len(texts)), labels] = 1.0
 

@@ -20,6 +20,7 @@ from .harness import (
 from .oracle import OracleError
 from .pga import PgaConfig
 from .remote import RemoteOracle
+from .verify import SUITES, run_suite
 
 log = logging.getLogger("charmer")
 
@@ -105,8 +106,6 @@ def _cmd_train_builtin(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
-
     ok, lines = run_suite(args.suite)
     for line in lines:
         print(line)
@@ -147,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=_cmd_train_builtin)
 
     verify = sub.add_parser("verify", help="run a property suite")
-    verify.add_argument("--suite", required=True, choices=("sentence-space", "projection", "equivalence"))
+    verify.add_argument("--suite", required=True, choices=SUITES)
     verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -148,19 +148,18 @@ class PairedOracle(Oracle):
     the premise is prepended (newline-separated) before every scoring call.
     """
 
-    def __init__(self, inner: Oracle, premise: str, separator: str = "\n"):
+    def __init__(self, inner: Oracle, premise: str):
         self.inner = inner
         self.premise = premise
-        self.separator = separator
 
     @property
     def num_classes(self):
         return getattr(self.inner, "num_classes", None)
 
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        prefix = self.premise + self.separator
+        prefix = self.premise + "\n"
         return self.inner.score_batch([prefix + s for s in sentences])
 
     def score_edits(self, base: str, positions, codes) -> np.ndarray:
-        prefix = self.premise + self.separator  # moves every expanded position by two per character
+        prefix = self.premise + "\n"  # moves every expanded position by two per character
         return self.inner.score_edits(prefix + base, np.asarray(positions) + 2 * len(prefix), codes)

@@ -37,7 +37,6 @@ class Alphabet:
     """Finite character set plus the sentinel and the probe test character."""
 
     chars: tuple[str, ...]
-    special: str = XI
     test_char: str = " "
 
     def __post_init__(self):
@@ -45,11 +44,11 @@ class Alphabet:
         object.__setattr__(self, "chars", ordered)
         if any(len(c) != 1 for c in ordered):
             raise SentenceError("alphabet entries must be single scalar values")
-        if self.special in ordered:
+        if XI in ordered:
             raise SentenceError("sentinel must not be a member of the alphabet")
         if len(self.test_char) != 1:  # a probe or mask inserts it as one single edit
             raise SentenceError("test character must be a single scalar value")
-        if self.test_char == self.special:
+        if self.test_char == XI:
             raise SentenceError("test character must differ from the sentinel")
 
     @classmethod
@@ -62,7 +61,7 @@ class Alphabet:
 
     def replacement_chars(self) -> tuple[str, ...]:
         """Candidate characters in canonical order: sorted alphabet, then sentinel."""
-        return self.chars + (self.special,)
+        return self.chars + (XI,)
 
     def fingerprint(self) -> str:
         payload = "".join(self.chars).encode("utf-8") + b"\x00" + self.test_char.encode("utf-8")

@@ -18,7 +18,6 @@ from charmer.classifier import (
     TrainConfig,
     feature_matrix,
     mixture_loss_and_grad,
-    packed_feature_matrix,
     train_builtin,
 )
 from charmer.oracle import Oracle, OracleError, PairedOracle, cw_loss
@@ -65,7 +64,7 @@ class TestFeatures:
     @example("", (1, 2, 3))
     @example("\x02\x03é€😀", (1, 2, 3))
     def test_counts_match_per_gram_hashing(self, text, orders):
-        # bypass the sentence cache; the gram tables persist across examples
+        # bypass the sentence cache; the key tables persist across examples
         for dim in (1 << 16, 7):
             idx, val = classifier_module._hashed_counts.__wrapped__(text, orders, dim)
             ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
@@ -79,19 +78,23 @@ class TestFeatures:
     )
     @example([], (1, 2, 3))
     @example(["", "\x02\x03é€😀", "a"], (1, 2, 3))
-    def test_packed_rows_match_per_gram_hashing(self, texts, orders):
+    def test_feature_rows_match_per_gram_hashing_in_order(self, texts, orders):
         for dim in (1 << 16, 7):
-            X = packed_feature_matrix(texts, orders, dim)
+            X = feature_matrix(texts, orders, dim)
             assert X.shape == (len(texts), dim) and X.dtype == np.int64
             for i, text in enumerate(texts):
-                row = X[i]
-                packed = Counter()
-                for col, count in zip(row.indices.tolist(), row.data.tolist()):
-                    packed[col] += count
-                idx, val = classifier_module._hashed_counts.__wrapped__(text, orders, dim)
+                row = np.s_[X.indptr[i] : X.indptr[i + 1]]
                 ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
-                assert packed == Counter(dict(zip(idx.tolist(), val.tolist())))
-                assert packed == Counter(dict(zip(ref_idx.tolist(), ref_val.tolist())))
+                assert X.indices[row].tolist() == ref_idx.tolist()  # order included
+                assert X.data[row].tolist() == ref_val.tolist()
+
+    def test_rows_are_hashed_in_chunks_alike(self, monkeypatch):
+        texts = ["the movie was good", "", "aaaa aaaa", "é😀 ab", "bad"]
+        whole = feature_matrix(texts, (1, 2, 3), 97)
+        monkeypatch.setattr(classifier_module, "_FEATURE_ROWS", 2)
+        chunked = feature_matrix(texts, (1, 2, 3), 97)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(chunked, name).tolist() == getattr(whole, name).tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -100,9 +103,8 @@ class TestFeatures:
     )
     def test_window_counts_are_the_grams_overlapping_the_window(self, texts, orders):
         orders = tuple(orders)
-        codes, lens = classifier_module._padded_codes(texts)
         for dim in (1 << 16, 7):
-            X = classifier_module._window_counts(codes, lens, orders, dim)
+            X = feature_matrix(texts, orders, dim)
             assert X.shape == (len(texts), dim) and X.dtype == np.int64
             for i, text in enumerate(texts):
                 got = Counter()
@@ -110,14 +112,15 @@ class TestFeatures:
                     got[col] += count
                 assert got == reference_window_counts(text, orders, dim, 0, len(text) + 2)
 
-    def test_gram_table_cap(self, monkeypatch):
-        monkeypatch.setattr(classifier_module, "_GRAM_TABLE_CAP", 3)
-        monkeypatch.setattr(classifier_module, "_GRAM_TABLES", {})
+    def test_key_table_cap(self, monkeypatch):
+        monkeypatch.setattr(classifier_module, "_KEY_TABLE_BITS", 2)
+        monkeypatch.setattr(classifier_module, "_KEY_TABLES", {})
         text = "abcabd é"
         idx, val = classifier_module._hashed_counts.__wrapped__(text, (1, 2, 3), 4096)
         ref_idx, ref_val = reference_hashed_counts(text, (1, 2, 3), 4096)
         assert idx.tolist() == ref_idx.tolist() and val.tolist() == ref_val.tolist()
-        assert len(classifier_module._GRAM_TABLES[4096]) <= 3
+        table = classifier_module._KEY_TABLES[4096]
+        assert len(table.keys) == 4 and table.used <= 2
 
 
 # code points of every kind a packed key holds: ASCII, the BMP, past it, the boundary markers, the last one
@@ -596,6 +599,17 @@ class TestScoreEdits:
         monkeypatch.setattr(classifier_module, "_CHUNK_ROWS", 7)
         rows, limited = scored_edits(BuiltinOracle(clf), s, positions, replaced)
         assert rows.tobytes() == limited.tobytes() == whole.tobytes()
+
+    def test_the_base_counts_are_cached_across_calls_on_one_base(self, clf):
+        oracle, cache = BuiltinOracle(clf), classifier_module._hashed_counts
+        for s in ("the movie was good", "a plot", "the movie was good", "a plot"):
+            positions = list(range(1, 2 * len(s) + 2))
+            hits = []
+            for char in ("x", XI):  # as the greedy loop scores probes, then candidates
+                hits.append(cache.cache_info().hits)
+                rows, full = scored_edits(oracle, s, positions, [char] * len(positions))
+                assert rows.tobytes() == full.tobytes()
+            assert cache.cache_info().hits > hits[1]
 
 
     @settings(max_examples=200, deadline=None)

@@ -228,7 +228,11 @@ class TestVerifyAndUsage:
         right = classifier._gram_index
         monkeypatch.setattr(classifier, "_gram_index", lambda gram, dim: (right(gram, dim) + (gram == "e")) % dim)
         monkeypatch.setattr(classifier, "_KEY_TABLES", {})
-        assert main(["verify", "--suite", "equivalence"]) == 1
+        classifier._hashed_counts.cache_clear()  # a base row counted at the right index
+        try:
+            assert main(["verify", "--suite", "equivalence"]) == 1
+        finally:
+            classifier._hashed_counts.cache_clear()  # and none counted at the wrong one for later tests
         out = capsys.readouterr().out
         assert "FAIL the n-gram 'e' has feature index" in out and "FAIL single-edit" not in out
 
