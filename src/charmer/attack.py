@@ -9,10 +9,17 @@ accepted edit.
 Tie-breaking everywhere is lowest index first: positions are ranked stably
 and candidates are generated in canonical order (position ascending, then
 alphabet order, sentinel last), so the first maximum wins.
+
+The attacks that query an oracle are written as steps (``STEPS``): a
+generator that yields each scoring request (a list of sentences or an
+``EditRequest``), is sent that request's rows, and returns the
+``AttackOutcome``. ``_drive`` runs them on one record; the harness runs the
+steps of many records in lockstep and scores their requests together.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import time
@@ -21,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .oracle import CountingOracle, Oracle, cw_loss
+from .oracle import EditRequest, Oracle, cw_loss, score_together
 from .sentence import XI, Alphabet, distinct_edits, single_edit
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -195,6 +202,19 @@ def candidate_edits(
     return distinct_edits(s, positions, chars, keep)
 
 
+def _probe_request(s: str, test_char: str, allowed: Optional[set[int]]) -> EditRequest:
+    """One probe edit per expanded position that ``allowed`` admits (see ``select_positions``)."""
+    probe = ord(test_char)
+    codes = np.full(2 * len(s) + 1, probe, dtype=np.int64)
+    # an even position whose character is the test character is probed with the sentinel
+    codes[1::2] = np.where(np.fromiter(map(ord, s), dtype=np.int64, count=len(s)) == probe, 0, probe)
+    idxs = np.arange(1, len(codes) + 1)
+    if allowed is not None:
+        idxs = np.sort(np.fromiter(allowed, dtype=np.int64, count=len(allowed)))
+        idxs = idxs[(idxs >= 1) & (idxs <= len(codes))]
+    return EditRequest(s, idxs, codes[idxs - 1])
+
+
 def select_positions(
     oracle: Oracle,
     s: str,
@@ -211,12 +231,16 @@ def select_positions(
     returns at most ``n`` indices, highest probe loss first, lowest index on
     ties.
     """
-    idxs = [i for i in range(1, 2 * len(s) + 2) if allowed is None or i in allowed]
-    if not idxs:
+    request = _probe_request(s, test_char, allowed)
+    if not len(request.positions):
         return []
-    codes = [0 if i % 2 == 0 and s[i // 2 - 1] == test_char else ord(test_char) for i in idxs]
-    losses = cw_loss(oracle.score_edits(s, np.array(idxs), np.array(codes)), y)
-    return [idxs[j] for j in np.argsort(-losses, kind="stable")[:n]]
+    losses = cw_loss(oracle.score_edits(*request), y)
+    return request.positions[np.argsort(-losses, kind="stable")[:n]].tolist()
+
+
+def _segment_masks(s: str, spans: list[tuple[int, int]], test_char: str) -> list[str]:
+    """``s`` with each word of ``spans`` replaced by the test character."""
+    return [s[: a - 1] + test_char + s[b:] for a, b in spans]
 
 
 def preselect_segments(
@@ -238,8 +262,7 @@ def preselect_segments(
     spans = word_spans(s)
     if len(spans) <= m:
         return set(range(1, 2 * len(s) + 2))
-    masked = [s[: a - 1] + test_char + s[b:] for a, b in spans]
-    losses = cw_loss(oracle.score_batch(masked), y)
+    losses = cw_loss(oracle.score_batch(_segment_masks(s, spans, test_char)), y)
     allowed: set[int] = set()
     for j in np.argsort(-losses, kind="stable")[:m]:
         a, b = spans[j]
@@ -247,46 +270,68 @@ def preselect_segments(
     return allowed
 
 
-def _greedy_attack(
-    oracle: Oracle,
-    s: str,
-    y: int,
-    config: AttackConfig,
-    rng: Optional[random.Random] = None,
-) -> AttackOutcome:
-    """The greedy loop: probe-ranked positions, or ``rng``-drawn ones when given."""
-    counting = CountingOracle(oracle)
-    start = time.perf_counter()
+class _Scored(Oracle):
+    """Hands the rows of a request that were already scored to the ranking helpers, which ask for them again."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
+        return self.rows
+
+    def score_edits(self, base: str, positions, codes) -> np.ndarray:
+        return self.rows
+
+
+def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
+    """The greedy loop as steps: probe-ranked positions, or positions drawn with ``random.Random(config.seed)``.
+
+    Its ranking goes through ``preselect_segments``, ``select_positions``,
+    ``candidate_edits`` and ``cw_loss`` as this module binds them; the two
+    rankers are handed the rows of their requests (``_Scored``). A request is
+    made only while the budget allows all of its rows, and the queries are
+    the rows received.
+    """
+    rng = random.Random(config.seed) if draw else None
+    test_char = config.alphabet.test_char
     cur = s
     trace: list[TraceStep] = []
     history = EditHistory()
     success = False
     final_loss: Optional[float] = None
+    queries = 0
 
     def budget_allows(batch_size: int) -> bool:
-        return config.budget is None or counting.queries + batch_size <= config.budget
+        return config.budget is None or queries + batch_size <= config.budget
 
     for _ in range(config.k):
         allowed = None
         if config.segment_preselect is not None:
-            n_segments = len(word_spans(cur))
-            if n_segments > config.segment_preselect:
-                if not budget_allows(n_segments):
+            spans = word_spans(cur)
+            if len(spans) > config.segment_preselect:
+                if not budget_allows(len(spans)):
                     break
-                allowed = preselect_segments(
-                    counting, cur, y, config.segment_preselect, config.alphabet.test_char
-                )
+                rows = yield _segment_masks(cur, spans, test_char)
+                queries += len(rows)
+                allowed = preselect_segments(_Scored(rows), cur, y, config.segment_preselect, test_char)
         if rng is not None:
             pool = sorted(allowed) if allowed is not None else list(range(1, 2 * len(cur) + 2))
             positions = rng.sample(pool, min(config.n, len(pool)))
-        elif budget_allows(len(allowed) if allowed is not None else 2 * len(cur) + 1):  # one probe per position
-            positions = select_positions(counting, cur, y, config.n, config.alphabet.test_char, allowed=allowed)
         else:
-            break
+            probes = _probe_request(cur, test_char, allowed)
+            if not budget_allows(len(probes.positions)):  # one probe per position
+                break
+            rows = None
+            if len(probes.positions):
+                rows = yield probes
+                queries += len(rows)
+            positions = select_positions(_Scored(rows), cur, y, config.n, test_char, allowed=allowed)
         edits = candidate_edits(cur, positions, config.alphabet, config.constraints, history)
         if not len(edits) or not budget_allows(len(edits)):
             break
-        losses = cw_loss(counting.score_edits(cur, edits[:, 0], edits[:, 1]), y)
+        rows = yield EditRequest(cur, edits[:, 0], edits[:, 1])
+        queries += len(rows)
+        losses = cw_loss(rows, y)
         j = int(np.argmax(losses))  # first maximum on ties
         pos, char = int(edits[j, 0]), chr(edits[j, 1])
         chosen = single_edit(cur, pos, char)
@@ -304,38 +349,22 @@ def _greedy_attack(
         success=success,
         edits_used=len(trace),
         final_loss=final_loss,
-        queries=counting.queries,
-        elapsed=time.perf_counter() - start,
+        queries=queries,
+        elapsed=0.0,
         trace=trace,
     )
 
 
-def charmer_attack(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
-    """Greedy attack with probe-based position pre-selection."""
-    return _greedy_attack(oracle, s, y, config)
-
-
-def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
-    """Same greedy loop with positions drawn uniformly without replacement."""
-    return _greedy_attack(oracle, s, y, config, random.Random(config.seed))
-
-
-def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
-    """Score the full single-edit neighborhood and move to the loss maximizer.
-
-    A neighborhood larger than ``config.budget`` is not scored at all: the
-    outcome is then the unattacked sentence.
-    """
-    counting = CountingOracle(oracle)
-    start = time.perf_counter()
+def _exhaustive_k1(s: str, y: int, config: AttackConfig):
+    """``exhaustive_k1`` as steps: one request, the whole single-edit neighbourhood."""
     # generate_neighbors' sentences in its order, so that the first maximum is the same one
     edits = distinct_edits(s, range(1, 2 * len(s) + 2), config.alphabet.replacement_chars())
     if config.budget is not None and len(edits) > config.budget:
         return AttackOutcome(
-            original=s, adversarial=s, success=False, edits_used=0, final_loss=None, queries=0,
-            elapsed=time.perf_counter() - start, trace=[],
+            original=s, adversarial=s, success=False, edits_used=0, final_loss=None, queries=0, elapsed=0.0, trace=[]
         )
-    losses = cw_loss(counting.score_edits(s, edits[:, 0], edits[:, 1]), y)
+    rows = yield EditRequest(s, edits[:, 0], edits[:, 1])
+    losses = cw_loss(rows, y)
     j = int(np.argmax(losses))  # first maximum on ties
     loss = float(losses[j])
     adversarial = single_edit(s, int(edits[j, 0]), chr(edits[j, 1]))
@@ -345,7 +374,51 @@ def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Attac
         success=loss >= 0,
         edits_used=int(adversarial != s),  # every neighbor is within one edit
         final_loss=loss,
-        queries=counting.queries,
-        elapsed=time.perf_counter() - start,
+        queries=len(rows),
+        elapsed=0.0,
         trace=[TraceStep(position=None, char=None, loss=loss)],
     )
+
+
+def _drive(oracle: Oracle, steps) -> AttackOutcome:
+    """Run an attack's steps on one record, scoring each request with ``oracle`` (``score_together``).
+
+    The outcome's ``elapsed`` is the wall time of the whole run. An error
+    of a request or a step propagates.
+    """
+    start = time.perf_counter()
+    rows = None
+    try:
+        while True:
+            rows = score_together(oracle, [steps.send(rows)])
+    except StopIteration as stop:
+        outcome = stop.value
+    outcome.elapsed = time.perf_counter() - start
+    return outcome
+
+
+def charmer_attack(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
+    """Greedy attack with probe-based position pre-selection."""
+    return _drive(oracle, _greedy_attack(s, y, config))
+
+
+def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
+    """Same greedy loop with positions drawn uniformly without replacement."""
+    return _drive(oracle, _greedy_attack(s, y, config, draw=True))
+
+
+def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
+    """Score the full single-edit neighborhood and move to the loss maximizer.
+
+    A neighborhood larger than ``config.budget`` is not scored at all: the
+    outcome is then the unattacked sentence.
+    """
+    return _drive(oracle, _exhaustive_k1(s, y, config))
+
+
+# the steps of each attack above, fn(s, y, config) -> generator, for the harness to run many records at once
+STEPS = {
+    charmer_attack: _greedy_attack,
+    random_position_baseline: functools.partial(_greedy_attack, draw=True),
+    exhaustive_k1: _exhaustive_k1,
+}

@@ -28,10 +28,11 @@ feature width (``_KeyTable``): two fixed arrays of 2^17 slots, 2 MB, probed
 for a whole batch at once. Only the keys it does not hold are hashed one by
 one in Python; the table is cleared when they would fill more than half its
 slots. Training, whole-row scoring and the base row of a walk all fold these
-indices into per-row counts. The base row's counts are cached for the last
-sentence asked (``_hashed_counts``): the greedy loop scores its probes and then
-its candidates as edits of the same base, and never goes back to an earlier
-one.
+indices into per-row counts. The base rows' counts are cached for the 64
+sentences asked last (``_hashed_counts``), the bases of one lockstep chunk of
+records (``harness._LOCKSTEP_RECORDS``): each record scores its probes and
+then its candidates as edits of the same base, and never goes back to an
+earlier one.
 
 ``scipy.sparse`` is imported where a CSR matrix is first built, so a
 process that never featurizes, such as a run against a remote oracle, never
@@ -70,6 +71,8 @@ _CODE_BITS = 21
 _CHUNK_ROWS = 512
 # rows hashed together; bounds the memory of featurizing a large batch, such as a training set
 _FEATURE_ROWS = 64
+# single edits scored in one walk; bounds the memory of scoring many requests at once
+_WALK_ROWS = 2048
 # classes a model file can hold: its class count is one "<I" field
 _MAX_CLASSES = 2**32 - 1
 
@@ -237,7 +240,8 @@ def _featurize(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> tuple
     return indptr, np.concatenate(indices), np.concatenate(counts)
 
 
-@lru_cache(maxsize=1)
+# one base per record of a lockstep chunk (harness._LOCKSTEP_RECORDS): each step asks once for each
+@lru_cache(maxsize=64)
 def _hashed_counts(text: str, orders: tuple[int, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``_featurize`` of one sentence: its feature indices and their counts, cached; do not write to them."""
     _, indices, counts = _featurize([text], orders, dim)
@@ -273,28 +277,32 @@ def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.n
     return np.concatenate((cols, cols + 2 * r + 1)), np.tile(own, (2, 1)), np.tile(start == r, 2)
 
 
-def _edit_hoods(base: str, positions: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
+def _edit_hoods(bases: list[str], which: np.ndarray, positions: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
     """The padded codes within ``r`` of each edit of each walk, 0 outside the row.
 
-    Edit ``j`` of walk ``w`` (see ``BuiltinClassifier.walk_logits``) gives
-    row ``w * k + j``: the codes ``lo - r`` to ``lo + r`` of the padded
-    ``t_j``, for ``lo = (i + 1) // 2`` and the edit's position ``i``. Each
-    ``t_j`` is a row of code points (``sentence.single_edit_rows``) that
-    holds ``r`` zeros, the padded sentence and zeros to its end, so that the
-    window of edit ``j`` is its ``2r + 1`` codes from ``lo`` on: ``t_0`` is
-    ``base``, one row for every walk, and no row is built after the last edit.
+    Edit ``j`` of walk ``w`` (see ``BuiltinClassifier.walk_logits``), which
+    starts from ``bases[which[w]]``, gives row ``w * k + j``: the codes
+    ``lo - r`` to ``lo + r`` of the padded ``t_j``, for ``lo = (i + 1) // 2``
+    and the edit's position ``i``. Each ``t_j`` is a row of code points
+    (``sentence.single_edit_rows``) that holds ``r`` zeros, the padded
+    sentence and zeros to its end, so that the window of edit ``j`` is its
+    ``2r + 1`` codes from ``lo`` on: ``t_0`` is the row of the walk's base,
+    one row for every base, and no row is built after the last edit.
     """
     m, k = positions.shape
     lead = r + 1  # the codes of a row before those of its sentence: r zeros and the left pad
-    rows = np.zeros((1, r + len(base) + 2 + k + r), dtype=np.int32)  # with room for k insertions and r zeros
-    rows[0, r : len(base) + lead + 1] = _padded_codes([base])[0]
-    rows, lens = np.broadcast_to(rows, (m, rows.shape[1])), np.full(m, len(base) + lead + 1)
-    window, walks = np.arange(2 * r + 1), np.arange(m)[:, None]
+    padded, lens = _padded_codes(bases)
+    rows = np.zeros((len(bases), r + int(lens.max(initial=0)) + k + r), dtype=np.int32)  # room for k insertions
+    for b, (end, n) in enumerate(zip(np.cumsum(lens).tolist(), lens.tolist())):
+        rows[b, r : r + n] = padded[end - n : end]
+    row_of, lens = which, (lens + r).take(which)
+    window = np.arange(2 * r + 1)
     hoods = np.empty((m, k, 2 * r + 1), dtype=np.int32)
     for j in range(k):
         if j:  # a row's sentence is t_{j-1} with its pads, edited inside them
+            rows, row_of = rows.take(row_of, axis=0), np.arange(m)
             rows, lens = single_edit_rows(rows, lens, positions[:, j - 1] + 2 * lead, codes[:, j - 1])
-        hoods[:, j] = rows[walks, (positions[:, j, None] + 1) // 2 + window]
+        hoods[:, j] = rows.take(row_of[:, None] * rows.shape[1] + (positions[:, j, None] + 1) // 2 + window)
     return hoods.reshape(m * k, 2 * r + 1)
 
 
@@ -433,29 +441,35 @@ class BuiltinClassifier:
         walk by walk, raises ``single_edit``'s ``SentenceError``, and so do
         arrays of two shapes.
         """
-        return np.ldexp(self._integer_walk(base, positions, codes).astype(np.float64), -self.scale_bits)
+        walks = np.zeros(len(positions), dtype=np.intp)
+        return np.ldexp(self._integer_walk([base], walks, positions, codes).astype(np.float64), -self.scale_bits)
 
-    def _integer_walk(self, base: str, positions, codes) -> np.ndarray:
-        """``walk_logits`` in int64, before the scale."""
-        if XI in base:
-            raise SentenceError("cannot edit a sentence containing the sentinel")
+    def _integer_walk(self, bases: list[str], which: np.ndarray, positions, codes) -> np.ndarray:
+        """``walk_logits`` in int64, before the scale, of walks from many bases: walk ``w`` from ``bases[which[w]]``."""
         positions, codes = np.asarray(positions, dtype=np.int64), np.asarray(codes, dtype=np.int64)
         if positions.shape != codes.shape:
             raise SentenceError(f"edit positions of shape {positions.shape} but codes of shape {codes.shape}")
         m, k = positions.shape
+        base_len = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases)).take(which)
         odd, sentinel = positions % 2 == 1, codes == 0
         shift = (odd & ~sentinel).astype(np.int64) - (~odd & sentinel)  # an insertion, a deletion or neither
-        top = 2 * (len(base) + np.cumsum(shift, axis=1) - shift) + 1  # the last position of each t_j
+        top = 2 * (base_len[:, None] + np.cumsum(shift, axis=1) - shift) + 1  # the last position of each t_j
         outside = (positions < 1) | (positions > top)
-        if outside.any():
-            w, j = np.argwhere(outside)[0]  # the first in the order single_edit would meet them
-            raise SentenceError(f"position {positions[w, j]} out of range [1, {top[w, j]}]")
+        if any(XI in b for b in bases) or outside.any():
+            held = np.array([XI in b for b in bases]).take(which)  # single_edit refuses such a base before its edits
+            refused = np.flatnonzero(held | outside.any(axis=1))
+            if len(refused):
+                w = refused[0]  # the first walk, then edit, that single_edit would refuse
+                if held[w]:
+                    raise SentenceError("cannot edit a sentence containing the sentinel")
+                j = np.argmax(outside[w])
+                raise SentenceError(f"position {positions[w, j]} out of range [1, {top[w, j]}]")
         bad = codes[((codes >= 0xD800) & (codes <= 0xDFFF)) | (codes < 0) | (codes > 0x10FFFF)]
         if len(bad):
             raise OracleError(f"cannot score the code point {int(bad[0]):#x}; it is not a Unicode scalar value")
-        self._check_length(len(base) + int(shift.sum(axis=1).max()) if m else 0)
+        self._check_length(int((base_len + shift.sum(axis=1)).max()) if m else 0)
         r = max(self.ngram_orders) - 1
-        hood = _edit_hoods(base, positions, codes, r)
+        hood = _edit_hoods(bases, which, positions, codes, r)
         put, cut = codes.ravel(), positions.ravel() % 2 == 0
         if k > 1:  # one edit per distinct neighbourhood, code and parity; walks share their first edits
             one, same = _distinct([*hood.T, put, cut], [_CODE_BITS] * (2 * r + 2) + [1])
@@ -480,7 +494,6 @@ class BuiltinClassifier:
             keys |= ((code + 1) << (_CODE_BITS * j)) * own[:, j]
             counted &= (code != 0) | ~own[:, j]
         live = keys[counted]
-        base_index, base_counts = _hashed_counts(base, self.ngram_orders, self.feature_dim)
         index = np.full(keys.shape, self.feature_dim)  # the zero column
         index[counted] = _hash_keys(live, self.feature_dim)
         weights = self._wq.take(index, axis=1)
@@ -488,8 +501,11 @@ class BuiltinClassifier:
         change = (added.sum(axis=2) - removed.sum(axis=2)).T
         if k > 1:
             change = change[same]
-        base_logits = self._wq.take(base_index, axis=1) @ base_counts
-        return base_logits + change.reshape(m, k, self.num_classes).sum(axis=1)
+        base_logits = np.empty((len(bases), self.num_classes), dtype=np.int64)
+        for b, base in enumerate(bases):
+            base_index, base_counts = _hashed_counts(base, self.ngram_orders, self.feature_dim)
+            base_logits[b] = self._wq.take(base_index, axis=1) @ base_counts
+        return base_logits.take(which, axis=0) + change.reshape(m, k, self.num_classes).sum(axis=1)
 
     def _check_length(self, longest: int) -> None:
         if longest > self._max_chars:
@@ -666,7 +682,9 @@ class BuiltinOracle(Oracle):
     Each batch goes to the classifier whole; it scores ``_CHUNK_ROWS`` rows
     at a time. Single edits are scored as walks of one edit
     (``BuiltinClassifier.walk_logits``), with the bias added in int64 so that
-    the rows equal ``score_batch`` of the edited sentences bit for bit.
+    the rows equal ``score_batch`` of the edited sentences bit for bit. The
+    edits of many requests go into one walk with a base per row,
+    ``_WALK_ROWS`` rows at a time.
     """
 
     def __init__(self, classifier: BuiltinClassifier):
@@ -677,7 +695,26 @@ class BuiltinOracle(Oracle):
         return self.classifier.logits(sentences)
 
     def score_edits(self, base: str, positions, codes) -> np.ndarray:
-        clf = self.classifier
         positions, codes = check_edits(positions, codes)
-        Z = clf._integer_walk(base, positions[:, None], codes[:, None]) + clf._bq
+        return self._walk_scores([base], np.zeros(len(positions), dtype=np.intp), positions, codes)
+
+    def _score_requests(self, requests) -> np.ndarray:
+        bases = [base for base, _, _ in requests]
+        edits = [check_edits(positions, codes) for _, positions, codes in requests]
+        which = np.repeat(np.arange(len(bases)), [len(positions) for positions, _ in edits])
+        if not len(which):
+            return np.empty((0, self.num_classes))
+        positions = np.concatenate([positions for positions, _ in edits])
+        codes = np.concatenate([codes for _, codes in edits])
+        parts = []
+        for start in range(0, len(which), _WALK_ROWS):
+            rows = slice(start, start + _WALK_ROWS)
+            first, last = which[start], which[rows][-1]
+            parts.append(self._walk_scores(bases[first : last + 1], which[rows] - first, positions[rows], codes[rows]))
+        return np.concatenate(parts)
+
+    def _walk_scores(self, bases: list[str], which: np.ndarray, positions: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """The scores of single edits, edit ``r`` of ``bases[which[r]]``, as walks of one edit."""
+        clf = self.classifier
+        Z = clf._integer_walk(bases, which, positions[:, None], codes[:, None]) + clf._bq
         return np.ldexp(Z.astype(np.float64), -clf.scale_bits)

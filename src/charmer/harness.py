@@ -1,7 +1,12 @@
 """Batch evaluation: dataset ingestion, metrics, transcripts and reports.
 
-Transcripts are JSON Lines, one object per record, written as produced so a
-crash loses at most the record in flight. The report is
+Records are attacked in chunks of ``_LOCKSTEP_RECORDS``, in lockstep: at
+each step the requests of all live records of a chunk are scored together
+(``_attack_chunk``). Transcripts are JSON Lines, one object per record,
+written in record order as soon as a record and those before it are done, so
+a crash loses at most one chunk of lines. A line's ``elapsed`` is the time of
+its attack's own steps plus its row share of each call that scored rows of
+its attack. The report is
 ``report_from_transcripts`` of those lines: each line's ``id``, ``skipped``,
 ``success``, ``d_lev``, ``queries``, ``final_loss`` and ``error`` make its
 ``per_sample`` row, with ``edit_sim`` from ``d_lev``, ``original`` and
@@ -25,16 +30,19 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
 import os
 import re
 import statistics
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .attack import (
+    STEPS,
     AttackConfig,
     AttackOutcome,
     charmer_attack,
@@ -42,7 +50,7 @@ from .attack import (
     random_position_baseline,
 )
 from .classifier import BuiltinClassifier, BuiltinOracle
-from .oracle import Oracle, OracleError, PairedOracle, check_rows, cw_loss
+from .oracle import EditRequest, Oracle, OracleError, PairedOracle, batches_edits, cw_loss, request_rows, score_together
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
 from .sentence import XI, Alphabet, L_MAX, levenshtein
 
@@ -50,6 +58,9 @@ log = logging.getLogger("charmer")
 
 TRANSCRIPT_SCHEMA = 1
 REPORT_SCHEMA = 1
+
+# records attacked in lockstep: each step scores the requests of all of them together
+_LOCKSTEP_RECORDS = 64
 
 
 class DatasetError(ValueError):
@@ -274,55 +285,153 @@ def run_attack_suite(
 
 
 def _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, transcript_path):
-    """Attack each record in turn; write, flush and yield its transcript line."""
+    """Attack the records, ``_LOCKSTEP_RECORDS`` at a time; write, flush and yield each line in record order.
+
+    A line that UTF-8 cannot encode, which only a lone surrogate makes, is
+    written with ASCII escapes.
+    """
+    records = list(records)
     with open(transcript_path, "a", encoding="utf-8") if transcript_path else contextlib.nullcontext() as out_fh:
-        for record in records:
-            scoring = PairedOracle(oracle, record.paired_text) if record.paired_text is not None else oracle
+        for start in range(0, len(records), _LOCKSTEP_RECORDS):
+            chunk = records[start : start + _LOCKSTEP_RECORDS]
+            for entry in _attack_chunk(chunk, oracle, run, config, fingerprint, alpha_fp):
+                if out_fh is not None:
+                    try:
+                        out_fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
+                    except UnicodeEncodeError:  # raised before anything is written
+                        out_fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                    out_fh.flush()
+                yield entry
+
+
+def _whole(run, oracle, s, y, config):
+    """An attack without steps (pga) as steps: it runs whole in its first step and makes no request."""
+    return run(oracle, s, y, config)
+    yield
+
+
+def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
+    """Attack ``records`` in lockstep; yield their transcript lines in record order as they finish.
+
+    Each record first asks for its clean score. A record that the oracle
+    classifies correctly then runs its attack's steps (``attack.STEPS``). At
+    each step the live records' requests are scored together
+    (``_score_step``), and each record takes its next step with its own rows.
+    A record leaves when its attack returns, when its request or step raises
+    ``OracleError``, or when it is skipped. Its line's ``elapsed`` is the time
+    of its attack's own steps plus, for each call that scored its attack's
+    rows, that call's time times its share of the call's rows.
+    """
+    lines = [
+        {
+            "schema": TRANSCRIPT_SCHEMA,
+            "id": record.id,
+            "original": record.text,
+            "paired_text": record.paired_text,
+            "config_fingerprint": fingerprint,
+            "alphabet_fingerprint": alpha_fp,
             # skipped and errored records keep these unattacked values
-            entry = {
-                "schema": TRANSCRIPT_SCHEMA,
-                "id": record.id,
-                "original": record.text,
-                "paired_text": record.paired_text,
-                "config_fingerprint": fingerprint,
-                "alphabet_fingerprint": alpha_fp,
-                "error": None,
-                "skipped": False,
-                "adversarial": record.text,
-                "success": False,
-                "edits_used": 0,
-                "d_lev": 0,
-                "final_loss": None,
-                "queries": 0,
-                "elapsed": 0.0,
-                "trace": [],
-            }
+            "error": None,
+            "skipped": False,
+            "adversarial": record.text,
+            "success": False,
+            "edits_used": 0,
+            "d_lev": 0,
+            "final_loss": None,
+            "queries": 0,
+            "elapsed": 0.0,
+            "trace": [],
+        }
+        for record in records
+    ]
+    oracles = [PairedOracle(oracle, r.paired_text) if r.paired_text is not None else oracle for r in records]
+    steps, spent = {}, [0.0] * len(records)  # the attacks under way, and their time so far
+    pending = {i: [record.text] for i, record in enumerate(records)}  # the clean scores
+    edits_together, written = batches_edits(oracle), 0
+    while pending:
+        answers, pending = _score_step(oracle, edits_together, oracles, pending), {}
+        for i in sorted(answers):
+            record, line, (rows, seconds) = records[i], lines[i], answers[i]
             try:
-                clean = scoring.score_batch([record.text])
-                clean_loss = cw_loss(check_rows(clean, 1, getattr(scoring, "num_classes", None))[0], record.label)
-                entry["clean_loss"] = clean_loss
-                if clean_loss >= 0:
-                    entry.update(skipped=True, final_loss=clean_loss)
-                else:
-                    outcome = run(scoring, record.text, record.label, config)
-                    entry.update(
+                if isinstance(rows, OracleError):
+                    raise rows
+                if i in steps:
+                    spent[i] += seconds
+                else:  # the clean score
+                    clean_loss = cw_loss(rows[0], record.label)
+                    line["clean_loss"] = clean_loss
+                    if clean_loss >= 0:
+                        line.update(skipped=True, final_loss=clean_loss)
+                        continue
+                    steps[i] = (
+                        STEPS[run](record.text, record.label, config)
+                        if run in STEPS
+                        else _whole(run, oracles[i], record.text, record.label, config)
+                    )
+                    rows = None  # the attack's first step
+                start = time.perf_counter()
+                try:
+                    pending[i] = steps[i].send(rows)
+                except StopIteration as stop:
+                    elapsed, outcome = spent[i] + time.perf_counter() - start, stop.value
+                    line.update(
                         adversarial=outcome.adversarial,
                         success=outcome.success,
                         edits_used=outcome.edits_used,
                         d_lev=levenshtein(record.text, outcome.adversarial),
-                        final_loss=outcome.final_loss if outcome.final_loss is not None else clean_loss,
+                        final_loss=outcome.final_loss if outcome.final_loss is not None else line["clean_loss"],
                         queries=outcome.queries,
-                        elapsed=outcome.elapsed,
+                        elapsed=elapsed,
                         trace=[[t.position, t.char, t.loss] for t in outcome.trace],
                     )
+                else:
+                    spent[i] += time.perf_counter() - start
             except OracleError as exc:
-                entry["error"] = f"{type(exc).__name__}: {exc}"
+                line["error"] = f"{type(exc).__name__}: {exc}"
                 log.warning("record %s failed: %s", record.id, exc)
+        while written < len(records) and written not in pending:
+            yield lines[written]
+            written += 1
 
-            if out_fh is not None:
-                out_fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
-                out_fh.flush()
-            yield entry
+
+def _score_step(oracle, edits_together, oracles, pending) -> dict:
+    """Each pending request's rows, or the ``OracleError`` of its request alone, and its seconds.
+
+    Record ``i`` asks ``oracles[i]``. The requests to ``oracle`` itself go
+    into one call per kind (``score_together``): sentences, and edits if
+    ``edits_together`` (``batches_edits(oracle)``); the others, such as those
+    of a record with a premise, go alone. A call of many requests that raises
+    is made again one request at a time, in record order, so that each error
+    lands on its own record. A call's seconds are shared by its requests in
+    proportion to their rows.
+    """
+    groups: dict = {}
+    for i, request in pending.items():
+        edits = isinstance(request, EditRequest)
+        together = oracles[i] is oracle and (edits_together or not edits)
+        groups.setdefault(edits if together else -1 - i, []).append(i)
+    answers = {}
+    for members in groups.values():
+        if len(members) > 1:
+            requests = [pending[i] for i in members]
+            start = time.perf_counter()
+            try:
+                rows = score_together(oracle, requests)
+            except Exception:  # made again one request at a time
+                pass
+            else:
+                sizes = [request_rows(r) for r in requests]
+                share = (time.perf_counter() - start) / max(sum(sizes), 1)
+                for i, size, end in zip(members, sizes, itertools.accumulate(sizes)):
+                    answers[i] = (rows[end - size : end], share * size)
+                continue
+        for i in members:
+            start = time.perf_counter()
+            try:
+                answers[i] = (score_together(oracles[i], [pending[i]]), time.perf_counter() - start)
+            except OracleError as exc:
+                answers[i] = (exc, 0.0)
+    return answers
 
 
 def report_from_transcripts(lines, attack: str, config_fingerprint: str, alphabet_fingerprint: str) -> dict:

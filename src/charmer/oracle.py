@@ -3,11 +3,19 @@
 An oracle maps m sentences to one ``(m, classes)`` float64 array of real
 scores (logits or probabilities; only orderings and margins are used).
 Labels are 0-based class indices throughout the code.
+
+An attack asks for scores in requests: a list of sentences, or an
+``EditRequest`` for single edits of one base sentence. ``score_together``
+scores requests of one kind in one call: sentences through ``score_batch``,
+edits through ``Oracle._score_requests`` (many bases in one call), unless
+the oracle's class overrides ``score_edits`` below the class that supplies
+its ``_score_requests`` (``batches_edits``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import itertools
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,6 +83,20 @@ def is_adversarial(scores, y: int):
     return cw_loss(scores, y) >= 0.0
 
 
+class EditRequest(NamedTuple):
+    """Single edits of ``base`` to score: edit ``r`` writes the code point ``codes[r]`` (0 for the sentinel)
+    at expanded position ``positions[r]`` (``Oracle.score_edits``)."""
+
+    base: str
+    positions: np.ndarray
+    codes: np.ndarray
+
+
+def request_rows(request) -> int:
+    """The number of score rows a request asks for: one per sentence or per edit."""
+    return len(request.positions) if isinstance(request, EditRequest) else len(request)
+
+
 class Oracle:
     """Base class for batched sentence scorers.
 
@@ -109,6 +131,27 @@ class Oracle:
         """
         positions, codes = check_edits(positions, codes)
         return self.score_batch([single_edit(base, i, chr(c)) for i, c in zip(positions.tolist(), codes.tolist())])
+
+    def _score_requests(self, requests: Sequence[EditRequest]) -> np.ndarray:
+        """The rows of many edit requests ``(base, positions, codes)``, stacked in request order.
+
+        Each row equals ``score_edits`` of its request. By default the edited
+        sentences of all requests (``single_edit``) are built and scored one
+        ``batch_limit`` slice at a time, so a slice packs the edits of many
+        requests and the memory stays bounded; the first edit that
+        ``single_edit`` refuses raises, after the slices before it are scored.
+        """
+        edits = (
+            (base, i, c)
+            for base, positions, codes in requests
+            for i, c in zip(*(a.tolist() for a in check_edits(positions, codes)))
+        )
+        parts = []
+        while batch := [single_edit(base, i, chr(c)) for base, i, c in itertools.islice(edits, self.batch_limit)]:
+            parts.append(self.score_batch(batch))
+        if not parts:
+            return np.empty((0, getattr(self, "num_classes", None) or 0))
+        return np.concatenate(parts)
 
     def _score_chunk(self, sentences: list[str]):  # an array or a list of number rows
         raise NotImplementedError
@@ -163,3 +206,32 @@ class PairedOracle(Oracle):
     def score_edits(self, base: str, positions, codes) -> np.ndarray:
         prefix = self.premise + "\n"  # moves every expanded position by two per character
         return self.inner.score_edits(prefix + base, np.asarray(positions) + 2 * len(prefix), codes)
+
+
+def batches_edits(oracle: Oracle) -> bool:
+    """Whether ``score_together`` may score many edit requests of ``oracle`` in one ``_score_requests`` call.
+
+    Not when a class overrides ``score_edits`` below the class that supplies
+    its ``_score_requests``, as ``PairedOracle`` does: that override must see
+    every request.
+    """
+    mro = type(oracle).__mro__
+    owner = next((i for i, cls in enumerate(mro) if "_score_requests" in vars(cls)), None)
+    return owner is not None and all("score_edits" not in vars(cls) for cls in mro[:owner])
+
+
+def score_together(oracle: Oracle, requests: Sequence) -> np.ndarray:
+    """The checked rows of ``requests``, all of one kind, stacked in order, from one call of ``oracle``.
+
+    Lists of sentences go to one ``score_batch``. One ``EditRequest`` goes
+    to ``score_edits``, and more go to ``_score_requests``, which the caller
+    makes sure ``batches_edits`` allows. The rows must come back as one row
+    of ``num_classes`` scores per sentence or edit (``check_rows``).
+    """
+    if not isinstance(requests[0], EditRequest):
+        scores = oracle.score_batch([s for sentences in requests for s in sentences])
+    elif len(requests) == 1:
+        scores = oracle.score_edits(*requests[0])
+    else:
+        scores = oracle._score_requests(requests)
+    return check_rows(scores, sum(map(request_rows, requests)), getattr(oracle, "num_classes", None))

@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
+from unittest import mock
 
 import numpy as np
 
+from . import harness
 from .attack import AttackConfig, charmer_attack, exhaustive_k1
 from .classifier import _CODE_BITS, BuiltinOracle, TrainConfig, _gram_keys, _hash_keys, _padded_codes, train_builtin
-from .pga import project_simplex
+from .pga import PgaConfig, project_simplex
 from .sentence import Alphabet, contract, distinct_edits, expand, levenshtein, single_edit
 from .synth import make_keyword_corpus
 
@@ -177,10 +179,18 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
             ok = False
             lines.append(f"FAIL equivalence on record {record.id}: {s!r}")
             break
+    config, pga_config = AttackConfig(alphabet=alphabet, seed=seed), PgaConfig(iterations=10, candidate_cap=64, seed=seed)
+    for attack in harness.ATTACK_NAMES if ok else ():
+        together = harness.run_attack_suite(eval_records, oracle, attack, config, pga_config=pga_config)
+        with mock.patch.object(harness, "_LOCKSTEP_RECORDS", 1):
+            alone = harness.run_attack_suite(eval_records, oracle, attack, config, pga_config=pga_config)
+        if harness.report_body(together) != harness.report_body(alone):
+            ok = False
+            lines.append(f"FAIL the {attack} report of records in lockstep differs from that of one record at a time")
     lines.append(
         f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores equal the edited sentences', every "
-        f"n-gram has its CRC32 feature index, and the full-width single-edit attack matches the exhaustive "
-        f"scan exactly on {samples} samples"
+        f"n-gram has its CRC32 feature index, the full-width single-edit attack matches the exhaustive "
+        f"scan exactly, and every attack reports alike in lockstep and one record at a time on {samples} samples"
     )
     return ok, lines
 

@@ -778,3 +778,79 @@ class TestWalkLogits:
         # a base past the bound whose walks all come back within it is still exact
         shrunk = clf.walk_logits(longer, np.array([[2]]), np.array([[0]]))
         assert shrunk.tobytes() == clf.candidate_logits([single_edit(longer, 2, XI)]).tobytes()
+
+
+
+@st.composite
+def walks_from_bases(draw, bases, k):
+    """A walk of k edits from one of ``bases``: its base index, positions, codes and sentence, or the error of
+    ``single_edit`` at its first bad edit; positions may fall outside the sentence."""
+    b = draw(st.integers(0, len(bases) - 1))
+    if XI not in bases[b] and draw(st.booleans()):
+        positions, codes, t = draw(walks_from(bases[b], k))
+        return b, positions, codes, t
+    t, positions, codes, error = bases[b], [], [], None
+    for _ in range(k):
+        i, c = draw(st.integers(-1, 2 * len(t) + 2)), draw(st.sampled_from([0, ord("a"), ord("😀")]))
+        positions.append(i)
+        codes.append(c)
+        try:
+            t = single_edit(t, i, chr(c) if c else XI) if error is None else t
+        except SentenceError as exc:
+            error = exc
+    return b, positions, codes, error or t
+
+
+class TestManyBases:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="ab é€😀", max_size=40) | st.just("a" + XI + "b"), min_size=1, max_size=4),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_walks_equal_score_batch_of_each_base(self, clf, bases, k, data):
+        walks = data.draw(st.lists(walks_from_bases(bases, k), max_size=8))
+        which = np.array([w[0] for w in walks], dtype=np.intp)
+        positions = np.array([w[1] for w in walks], dtype=np.int64).reshape(len(walks), k)
+        codes = np.array([w[2] for w in walks], dtype=np.int64).reshape(len(walks), k)
+        error = next((w[3] for w in walks if isinstance(w[3], SentenceError)), None)  # in request order
+        if error is not None:
+            with pytest.raises(SentenceError) as raised:
+                clf._integer_walk(bases, which, positions, codes)
+            assert str(raised.value) == str(error)
+            return
+        Z = clf._integer_walk(bases, which, positions, codes) + clf._bq
+        rows = np.ldexp(Z.astype(np.float64), -clf.scale_bits)
+        oracle = BuiltinOracle(clf)
+        for b in range(len(bases)):  # each base's walks, scored as sentences in one batch
+            mine = which == b
+            assert rows[mine].tobytes() == oracle.score_batch([w[3] for w in walks if w[0] == b]).tobytes()
+
+    @pytest.mark.parametrize("walk_rows", [1, 3, 2048])
+    def test_requests_score_alike_in_slices(self, clf, monkeypatch, walk_rows):
+        monkeypatch.setattr(classifier_module, "_WALK_ROWS", walk_rows)
+        bases = ["the movie was good", "", "a plot", "the movie was good", "é😀"]
+        rng = np.random.default_rng(walk_rows)
+        requests, sentences = [], []
+        for base in bases:
+            m = int(rng.integers(0, 6))
+            positions = rng.integers(1, 2 * len(base) + 2, size=m)
+            codes = rng.choice([0, ord("x"), ord("😀")], size=m)
+            requests.append((base, positions, codes))
+            sentences += [single_edit(base, i, chr(c) if c else XI) for i, c in zip(positions.tolist(), codes.tolist())]
+        full = BuiltinOracle(clf).score_batch(sentences)
+        for oracle in (BuiltinOracle(clf), ByBatch(clf)):
+            assert oracle._score_requests(requests).tobytes() == full.tobytes()
+
+    def test_a_chunk_of_bases_stays_cached(self, clf):
+        from charmer import harness
+
+        cache = classifier_module._hashed_counts
+        bases = [f"record {i} base" for i in range(harness._LOCKSTEP_RECORDS)]
+        requests = [(base, np.array([1]), np.array([ord("x")])) for base in bases]
+        oracle = BuiltinOracle(clf)
+        cache.cache_clear()
+        oracle._score_requests(requests)  # the probes of a step
+        hits = cache.cache_info().hits
+        oracle._score_requests(requests)  # and the candidates of the next, on the same bases
+        assert cache.cache_info().hits == hits + len(bases)

@@ -236,6 +236,16 @@ class TestVerifyAndUsage:
         out = capsys.readouterr().out
         assert "FAIL the n-gram 'e' has feature index" in out and "FAIL single-edit" not in out
 
+    def test_equivalence_names_an_attack_that_lockstep_changes(self, monkeypatch, capsys):
+        # a scorer of many requests that swaps rows is only used when records share a call
+        right = classifier.BuiltinOracle._score_requests
+        swapped = lambda self, requests: right(self, requests)[::-1]  # noqa: E731
+        monkeypatch.setattr(classifier.BuiltinOracle, "_score_requests", swapped)
+        assert main(["verify", "--suite", "equivalence"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL the charmer report of records in lockstep differs from that of one record at a time" in out
+        assert "FAIL single-edit" not in out and "FAIL equivalence on record" not in out
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--oracle", "builtin:x"])  # missing --dataset

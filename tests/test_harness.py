@@ -8,6 +8,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charmer.attack import AttackConfig
+from charmer import harness
+from charmer.attack import AttackConfig, PjcConstraints
 from charmer.classifier import BuiltinOracle
 from charmer.harness import (
     ATTACK_NAMES,
@@ -256,22 +258,28 @@ class RefusesEditsOf(BuiltinOracle):
         return scores
 
 
+@pytest.fixture(scope="module")
+def fold_records(desk_oracle, attackable_records):
+    """One record of each kind: attacked, skipped, failing at the clean score, failing mid-attack, paired."""
+    premise = "irrelevant premise"
+    scoring = PairedOracle(desk_oracle, premise)
+    paired = next(
+        r for r in attackable_records[3:] if cw_loss(scoring.score_batch([r.text])[0], r.label) < 0
+    )
+    ok, victim, flipped = attackable_records[:3]
+    return [
+        ok,
+        DatasetRecord("skipped", flipped.text, 1 - flipped.label),
+        DatasetRecord("clean-fails", "refused at the clean score", 1),
+        victim,
+        DatasetRecord("paired", paired.text, paired.label, paired_text=premise),
+    ]
+
+
 class TestReportFromTranscripts:
     @pytest.fixture(scope="class")
-    def records(self, desk_oracle, attackable_records):
-        premise = "irrelevant premise"
-        scoring = PairedOracle(desk_oracle, premise)
-        paired = next(
-            r for r in attackable_records[3:] if cw_loss(scoring.score_batch([r.text])[0], r.label) < 0
-        )
-        ok, victim, flipped = attackable_records[:3]
-        return [
-            ok,
-            DatasetRecord("skipped", flipped.text, 1 - flipped.label),
-            DatasetRecord("clean-fails", "refused at the clean score", 1),
-            victim,
-            DatasetRecord("paired", paired.text, paired.label, paired_text=premise),
-        ]
+    def records(self, fold_records):
+        return fold_records
 
     @pytest.mark.parametrize("attack", ATTACK_NAMES)
     def test_the_fold_of_the_read_back_transcript_is_the_report(
@@ -309,6 +317,100 @@ class TestReportFromTranscripts:
         folded = report_from_transcripts([], attack, report["config_fingerprint"], report["alphabet_fingerprint"])
         assert report_body(folded) == report_body(report)
         assert folded["timing"] == report["timing"] == {"mean_time": None, "std_time": None, "total_time": 0.0}
+
+
+class CountsRows(BuiltinOracle):
+    """Counts the calls and the rows it scores, by each entry; its scorer of many requests serves a whole step."""
+
+    def __init__(self, classifier):
+        super().__init__(classifier)
+        self.calls = self.rows = 0
+
+    def _counted(self, scores):
+        self.calls += 1
+        self.rows += len(scores)
+        return scores
+
+    def score_batch(self, sentences):
+        return self._counted(super().score_batch(sentences))
+
+    def score_edits(self, base, positions, codes):
+        return self._counted(super().score_edits(base, positions, codes))
+
+    def _score_requests(self, requests):
+        return self._counted(super()._score_requests(requests))
+
+
+LOCKSTEP_CONFIGS = {
+    "plain": dict(n=5, k=2, seed=3),
+    "pjc": dict(n=5, k=3, constraints=PjcConstraints.all_enabled()),
+    "segments-budget": dict(n=5, k=3, segment_preselect=1, budget=120),
+    "budget": dict(n=5, k=4, budget=90),
+}
+
+
+class TestLockstep:
+    @pytest.fixture(scope="class")
+    def records(self, fold_records, attackable_records):
+        return fold_records + attackable_records[5:12]  # more records to share each call
+
+    @pytest.mark.parametrize("scorer", ["counts-rows", "refuses-edits"])
+    @pytest.mark.parametrize("setting", sorted(LOCKSTEP_CONFIGS))
+    @pytest.mark.parametrize("attack", ATTACK_NAMES)
+    def test_lockstep_equals_one_record_at_a_time(
+        self, tmp_path, monkeypatch, attack, setting, scorer, records, desk_classifier, desk_alphabet
+    ):
+        config = AttackConfig(alphabet=desk_alphabet, **LOCKSTEP_CONFIGS[setting])
+        runs, calls = [], []
+        for chunk in (harness._LOCKSTEP_RECORDS, 1):
+            monkeypatch.setattr(harness, "_LOCKSTEP_RECORDS", chunk)
+            if scorer == "counts-rows":
+                oracle = CountsRows(desk_classifier)
+            else:
+                oracle = RefusesEditsOf(desk_classifier, victim=records[3].text, refused=records[2].text)
+            transcript = tmp_path / f"{chunk}.jsonl"
+            report = run_attack_suite(records, oracle, attack, config, transcript_path=transcript)
+            lines = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+            for line in lines:
+                line.pop("elapsed")
+            if attack != "pga":  # pga scores its candidates on the classifier, not the oracle
+                # the rows of an attack that raises after some of them were scored are not counted
+                assert report["queries_total"] <= oracle.rows
+                if scorer == "counts-rows":  # no attack raises
+                    assert report["queries_total"] == oracle.rows
+            runs.append((report_body(report), lines, oracle.rows))
+            calls.append(getattr(oracle, "calls", None))
+        assert runs[0] == runs[1]
+        if scorer == "counts-rows":
+            assert calls[0] < calls[1]
+
+    def test_a_lone_surrogate_is_written_escaped(self, tmp_path, desk_oracle, desk_alphabet):
+        records = [DatasetRecord("ok", "good movie", 1), DatasetRecord("bad", "a\ud800b", 1)]
+        config = AttackConfig(alphabet=desk_alphabet, n=3, k=2)
+        transcript = tmp_path / "t.jsonl"
+        report = run_attack_suite(records, desk_oracle, "charmer", config, transcript_path=transcript)
+        first, second = transcript.read_text(encoding="utf-8").splitlines()
+        lines = [json.loads(first), json.loads(second)]
+        assert first == json.dumps(lines[0], sort_keys=True, ensure_ascii=False)  # as every other line
+        assert second == json.dumps(lines[1], sort_keys=True) and "\\ud800" in second
+        assert lines[1]["original"] == "a\ud800b"
+        assert lines[1]["error"] == "OracleError: cannot score the lone surrogate U+D800"
+        folded = report_from_transcripts(lines, "charmer", report["config_fingerprint"], report["alphabet_fingerprint"])
+        assert report_body(folded) == report_body(report)
+
+    @pytest.mark.parametrize("attack", ATTACK_NAMES)
+    def test_attacked_lines_take_time_within_the_suite(
+        self, tmp_path, attack, desk_oracle, desk_alphabet, attackable_records
+    ):
+        config = AttackConfig(alphabet=desk_alphabet, n=5, k=3)
+        transcript = tmp_path / "t.jsonl"
+        start = time.perf_counter()
+        run_attack_suite(attackable_records[:20], desk_oracle, attack, config, transcript_path=transcript)
+        wall = time.perf_counter() - start
+        lines = [json.loads(line) for line in transcript.read_text(encoding="utf-8").splitlines()]
+        attacked = [line["elapsed"] for line in lines if line["error"] is None and not line["skipped"]]
+        assert attacked and min(attacked) > 0
+        assert math.fsum(attacked) <= wall
 
 
 class TestSuite:

@@ -16,6 +16,9 @@ import numpy as np
 import pytest
 import requests
 
+from charmer import harness
+from charmer.attack import AttackConfig
+from charmer.harness import DatasetRecord, extract_alphabet, report_body, run_attack_suite
 from charmer.remote import (
     RemoteOracle,
     RemoteOracleError,
@@ -105,6 +108,27 @@ class TestHappyPath:
     def test_empty_batch_sends_nothing(self, base_url, server):
         assert RemoteOracle(base_url).score_batch([]).shape == (0, 0)
         assert server.requests == []
+
+
+class TestSuite:
+    @pytest.mark.parametrize("attack", ["charmer", "random", "exhaustive-k1"])
+    def test_lockstep_sends_fewer_posts_and_counts_every_sentence(self, base_url, server, monkeypatch, attack):
+        # the stub's class 1 is the first code point, so every record here is classified right
+        texts = ["a good movie", "bad plot", "it was fine", "zz", "the end of it"]
+        records = [DatasetRecord(str(i), text, 1) for i, text in enumerate(texts)]
+        records.append(DatasetRecord("paired", "so so", 1, paired_text="premise"))
+        config = AttackConfig(alphabet=extract_alphabet(records), n=3, k=3)
+        posts, bodies = [], []
+        for chunk in (harness._LOCKSTEP_RECORDS, 1):
+            monkeypatch.setattr(harness, "_LOCKSTEP_RECORDS", chunk)
+            server.requests.clear()
+            report = run_attack_suite(records, RemoteOracle(base_url, batch_limit=8), attack, config)
+            assert report["counts"]["attackable"] == len(records)
+            assert sum(map(len, server.requests)) == report["queries_total"]
+            posts.append(len(server.requests))
+            bodies.append(report_body(report))
+        assert bodies[0] == bodies[1]
+        assert posts[0] < posts[1]
 
 
 class TestFailures:
