@@ -16,11 +16,12 @@ largest scale at which ``_MAX_GRAMS`` weights and the bias cannot overflow
 int64; a longer row raises ``OracleError``.
 
 Whole rows are hashed into CSR count rows and multiplied by ``Wq``. Single
-edits (``walk_logits``) are not: the grams an edit removes or inserts are a
-few fixed windows of the codes around it (``_edit_windows``), whose weights
-are gathered from a class-major copy of ``Wq`` with one zero column for the
-windows that do not count, ``(classes, feature_dim + 1)`` int64, about 1 MB
-per model of two classes at the default dimension, built on the first walk.
+edits (``walk_logits``) are not: each is one column, its neighbourhood of
+codes and then the edited one down the rows (``_edit_hoods``), so that
+array operations run along whole rows. Shifting those rows gives the keys
+of the grams of each order, and an edit's removed and inserted grams are
+fixed rows of them (``_edit_windows``), whose weights are gathered from a
+class-major ``Wq`` (``_wq``) with a zero column for those that do not count.
 
 A sentence becomes counts one way (``_featurize``): each gram is one packed
 int64 key, and its feature index comes from an open-addressing table per
@@ -256,38 +257,39 @@ def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> s
     return sparse.csr_matrix((counts, indices, indptr), shape=(len(indptr) - 1, dim))
 
 
-def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grams an edit can remove or insert, as windows of its neighbourhoods.
+def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The grams an edit can remove or insert, as rows of the gram stack of its neighbourhoods.
 
     An edit's neighbourhood is ``2r + 1`` codes, ``r = max(orders) - 1``,
-    with its site at column ``r``; the edited neighbourhood follows it in
-    the same array, from column ``2r + 1`` on (``_integer_walk``). The
-    grams that overlap a site of one code are, for each order ``n``, the
-    ``n`` windows from column ``r - n + 1`` to ``r`` on; those that span a
-    site of no codes leave out the window from ``r`` on. Returns, per
-    window, removed windows first, the ``max(orders)`` columns it reads
-    (``(2W, max(orders))``), which of them are its own (the first ``n``),
-    and whether it starts at the site.
+    with its site at row ``r``; the edited one follows from row ``2r + 1``
+    (``_integer_walk``). The stack holds the keys of the grams of orders 1
+    to ``max(orders)`` down those ``4r + 2`` rows, order by order: ``4r + 3 -
+    n`` of order ``n``. The grams that overlap a site of one code are, for
+    each order ``n``, the ``n`` that start from row ``r - n + 1`` to ``r``;
+    those that span a site of no codes leave out the one at ``r``. Returns,
+    per window, removed ones first, its row in the stack and whether it
+    starts at the site.
     """
     r = max(orders) - 1
+    first = np.cumsum([0] + [4 * r + 3 - n for n in range(1, r + 1)])  # row 0 of each order's grams
     order = np.repeat(orders, orders)
     start = r + 1 - order + np.concatenate([np.arange(n) for n in orders])
-    cols = start[:, None] + np.arange(max(orders))
-    own = np.arange(max(orders)) < order[:, None]
-    return np.concatenate((cols, cols + 2 * r + 1)), np.tile(own, (2, 1)), np.tile(start == r, 2)
+    rows = first[order - 1] + start
+    return np.concatenate((rows, rows + 2 * r + 1)), np.tile(start == r, 2)
 
 
 def _edit_hoods(bases: list[str], which: np.ndarray, positions: np.ndarray, codes: np.ndarray, r: int) -> np.ndarray:
-    """The padded codes within ``r`` of each edit of each walk, 0 outside the row.
+    """The padded codes within ``r`` of each edit of each walk, 0 outside the row, one column per edit.
 
-    Edit ``j`` of walk ``w`` (see ``BuiltinClassifier.walk_logits``), which
-    starts from ``bases[which[w]]``, gives row ``w * k + j``: the codes
-    ``lo - r`` to ``lo + r`` of the padded ``t_j``, for ``lo = (i + 1) // 2``
-    and the edit's position ``i``. Each ``t_j`` is a row of code points
-    (``sentence.single_edit_rows``) that holds ``r`` zeros, the padded
-    sentence and zeros to its end, so that the window of edit ``j`` is its
-    ``2r + 1`` codes from ``lo`` on: ``t_0`` is the row of the walk's base,
-    one row for every base, and no row is built after the last edit.
+    Edit ``j`` of walk ``w`` (``BuiltinClassifier.walk_logits``), from
+    ``bases[which[w]]``, is column ``w·k + j`` of the ``(2r + 1, m·k)``
+    int64 array: the codes ``lo - r`` to ``lo + r`` of the padded ``t_j``,
+    for ``lo = (i + 1) // 2`` and the edit's position ``i``. Each ``t_j`` is
+    a row of code points (``sentence.single_edit_rows``) that holds ``r``
+    zeros, the padded sentence and zeros to its end, so that the
+    neighbourhood of edit ``j`` is its ``2r + 1`` codes from ``lo`` on:
+    ``t_0`` is the row of the walk's base, one row for every base, and no
+    row is built after the last edit.
     """
     m, k = positions.shape
     lead = r + 1  # the codes of a row before those of its sentence: r zeros and the left pad
@@ -296,14 +298,14 @@ def _edit_hoods(bases: list[str], which: np.ndarray, positions: np.ndarray, code
     for b, (end, n) in enumerate(zip(np.cumsum(lens).tolist(), lens.tolist())):
         rows[b, r : r + n] = padded[end - n : end]
     row_of, lens = which, (lens + r).take(which)
-    window = np.arange(2 * r + 1)
-    hoods = np.empty((m, k, 2 * r + 1), dtype=np.int32)
+    window = np.arange(2 * r + 1)[:, None]
+    hoods = np.empty((2 * r + 1, m, k), dtype=np.int64)
     for j in range(k):
         if j:  # a row's sentence is t_{j-1} with its pads, edited inside them
             rows, row_of = rows.take(row_of, axis=0), np.arange(m)
             rows, lens = single_edit_rows(rows, lens, positions[:, j - 1] + 2 * lead, codes[:, j - 1])
-        hoods[:, j] = rows.take(row_of[:, None] * rows.shape[1] + (positions[:, j, None] + 1) // 2 + window)
-    return hoods.reshape(m * k, 2 * r + 1)
+        hoods[:, :, j] = rows.take(row_of * rows.shape[1] + (positions[:, j] + 1) // 2 + window)
+    return hoods.reshape(2 * r + 1, m * k)
 
 
 def _distinct(columns: list[np.ndarray], bits: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -389,8 +391,9 @@ class BuiltinClassifier:
     def _wq(self) -> np.ndarray:
         """``Wq`` class-major, for gathers of a few weights per edit, with a last column of zeros.
 
-        Built on the first walk: a model that only trains or scores whole
-        rows never allocates it.
+        Built on the first walk, about 1 MB at two classes and the default
+        dimension: a model that only trains or scores whole rows never
+        allocates it.
         """
         wq = np.zeros((self.num_classes, self.feature_dim + 1), dtype=np.int64)
         wq[:, :-1] = self._wq_t.T
@@ -430,16 +433,16 @@ class BuiltinClassifier:
         ``r`` codes before ``lo``, the inserted code if there is one, the
         ``r`` codes after the cut) that overlap the inserted code, or span
         the gap when nothing is inserted. These are at most ``sum(orders)``
-        windows a side, at fixed columns (``_edit_windows``); a window that
-        reaches past the row counts for nothing. The edits' keys are looked
-        up (``_hash_keys``) and the base's counts taken from
-        ``_hashed_counts``; their integer weights are summed from gathers of
-        the class-major ``Wq``. A sentence is the integer logits of ``base``
-        plus the changes of its walk's edits. The sums are exact, so the
-        rows equal ``candidate_logits`` of the sentences bit for bit. Each
-        edit is checked against its own ``t_j``: the first out of range,
-        walk by walk, raises ``single_edit``'s ``SentenceError``, and so do
-        arrays of two shapes.
+        windows a side, fixed rows of the neighbourhoods' gram keys
+        (``_edit_windows``); one that reaches past the row counts for
+        nothing. The edits' keys are looked up (``_hash_keys``) and the
+        base's counts taken from ``_hashed_counts``; their integer weights
+        are summed from gathers of the class-major ``Wq``. A sentence is the
+        integer logits of ``base`` plus the changes of its walk's edits. The
+        sums are exact, so the rows equal ``candidate_logits`` of the
+        sentences bit for bit. Each edit is checked against its own ``t_j``:
+        the first out of range, walk by walk, raises ``single_edit``'s
+        ``SentenceError``, and so do arrays of two shapes.
         """
         walks = np.zeros(len(positions), dtype=np.intp)
         return np.ldexp(self._integer_walk([base], walks, positions, codes).astype(np.float64), -self.scale_bits)
@@ -472,33 +475,30 @@ class BuiltinClassifier:
         hood = _edit_hoods(bases, which, positions, codes, r)
         put, cut = codes.ravel(), positions.ravel() % 2 == 0
         if k > 1:  # one edit per distinct neighbourhood, code and parity; walks share their first edits
-            one, same = _distinct([*hood.T, put, cut], [_CODE_BITS] * (2 * r + 2) + [1])
-            hood, put, cut = hood[one], put[one], cut[one]
+            one, same = _distinct([*hood, put, cut], [_CODE_BITS] * (2 * r + 2) + [1])
+            hood, put, cut = hood[:, one], put[one], cut[one]
         # each edit's neighbourhood, then the edited one: the r codes before the site, the
         # inserted code if there is one, the r codes after the cut, and a zero to fill
         inserted = put != 0
-        after = np.where(cut[:, None], hood[:, r + 1 :], hood[:, r:-1])
-        right = np.where(
-            inserted[:, None],
-            np.concatenate((put[:, None], after), axis=1),
-            np.concatenate((after, np.zeros_like(put)[:, None]), axis=1),
-        )
-        both = np.concatenate((hood, hood[:, :r], right), axis=1)
-        cols, own, at_site = self._windows
+        after = np.where(cut, hood[r + 1 :], hood[r:-1])
+        right = np.where(inserted, np.vstack((put, after)), np.vstack((after, np.zeros_like(put))))
+        both = np.vstack((hood, hood[:r], right))
+        # the key of every gram down the rows, order by order (_edit_windows), and whether it reaches past the row
+        key, zero = both + 1, both == 0
+        keys, past = [key], [zero]
+        for n in range(1, r + 1):
+            keys.append(keys[-1][:-1] | key[n:] << (_CODE_BITS * n))
+            past.append(past[-1][:-1] | zero[n:])
+        rows, at_site = self._windows
+        half = len(rows) // 2
         # a window counts if it lies in the row, and a window that starts at a site of no codes does not
-        gap = np.repeat(np.stack((~cut, ~inserted), axis=1), len(cols) // 2, axis=1)
-        counted = ~(gap & at_site)
-        keys = np.zeros(counted.shape, dtype=np.int64)
-        for j in range(cols.shape[1]):  # the j-th code of every window
-            code = both[:, cols[:, j]]
-            keys |= ((code + 1) << (_CODE_BITS * j)) * own[:, j]
-            counted &= (code != 0) | ~own[:, j]
-        live = keys[counted]
+        keys, counted = np.vstack(keys).take(rows, axis=0), ~np.vstack(past).take(rows, axis=0)
+        counted[:half] &= cut | ~at_site[:half, None]
+        counted[half:] &= inserted | ~at_site[half:, None]
         index = np.full(keys.shape, self.feature_dim)  # the zero column
-        index[counted] = _hash_keys(live, self.feature_dim)
+        index[counted] = _hash_keys(keys[counted], self.feature_dim)
         weights = self._wq.take(index, axis=1)
-        removed, added = np.split(weights, 2, axis=2)
-        change = (added.sum(axis=2) - removed.sum(axis=2)).T
+        change = (weights[:, half:].sum(axis=1) - weights[:, :half].sum(axis=1)).T
         if k > 1:
             change = change[same]
         base_logits = np.empty((len(bases), self.num_classes), dtype=np.int64)

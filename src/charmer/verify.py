@@ -18,7 +18,8 @@ from . import harness
 from .attack import AttackConfig, charmer_attack, exhaustive_k1
 from .classifier import _CODE_BITS, BuiltinOracle, TrainConfig, _gram_keys, _hash_keys, _padded_codes, train_builtin
 from .pga import PgaConfig, project_simplex
-from .sentence import Alphabet, contract, distinct_edits, expand, levenshtein, single_edit
+from .oracle import EditRequest
+from .sentence import XI, Alphabet, contract, distinct_edits, expand, levenshtein, single_edit
 from .synth import make_keyword_corpus
 
 SUITES = ("sentence-space", "projection", "equivalence")
@@ -148,18 +149,40 @@ def misindexed_gram(classifier, sentences: list[str]) -> str | None:
     return None
 
 
+def two_edit_walks(rng: random.Random, s: str, chars: tuple[str, ...]):
+    """Seeded walks of two single edits from ``s``, two after each of eight first edits.
+
+    Returns their ``(walks, 2)`` positions and code points (0 for the
+    sentinel) and the sentences that ``single_edit`` reaches.
+    """
+    positions, codes, walked = [], [], []
+    for _ in range(8):
+        i, c = rng.randint(1, 2 * len(s) + 1), rng.choice(chars)
+        t = single_edit(s, i, c)
+        for _ in range(2):
+            j, d = rng.randint(1, 2 * len(t) + 1), rng.choice(chars)
+            positions.append((i, j))
+            codes.append([0 if x == XI else ord(x) for x in (c, d)])
+            walked.append(single_edit(t, j, d))
+    return np.array(positions, dtype=np.int64), np.array(codes, dtype=np.int64), walked
+
+
 def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list[str]]:
     corpus = make_keyword_corpus(300, seed=seed)
     clf = train_builtin([(r.text, r.label) for r in corpus], TrainConfig(seed=seed))
     oracle = BuiltinOracle(clf)
     alphabet = Alphabet.from_texts(r.text for r in corpus)
     eval_records = make_keyword_corpus(samples, seed=seed + 1)
+    rng = random.Random(seed)
     ok = True
     lines = []
+    requests, by_request = [], []
     for record in eval_records:
         s = record.text
         edits = distinct_edits(s, range(1, 2 * len(s) + 2), alphabet.replacement_chars())
         by_edit = oracle.score_edits(s, edits[:, 0], edits[:, 1])
+        requests.append(EditRequest(s, edits[:, 0], edits[:, 1]))
+        by_request.append(by_edit)
         edited = [single_edit(s, i, chr(c)) for i, c in edits.tolist()]
         by_sentence = oracle.score_batch(edited)
         if by_edit.tobytes() != by_sentence.tobytes():
@@ -171,6 +194,12 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
         if wrong:
             ok = False
             lines.append(f"FAIL {wrong} on record {record.id}: {s!r}")
+            break
+        # walks of more than one edit share their first edits, which the scorer dedupes; single edits do not
+        positions, codes, walked = two_edit_walks(rng, s, alphabet.replacement_chars())
+        if clf.walk_logits(s, positions, codes).tobytes() != clf.candidate_logits(walked).tobytes():
+            ok = False
+            lines.append(f"FAIL two-edit walk scores differ from the walked sentences' on record {record.id}: {s!r}")
             break
         config = AttackConfig(alphabet=alphabet, n=2 * len(s) + 1, k=1)
         outcome = charmer_attack(oracle, s, record.label, config)
@@ -187,10 +216,18 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
         if harness.report_body(together) != harness.report_body(alone):
             ok = False
             lines.append(f"FAIL the {attack} report of records in lockstep differs from that of one record at a time")
+    # the records' requests in one call, as records in lockstep share one, against each request alone
+    in_one_call = np.split(oracle._score_requests(requests), np.cumsum([len(rows) for rows in by_request])[:-1])
+    for record, alone, rows in zip(eval_records, by_request, in_one_call):
+        if rows.tobytes() != alone.tobytes():
+            ok = False
+            lines.append(f"FAIL the record's rows of one call over every record's edits differ on record {record.id}")
+            break
     lines.append(
-        f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores equal the edited sentences', every "
-        f"n-gram has its CRC32 feature index, the full-width single-edit attack matches the exhaustive "
-        f"scan exactly, and every attack reports alike in lockstep and one record at a time on {samples} samples"
+        f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores and two-edit walk scores equal their "
+        f"sentences', one call over every record's edits scores as a call per record, every n-gram has its "
+        f"CRC32 feature index, the full-width single-edit attack matches the exhaustive scan exactly, and "
+        f"every attack reports alike in lockstep and one record at a time on {samples} samples"
     )
     return ok, lines
 

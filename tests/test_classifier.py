@@ -715,10 +715,15 @@ class TestWalkLogits:
         real = classifier_module._edit_windows
 
         def mutant(orders):
-            cols, own, at_site = real(orders)
-            half, last = len(cols) // 2, 4 * max(orders) - 3  # the last column of the edited neighbourhood
-            cols = np.concatenate((cols[:half] + removed, np.minimum(cols[half:] + inserted, last)))
-            return cols, own, at_site
+            rows, at_site = real(orders)
+            r = max(orders) - 1
+            # the gram stack holds the 4r + 3 - n grams of each order n in turn; shift each window's
+            # start within its order, so that it stays a gram of the neighbourhoods' 4r + 2 rows
+            first = np.cumsum([0] + [4 * r + 3 - n for n in range(1, r + 2)])
+            order = np.searchsorted(first, rows, side="right")
+            half = len(rows) // 2
+            start = rows - first[order - 1] + np.repeat([removed, inserted], half)
+            return first[order - 1] + np.clip(start, 0, 4 * r + 2 - order), at_site
 
         with mock.patch.object(classifier_module, "_edit_windows", mutant):
             mutated = BuiltinClassifier(clf.ngram_orders, clf.feature_dim, clf.weights, clf.bias)

@@ -1,6 +1,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from charmer import classifier
@@ -244,6 +245,21 @@ class TestVerifyAndUsage:
         assert main(["verify", "--suite", "equivalence"]) == 1
         out = capsys.readouterr().out
         assert "FAIL the charmer report of records in lockstep differs from that of one record at a time" in out
+        assert "FAIL the record's rows of one call over every record's edits differ on record" in out
+        assert "FAIL single-edit" not in out and "FAIL equivalence on record" not in out
+
+    def test_equivalence_names_a_walk_of_two_edits_scored_wrongly(self, monkeypatch, capsys):
+        # only walks of more than one edit are deduped; map every walk's edits to the first distinct one
+        right = classifier._distinct
+
+        def first_only(columns, bits):
+            one, same = right(columns, bits)
+            return one, np.zeros_like(same)
+
+        monkeypatch.setattr(classifier, "_distinct", first_only)
+        assert main(["verify", "--suite", "equivalence"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL two-edit walk scores differ from the walked sentences' on record" in out
         assert "FAIL single-edit" not in out and "FAIL equivalence on record" not in out
 
     def test_usage_error_exits_2(self, capsys):
