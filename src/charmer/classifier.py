@@ -26,14 +26,14 @@ class-major ``Wq`` (``_wq``) with a zero column for those that do not count.
 A sentence becomes counts one way (``_featurize``): each gram is one packed
 int64 key, and its feature index comes from an open-addressing table per
 feature width (``_KeyTable``): two fixed arrays of 2^17 slots, 2 MB, probed
-for a whole batch at once. Only the keys it does not hold are hashed one by
-one in Python; the table is cleared when they would fill more than half its
-slots. Training, whole-row scoring and the base row of a walk all fold these
-indices into per-row counts. The base rows' counts are cached for the 64
-sentences asked last (``_hashed_counts``), the bases of one lockstep chunk of
-records (``harness._LOCKSTEP_RECORDS``): each record scores its probes and
-then its candidates as edits of the same base, and never goes back to an
-earlier one.
+for a whole batch at once. The keys it does not hold are hashed together,
+CRC32 from byte tables (``_gram_indices``), and inserted; the table is
+cleared when they would fill more than half its slots. Training, whole-row
+scoring and the base row of a walk all fold these indices into per-row
+counts. The base rows' counts are cached for the 64 sentences asked last
+(``_hashed_counts``), the bases of one lockstep chunk of records
+(``harness._LOCKSTEP_RECORDS``): each record scores its probes and then its
+candidates as edits of the same base, and never goes back to an earlier one.
 
 ``scipy.sparse`` is imported where a CSR matrix is first built, so a
 process that never featurizes, such as a run against a remote oracle, never
@@ -78,18 +78,45 @@ _WALK_ROWS = 2048
 _MAX_CLASSES = 2**32 - 1
 
 
-def _unpack(key: int) -> str:
-    """The gram a packed key stands for (see ``_gram_keys``)."""
-    chars = []
-    while key:
-        chars.append(chr((key & ((1 << _CODE_BITS) - 1)) - 1))
-        key >>= _CODE_BITS
-    return "".join(chars)
+# bytes a packed key's gram hashes at most: its codes of up to 4 UTF-8 bytes each, and its order
+_MAX_GRAM_BYTES = 4 * max(_ORDERS) + 1
+# a code's UTF-8 byte count is how many of these it reaches: 0 for the -1 past a gram's end
+_UTF8_STEPS = np.array([0, 0x80, 0x800, 0x10000])
 
 
-def _gram_index(gram: str, dim: int) -> int:
-    """The feature index of one n-gram: its CRC32 salted with its order, ``len(gram)``."""
-    return zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % dim
+@lru_cache(maxsize=None)  # built on first use, so a process that never hashes never builds them
+def _crc_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The shares of ``_gram_indices``, ``crc32(bytes([v]) + bytes(d)) ^ crc32(bytes(d + 1))`` at ``[d, v]``,
+    and ``crc32(bytes(L))`` at ``[L]``."""
+    zeros = [bytes(n) for n in range(_MAX_GRAM_BYTES + 1)]
+    of_zeros = np.array([zlib.crc32(z) for z in zeros], dtype=np.uint32)
+    shares = [[zlib.crc32(bytes([v]) + zeros[d]) for v in range(256)] for d in range(_MAX_GRAM_BYTES)]
+    return np.array(shares, dtype=np.uint32) ^ of_zeros[1:, None], of_zeros
+
+
+def _gram_indices(keys: np.ndarray, dim: int) -> np.ndarray:
+    """The feature index of each packed key (``_gram_keys``): CRC32 of its gram's UTF-8 and order, mod ``dim``.
+
+    A gram of order n hashes ``gram.encode("utf-8") + bytes([n])``, and that
+    last byte is ``chr(n)`` in UTF-8, so the codes of all grams, each followed
+    by its order, become their bytes in one decode from UTF-32 and encode to
+    UTF-8. CRC32 is affine over GF(2): the CRC of L bytes is that of L zero
+    bytes XOR the share of each byte v that lies d bytes before the end,
+    ``crc32(bytes([v]) + bytes(d)) ^ crc32(bytes(d + 1))`` (``_crc_tables``;
+    Sarwate's byte tables, CACM 31(8), 1988). So every byte is one gather
+    and every key one XOR fold, with no Python per key.
+    """
+    shares, of_zeros = _crc_tables()
+    codes = np.empty((max(_ORDERS) + 1, len(keys)), dtype=np.int64)  # code by code down the rows, then the order
+    codes[:-1] = (keys >> _CODE_BITS * np.arange(max(_ORDERS))[:, None] & ((1 << _CODE_BITS) - 1)) - 1
+    codes[-1] = (codes[:-1] >= 0).sum(axis=0)
+    size = np.searchsorted(_UTF8_STEPS, codes, side="right")
+    codes, size = codes.T[size.T > 0], size.sum(axis=0)
+    data = np.frombuffer(codes.astype("<u4").tobytes().decode("utf-32-le").encode("utf-8"), dtype=np.uint8)
+    ends = np.cumsum(size)
+    share = shares.ravel().take((np.repeat(ends - 1, size) - np.arange(len(data))) << 8 | data)
+    crc = np.bitwise_xor.reduceat(share, ends - size) ^ of_zeros[size]
+    return crc.astype(np.int64) % dim
 
 
 # slots of each packed-key table, 2 ** 17: two int64 arrays of 1 MB, at most half of them used
@@ -106,11 +133,12 @@ class _KeyTable:
     shifted right by ``64 - bits`` (Fibonacci hashing); when that slot holds
     another key it tries the next, wrapping at the end. Key 0 marks a free
     slot: no packed key is 0, as each code is stored plus one. A batch is
-    probed with array operations, so a key found costs no Python; the keys
-    not found are hashed once each (``_gram_index``) and inserted. The table
-    is cleared when an insert would fill more than half its slots, so every
-    probe ends at a free slot; a batch with more new keys than that inserts
-    only the first of them, and still returns every index.
+    probed with array operations, so a key found costs no Python; the
+    distinct keys not found are hashed together, CRC32 from byte tables
+    (``_gram_indices``), and inserted. The table is cleared when an insert
+    would fill more than half its slots, so every probe ends at a free slot;
+    a batch with more new keys than that inserts only the first of them, and
+    still returns every index.
     """
 
     def __init__(self, dim: int):
@@ -143,7 +171,7 @@ class _KeyTable:
         missed = np.concatenate(missed) if missed else going
         if len(missed):
             new, same = np.unique(keys[missed], return_inverse=True)
-            index = np.array([_gram_index(gram, self.dim) for gram in map(_unpack, new.tolist())], dtype=np.int64)
+            index = _gram_indices(new, self.dim)
             out[missed] = index[same]
             self._insert(new, index)
         return out

@@ -51,10 +51,18 @@ def check_rows(scores, m: int, num_classes) -> np.ndarray:
 
 
 def check_edits(positions, codes) -> tuple[np.ndarray, np.ndarray]:
-    """``positions`` and ``codes`` of single edits as 1-D arrays; ``SentenceError`` unless they match in length."""
+    """``positions`` and ``codes`` of single edits as 1-D arrays.
+
+    ``SentenceError`` unless they match in length and hold integers (bools
+    do not count); an empty one may have any dtype, as ``np.ravel([])`` is
+    float64.
+    """
     positions, codes = np.ravel(positions), np.ravel(codes)
     if len(positions) != len(codes):
         raise SentenceError(f"{len(positions)} edit positions but {len(codes)} codes")
+    for name, values in (("positions", positions), ("codes", codes)):
+        if len(values) and values.dtype.kind not in "iu":
+            raise SentenceError(f"edit {name} must be integers, not {values.dtype}")
     return positions, codes
 
 

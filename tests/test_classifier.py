@@ -127,6 +127,22 @@ class TestFeatures:
 KEY_CHARS = "ab ~é€中😀𝔸\x02\x03\U0010ffff"
 
 
+# code points of each UTF-8 length, 1 to 4 bytes; the codec leaves out lone surrogates, which no key holds
+UTF8_CLASSES = [(0, 0x7F), (0x80, 0x7FF), (0x800, 0xFFFF), (0x10000, 0x10FFFF)]
+GRAM_CHARS = st.one_of(
+    st.sampled_from(KEY_CHARS),
+    *(st.characters(min_codepoint=lo, max_codepoint=hi, codec="utf-8") for lo, hi in UTF8_CLASSES),
+)
+
+
+def check_gram_indices(grams: list[str], dim: int) -> None:
+    """The bulk hash of the grams' packed keys is the CRC32 of each gram and its order, modulo ``dim``."""
+    keys = np.array([reference_pack(g) for g in grams], dtype=np.int64)
+    got = classifier_module._gram_indices(keys, dim)
+    assert got.dtype == np.int64
+    assert got.tolist() == [reference_gram_index(g, dim) for g in grams]
+
+
 def first_slot(key: int, bits: int) -> int:
     """A key's first slot in a table of ``2 ** bits`` slots: Fibonacci hashing, in Python integers."""
     return (key * 0x9E3779B97F4A7C15) % 2**64 >> (64 - bits)
@@ -144,7 +160,7 @@ def check_key_table(table, dim):
 
 
 class TestKeyTable:
-    """``_hash_keys``, the open-addressing table of packed keys, against per-gram CRC32."""
+    """``_hash_keys``, the open-addressing table of packed keys, and ``_gram_indices``, against per-gram CRC32."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -166,6 +182,29 @@ class TestKeyTable:
                 assert got.dtype == np.int64
                 assert got.tolist() == [reference_gram_index(g, dim) for g in grams]
                 check_key_table(classifier_module._KEY_TABLES[dim], dim)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(GRAM_CHARS, min_size=1, max_size=3), min_size=1, max_size=64),
+        st.sampled_from([1, 97, 1 << 16]),
+    )
+    def test_bulk_hash_matches_per_gram_crc32(self, grams, dim):
+        check_gram_indices(grams, dim)
+
+    @pytest.mark.parametrize("dim", [1, 97, 1 << 16])
+    def test_bulk_hash_of_thousands_of_keys(self, dim):
+        rng = np.random.default_rng(dim)
+
+        def grams(count, lo, hi):  # grams of orders 1-3 of code points in [lo, hi], lone surrogates left out
+            codes = rng.integers(lo, hi + 1, size=(count, 3))
+            codes = np.where((codes >= 0xD800) & (codes <= 0xDFFF), 0xE000, codes)
+            orders = rng.integers(1, 4, size=count)
+            return ["".join(map(chr, row[:n])) for row, n in zip(codes.tolist(), orders.tolist())]
+
+        for lo, hi in UTF8_CLASSES:
+            check_gram_indices(grams(2000, lo, hi), dim)
+        check_gram_indices([g for lo, hi in UTF8_CLASSES for g in grams(1000, lo, hi)], dim)  # every length at once
+        check_gram_indices([a + b + c for a in KEY_CHARS for b in KEY_CHARS for c in KEY_CHARS], dim)
 
     def test_collisions_wrap_clears_and_overflow(self):
         bits, dim = 2, 97  # four slots, two used at most

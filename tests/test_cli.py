@@ -226,8 +226,8 @@ class TestVerifyAndUsage:
 
     def test_equivalence_names_a_misindexed_gram(self, monkeypatch, capsys):
         # scoring by edits and by sentences share the wrong index, so only the audit sees it
-        right = classifier._gram_index
-        monkeypatch.setattr(classifier, "_gram_index", lambda gram, dim: (right(gram, dim) + (gram == "e")) % dim)
+        right, e = classifier._gram_indices, ord("e") + 1  # the packed key of "e"
+        monkeypatch.setattr(classifier, "_gram_indices", lambda keys, dim: (right(keys, dim) + (keys == e)) % dim)
         monkeypatch.setattr(classifier, "_KEY_TABLES", {})
         classifier._hashed_counts.cache_clear()  # a base row counted at the right index
         try:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charmer.oracle import CountingOracle, Oracle, OracleError, PairedOracle, cw_loss, is_adversarial
+from charmer.oracle import CountingOracle, EditRequest, Oracle, OracleError, PairedOracle, cw_loss, is_adversarial
 from charmer.sentence import SentenceError, single_edit
 from reference import reference_cw_loss
 
@@ -240,6 +240,26 @@ class TestScoreEdits:
             assert counting.queries == 0
             counting.score_edits("abc", [1], [65])
             assert counting.queries == 1
+
+    @pytest.mark.parametrize(
+        "positions, codes, message",
+        [
+            ([1], [97.9], "codes must be integers, not float64"),
+            ([1.0], [97], "positions must be integers, not float64"),
+            (np.array([1], dtype=np.float32), [97], "positions must be integers, not float32"),
+            ([True], [97], "positions must be integers, not bool"),
+            ([1], [False], "codes must be integers, not bool"),
+        ],
+    )
+    def test_edits_that_are_not_integers_raise(self, desk_oracle, positions, codes, message):
+        # a float code was truncated by the builtin scorer ([97.9] scored "aabc") and raised TypeError in the default
+        for oracle in (EditRecordingOracle(), desk_oracle):
+            with pytest.raises(SentenceError, match=message):
+                oracle.score_edits("abc", positions, codes)
+            with pytest.raises(SentenceError, match=message):
+                oracle._score_requests([EditRequest("abc", [1], [97]), EditRequest("abc", positions, codes)])
+            empty = [EditRequest("abc", [], np.array([], dtype=np.float32)), EditRequest("abc", np.array([]), [])]
+            assert oracle.score_edits("abc", [], []).shape[0] == 0 and oracle._score_requests(empty).shape[0] == 0
 
     def test_paired_shifts_positions_past_the_premise(self):
         inner = EditRecordingOracle()
