@@ -279,7 +279,7 @@ class _Scored(Oracle):
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         return self.rows
 
-    def score_edits(self, base: str, positions, codes) -> np.ndarray:
+    def _score_requests(self, requests) -> np.ndarray:
         return self.rows
 
 

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .attack import check_counts
-from .oracle import Oracle, OracleError, check_edits
+from .oracle import Oracle, OracleError, check_edit_values, check_edits
 from .sentence import XI, SentenceError, single_edit_rows
 
 MAGIC = b"CHNG"
@@ -470,16 +470,22 @@ class BuiltinClassifier:
         sums are exact, so the rows equal ``candidate_logits`` of the
         sentences bit for bit. Each edit is checked against its own ``t_j``:
         the first out of range, walk by walk, raises ``single_edit``'s
-        ``SentenceError``, and so do arrays of two shapes.
+        ``SentenceError``, and so do arrays of two shapes and arrays that
+        ``check_edit_values`` refuses, such as floats, before anything else.
         """
+        positions, codes = np.asarray(positions), np.asarray(codes)
+        if positions.shape != codes.shape:
+            raise SentenceError(f"edit positions of shape {positions.shape} but codes of shape {codes.shape}")
+        check_edit_values(positions, codes)
         walks = np.zeros(len(positions), dtype=np.intp)
         return np.ldexp(self._integer_walk([base], walks, positions, codes).astype(np.float64), -self.scale_bits)
 
     def _integer_walk(self, bases: list[str], which: np.ndarray, positions, codes) -> np.ndarray:
-        """``walk_logits`` in int64, before the scale, of walks from many bases: walk ``w`` from ``bases[which[w]]``."""
+        """``walk_logits`` in int64, before the scale, of walks from many bases: walk ``w`` from ``bases[which[w]]``.
+
+        The ``(m, k)`` arrays are taken as checked (``check_edit_values``).
+        """
         positions, codes = np.asarray(positions, dtype=np.int64), np.asarray(codes, dtype=np.int64)
-        if positions.shape != codes.shape:
-            raise SentenceError(f"edit positions of shape {positions.shape} but codes of shape {codes.shape}")
         m, k = positions.shape
         base_len = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases)).take(which)
         odd, sentinel = positions % 2 == 1, codes == 0
@@ -495,9 +501,6 @@ class BuiltinClassifier:
                     raise SentenceError("cannot edit a sentence containing the sentinel")
                 j = np.argmax(outside[w])
                 raise SentenceError(f"position {positions[w, j]} out of range [1, {top[w, j]}]")
-        bad = codes[((codes >= 0xD800) & (codes <= 0xDFFF)) | (codes < 0) | (codes > 0x10FFFF)]
-        if len(bad):
-            raise OracleError(f"cannot score the code point {int(bad[0]):#x}; it is not a Unicode scalar value")
         self._check_length(int((base_len + shift.sum(axis=1)).max()) if m else 0)
         r = max(self.ngram_orders) - 1
         hood = _edit_hoods(bases, which, positions, codes, r)
@@ -722,27 +725,17 @@ class BuiltinOracle(Oracle):
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         return self.classifier.logits(sentences)
 
-    def score_edits(self, base: str, positions, codes) -> np.ndarray:
-        positions, codes = check_edits(positions, codes)
-        return self._walk_scores([base], np.zeros(len(positions), dtype=np.intp), positions, codes)
-
     def _score_requests(self, requests) -> np.ndarray:
         bases = [base for base, _, _ in requests]
         edits = [check_edits(positions, codes) for _, positions, codes in requests]
         which = np.repeat(np.arange(len(bases)), [len(positions) for positions, _ in edits])
         if not len(which):
             return np.empty((0, self.num_classes))
-        positions = np.concatenate([positions for positions, _ in edits])
-        codes = np.concatenate([codes for _, codes in edits])
-        parts = []
-        for start in range(0, len(which), _WALK_ROWS):
+        positions = np.concatenate([positions for positions, _ in edits])[:, None]
+        codes = np.concatenate([codes for _, codes in edits])[:, None]
+        clf, parts = self.classifier, []
+        for start in range(0, len(which), _WALK_ROWS):  # walks of one edit, each from its request's base
             rows = slice(start, start + _WALK_ROWS)
             first, last = which[start], which[rows][-1]
-            parts.append(self._walk_scores(bases[first : last + 1], which[rows] - first, positions[rows], codes[rows]))
-        return np.concatenate(parts)
-
-    def _walk_scores(self, bases: list[str], which: np.ndarray, positions: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """The scores of single edits, edit ``r`` of ``bases[which[r]]``, as walks of one edit."""
-        clf = self.classifier
-        Z = clf._integer_walk(bases, which, positions[:, None], codes[:, None]) + clf._bq
-        return np.ldexp(Z.astype(np.float64), -clf.scale_bits)
+            parts.append(clf._integer_walk(bases[first : last + 1], which[rows] - first, positions[rows], codes[rows]))
+        return np.ldexp((np.concatenate(parts) + clf._bq).astype(np.float64), -clf.scale_bits)

@@ -1,10 +1,13 @@
 """Batch evaluation: dataset ingestion, metrics, transcripts and reports.
 
 Records are attacked in chunks of ``_LOCKSTEP_RECORDS``, in lockstep: at
-each step the requests of all live records of a chunk are scored together
-(``_attack_chunk``). Transcripts are JSON Lines, one object per record,
-written in record order as soon as a record and those before it are done, so
-a crash loses at most one chunk of lines. A line's ``elapsed`` is the time of
+each step the requests of all live records of a chunk are scored together,
+one oracle call per kind of request (``_attack_chunk``). A record with a
+``paired_text`` premise (sentence-pair tasks, where only the hypothesis is
+attacked) joins its premise to each of its requests (``join_premise``), so
+its requests share those calls too. Transcripts are JSON Lines, one object
+per record, written in record order as soon as a record and those before it
+are done, so a crash loses at most one chunk of lines. A line's ``elapsed`` is the time of
 its attack's own steps plus its row share of each call that scored rows of
 its attack. The report is
 ``report_from_transcripts`` of those lines: each line's ``id``, ``skipped``,
@@ -41,6 +44,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .attack import (
     STEPS,
     AttackConfig,
@@ -50,7 +55,7 @@ from .attack import (
     random_position_baseline,
 )
 from .classifier import BuiltinClassifier, BuiltinOracle
-from .oracle import EditRequest, Oracle, OracleError, PairedOracle, batches_edits, cw_loss, request_rows, score_together
+from .oracle import EditRequest, Oracle, OracleError, cw_loss, request_rows, score_together
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
 from .sentence import XI, Alphabet, L_MAX, levenshtein
 
@@ -220,17 +225,7 @@ def config_fingerprint(attack: str, config: AttackConfig, pga_config: Optional[P
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _pga(
-    oracle: Oracle,
-    s: str,
-    y: int,
-    config: AttackConfig,
-    *,
-    classifier: BuiltinClassifier,
-    pga_config: PgaConfig,
-) -> AttackOutcome:
-    if isinstance(oracle, PairedOracle):
-        raise GradientUnavailableError("pga cannot score a paired_text premise")
+def _pga(oracle: Oracle, s: str, y: int, config: AttackConfig, *, classifier: BuiltinClassifier, pga_config: PgaConfig):
     return pga_attack(classifier, s, y, pga_config, config.alphabet)
 
 
@@ -315,8 +310,11 @@ def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
 
     Each record first asks for its clean score. A record that the oracle
     classifies correctly then runs its attack's steps (``attack.STEPS``). At
-    each step the live records' requests are scored together
-    (``_score_step``), and each record takes its next step with its own rows.
+    each step the live records' requests, each joined to its record's premise
+    (``join_premise``), are scored together (``_score_step``), and each
+    record takes its next step with its own rows. An attack without steps
+    (pga) scores on the classifier, where no premise goes, so a record with
+    one fails with ``GradientUnavailableError`` there.
     A record leaves when its attack returns, when its request or step raises
     ``OracleError``, or when it is skipped. Its line's ``elapsed`` is the time
     of its attack's own steps plus, for each call that scored its attack's
@@ -344,12 +342,11 @@ def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
         }
         for record in records
     ]
-    oracles = [PairedOracle(oracle, r.paired_text) if r.paired_text is not None else oracle for r in records]
     steps, spent = {}, [0.0] * len(records)  # the attacks under way, and their time so far
-    pending = {i: [record.text] for i, record in enumerate(records)}  # the clean scores
-    edits_together, written = batches_edits(oracle), 0
+    pending = {i: join_premise(record.paired_text, [record.text]) for i, record in enumerate(records)}  # clean scores
+    written = 0
     while pending:
-        answers, pending = _score_step(oracle, edits_together, oracles, pending), {}
+        answers, pending = _score_step(oracle, pending), {}
         for i in sorted(answers):
             record, line, (rows, seconds) = records[i], lines[i], answers[i]
             try:
@@ -363,15 +360,16 @@ def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
                     if clean_loss >= 0:
                         line.update(skipped=True, final_loss=clean_loss)
                         continue
-                    steps[i] = (
-                        STEPS[run](record.text, record.label, config)
-                        if run in STEPS
-                        else _whole(run, oracles[i], record.text, record.label, config)
-                    )
+                    if run in STEPS:
+                        steps[i] = STEPS[run](record.text, record.label, config)
+                    elif record.paired_text is None:
+                        steps[i] = _whole(run, oracle, record.text, record.label, config)
+                    else:  # it scores sentences on the classifier, where no premise goes
+                        raise GradientUnavailableError("pga cannot score a paired_text premise")
                     rows = None  # the attack's first step
                 start = time.perf_counter()
                 try:
-                    pending[i] = steps[i].send(rows)
+                    pending[i] = join_premise(record.paired_text, steps[i].send(rows))
                 except StopIteration as stop:
                     elapsed, outcome = spent[i] + time.perf_counter() - start, stop.value
                     line.update(
@@ -394,22 +392,32 @@ def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
             written += 1
 
 
-def _score_step(oracle, edits_together, oracles, pending) -> dict:
+def join_premise(premise: Optional[str], request):
+    """``request`` of a record with ``premise`` as the oracle scores it, after the premise and a newline.
+
+    Sentences get that prefix, and so does an ``EditRequest``'s base, with
+    every expanded position moved by two per character of the prefix.
+    Without a premise the request is unchanged.
+    """
+    if premise is None:
+        return request
+    prefix = premise + "\n"
+    if isinstance(request, EditRequest):
+        return EditRequest(prefix + request.base, np.asarray(request.positions) + 2 * len(prefix), request.codes)
+    return [prefix + s for s in request]
+
+
+def _score_step(oracle, pending) -> dict:
     """Each pending request's rows, or the ``OracleError`` of its request alone, and its seconds.
 
-    Record ``i`` asks ``oracles[i]``. The requests to ``oracle`` itself go
-    into one call per kind (``score_together``): sentences, and edits if
-    ``edits_together`` (``batches_edits(oracle)``); the others, such as those
-    of a record with a premise, go alone. A call of many requests that raises
-    is made again one request at a time, in record order, so that each error
-    lands on its own record. A call's seconds are shared by its requests in
-    proportion to their rows.
+    The requests go into one call per kind (``score_together``): sentences
+    and edits. A call of many requests that raises is made again one request
+    at a time, in record order, so that each error lands on its own record. A
+    call's seconds are shared by its requests in proportion to their rows.
     """
     groups: dict = {}
     for i, request in pending.items():
-        edits = isinstance(request, EditRequest)
-        together = oracles[i] is oracle and (edits_together or not edits)
-        groups.setdefault(edits if together else -1 - i, []).append(i)
+        groups.setdefault(isinstance(request, EditRequest), []).append(i)
     answers = {}
     for members in groups.values():
         if len(members) > 1:
@@ -428,7 +436,7 @@ def _score_step(oracle, edits_together, oracles, pending) -> dict:
         for i in members:
             start = time.perf_counter()
             try:
-                answers[i] = (score_together(oracles[i], [pending[i]]), time.perf_counter() - start)
+                answers[i] = (score_together(oracle, [pending[i]]), time.perf_counter() - start)
             except OracleError as exc:
                 answers[i] = (exc, 0.0)
     return answers

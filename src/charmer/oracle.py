@@ -7,9 +7,12 @@ Labels are 0-based class indices throughout the code.
 An attack asks for scores in requests: a list of sentences, or an
 ``EditRequest`` for single edits of one base sentence. ``score_together``
 scores requests of one kind in one call: sentences through ``score_batch``,
-edits through ``Oracle._score_requests`` (many bases in one call), unless
-the oracle's class overrides ``score_edits`` below the class that supplies
-its ``_score_requests`` (``batches_edits``).
+edits through ``Oracle._score_requests``, the one scorer of edits, which
+takes the edits of many bases at once. ``Oracle.score_edits`` is that call
+for one request; a plugin that scores edits its own way overrides
+``_score_requests``, never ``score_edits``. A record's premise (sentence-pair
+tasks) is not the oracle's business: the harness joins it to the record's
+requests before they are scored.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .sentence import SentenceError, single_edit
+from .sentence import XI, SentenceError, single_edit
 
 
 class OracleError(Exception):
@@ -53,17 +56,26 @@ def check_rows(scores, m: int, num_classes) -> np.ndarray:
 def check_edits(positions, codes) -> tuple[np.ndarray, np.ndarray]:
     """``positions`` and ``codes`` of single edits as 1-D arrays.
 
-    ``SentenceError`` unless they match in length and hold integers (bools
-    do not count); an empty one may have any dtype, as ``np.ravel([])`` is
-    float64.
+    ``SentenceError`` unless they match in length and pass
+    ``check_edit_values``.
     """
     positions, codes = np.ravel(positions), np.ravel(codes)
     if len(positions) != len(codes):
         raise SentenceError(f"{len(positions)} edit positions but {len(codes)} codes")
-    for name, values in (("positions", positions), ("codes", codes)):
-        if len(values) and values.dtype.kind not in "iu":
-            raise SentenceError(f"edit {name} must be integers, not {values.dtype}")
+    check_edit_values(positions, codes)
     return positions, codes
+
+
+def check_edit_values(positions: np.ndarray, codes: np.ndarray) -> None:
+    """``SentenceError`` unless the arrays hold integers (bools do not count) and every code is a Unicode
+    scalar value (0 for the sentinel); an empty one may have any dtype, as ``np.ravel([])`` is float64."""
+    for name, values in (("positions", positions), ("codes", codes)):
+        if values.size and values.dtype.kind not in "iu":
+            raise SentenceError(f"edit {name} must be integers, not {values.dtype}")
+    if codes.size and codes.astype(np.uint64).max() >= 0xD800:  # one pass for most codes; a negative one wraps
+        bad = codes[(codes < 0) | (codes > 0x10FFFF) | ((codes >= 0xD800) & (codes <= 0xDFFF))]
+        if bad.size:
+            raise SentenceError(f"the code point {int(bad[0]):#x} is not a Unicode scalar value")
 
 
 def cw_loss(scores, y: int):
@@ -93,7 +105,7 @@ def is_adversarial(scores, y: int):
 
 class EditRequest(NamedTuple):
     """Single edits of ``base`` to score: edit ``r`` writes the code point ``codes[r]`` (0 for the sentinel)
-    at expanded position ``positions[r]`` (``Oracle.score_edits``)."""
+    at expanded position ``positions[r]`` (``Oracle._score_requests``)."""
 
     base: str
     positions: np.ndarray
@@ -110,11 +122,18 @@ class Oracle:
 
     Subclasses implement ``_score_chunk``; ``score_batch`` transparently
     splits oversized batches so batch size is never an error, and stacks
-    the chunks' rows into one array.
+    the chunks' rows into one array. Edits are scored by ``_score_requests``
+    alone: a subclass that defines ``score_edits`` raises ``TypeError``, as
+    the calls that score many requests together would bypass it.
     """
 
     num_classes: int
     batch_limit: int = 512
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "score_edits" in vars(cls):
+            raise TypeError(f"{cls.__name__} overrides score_edits; override _score_requests, which scores every edit")
 
     def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
         sentences = list(sentences)
@@ -127,28 +146,28 @@ class Oracle:
         return np.concatenate(parts)
 
     def score_edits(self, base: str, positions, codes) -> np.ndarray:
-        """The scores of single edits of ``base``, one row per edit.
-
-        Edit ``r`` replaces expanded position ``positions[r]`` of ``base``
-        with the code point ``codes[r]``, 0 for the sentinel. The rows must
-        equal ``score_batch`` of the edited sentences (``single_edit``) bit
-        for bit; by default they are that. The score of ``base`` itself is
-        not asked for. The first row that ``single_edit`` refuses raises its
-        ``SentenceError`` before anything is scored; so does a count of codes
-        that differs from the count of positions (``check_edits``).
-        """
-        positions, codes = check_edits(positions, codes)
-        return self.score_batch([single_edit(base, i, chr(c)) for i, c in zip(positions.tolist(), codes.tolist())])
+        """The scores of single edits of ``base``, one row per edit: ``_score_requests`` of one request."""
+        return self._score_requests([EditRequest(base, positions, codes)])
 
     def _score_requests(self, requests: Sequence[EditRequest]) -> np.ndarray:
         """The rows of many edit requests ``(base, positions, codes)``, stacked in request order.
 
-        Each row equals ``score_edits`` of its request. By default the edited
-        sentences of all requests (``single_edit``) are built and scored one
+        Edit ``r`` of a request replaces expanded position ``positions[r]``
+        of ``base`` with the code point ``codes[r]``, 0 for the sentinel. The
+        rows must equal ``score_batch`` of the edited sentences
+        (``single_edit``) bit for bit; the score of ``base`` itself is not
+        asked for. The first request whose arrays ``check_edits`` refuses, or
+        else the first edit that ``single_edit`` refuses, raises its
+        ``SentenceError`` before anything is scored. By default the edited
+        sentences of all requests are then built and scored one
         ``batch_limit`` slice at a time, so a slice packs the edits of many
-        requests and the memory stays bounded; the first edit that
-        ``single_edit`` refuses raises, after the slices before it are scored.
+        requests and the memory stays bounded.
         """
+        for base, positions, codes in requests:  # checked again one at a time below, to hold no copies
+            positions, _ = check_edits(positions, codes)
+            outside = (positions < 1) | (positions > 2 * len(base) + 1)
+            if len(positions) and (XI in base or outside.any()):
+                single_edit(base, int(positions[outside.argmax()]), XI)  # raises as it would in the loop below
         edits = (
             (base, i, c)
             for base, positions, codes in requests
@@ -166,10 +185,10 @@ class Oracle:
 
 
 class CountingOracle(Oracle):
-    """Wrapper that counts scored sentences, used for query budgets.
+    """Wrapper that counts scored sentences and edits, used for query budgets.
 
     Every batch must come back as one row of ``num_classes`` scores per
-    sentence (``check_rows``), whatever the inner oracle's ``score_batch``.
+    sentence or edit (``check_rows``), whatever the inner oracle's scorers.
     """
 
     def __init__(self, inner: Oracle):
@@ -186,60 +205,22 @@ class CountingOracle(Oracle):
         self.queries += len(sentences)  # a batch the inner oracle refuses is not counted
         return check_rows(scores, len(sentences), self.num_classes)
 
-    def score_edits(self, base: str, positions, codes) -> np.ndarray:
-        scores = self.inner.score_edits(base, positions, codes)
-        self.queries += len(positions)  # one per edited sentence; base is not scored
-        return check_rows(scores, len(positions), self.num_classes)
-
-
-class PairedOracle(Oracle):
-    """Scores a hypothesis in the context of a fixed premise.
-
-    Used for sentence-pair tasks where only the second sentence is attacked:
-    the premise is prepended (newline-separated) before every scoring call.
-    """
-
-    def __init__(self, inner: Oracle, premise: str):
-        self.inner = inner
-        self.premise = premise
-
-    @property
-    def num_classes(self):
-        return getattr(self.inner, "num_classes", None)
-
-    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        prefix = self.premise + "\n"
-        return self.inner.score_batch([prefix + s for s in sentences])
-
-    def score_edits(self, base: str, positions, codes) -> np.ndarray:
-        prefix = self.premise + "\n"  # moves every expanded position by two per character
-        return self.inner.score_edits(prefix + base, np.asarray(positions) + 2 * len(prefix), codes)
-
-
-def batches_edits(oracle: Oracle) -> bool:
-    """Whether ``score_together`` may score many edit requests of ``oracle`` in one ``_score_requests`` call.
-
-    Not when a class overrides ``score_edits`` below the class that supplies
-    its ``_score_requests``, as ``PairedOracle`` does: that override must see
-    every request.
-    """
-    mro = type(oracle).__mro__
-    owner = next((i for i, cls in enumerate(mro) if "_score_requests" in vars(cls)), None)
-    return owner is not None and all("score_edits" not in vars(cls) for cls in mro[:owner])
+    def _score_requests(self, requests: Sequence[EditRequest]) -> np.ndarray:
+        scores = self.inner._score_requests(requests)
+        rows = sum(np.size(positions) for _, positions, _ in requests)
+        self.queries += rows  # one per edited sentence; the bases are not scored
+        return check_rows(scores, rows, self.num_classes)
 
 
 def score_together(oracle: Oracle, requests: Sequence) -> np.ndarray:
     """The checked rows of ``requests``, all of one kind, stacked in order, from one call of ``oracle``.
 
-    Lists of sentences go to one ``score_batch``. One ``EditRequest`` goes
-    to ``score_edits``, and more go to ``_score_requests``, which the caller
-    makes sure ``batches_edits`` allows. The rows must come back as one row
-    of ``num_classes`` scores per sentence or edit (``check_rows``).
+    Lists of sentences go to one ``score_batch``, edit requests to one
+    ``_score_requests``. The rows must come back as one row of
+    ``num_classes`` scores per sentence or edit (``check_rows``).
     """
-    if not isinstance(requests[0], EditRequest):
-        scores = oracle.score_batch([s for sentences in requests for s in sentences])
-    elif len(requests) == 1:
-        scores = oracle.score_edits(*requests[0])
-    else:
+    if isinstance(requests[0], EditRequest):
         scores = oracle._score_requests(requests)
+    else:
+        scores = oracle.score_batch([s for sentences in requests for s in sentences])
     return check_rows(scores, sum(map(request_rows, requests)), getattr(oracle, "num_classes", None))

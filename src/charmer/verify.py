@@ -7,6 +7,7 @@ neighborhood scan) rather than trusting the implementation under test.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import zlib
@@ -209,10 +210,13 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
             lines.append(f"FAIL equivalence on record {record.id}: {s!r}")
             break
     config, pga_config = AttackConfig(alphabet=alphabet, seed=seed), PgaConfig(iterations=10, candidate_cap=64, seed=seed)
+    # every other record is a sentence pair, whose requests join the others' after the premise
+    premise = "the critics said that"
+    suite = [dataclasses.replace(r, paired_text=premise) if i % 2 else r for i, r in enumerate(eval_records)]
     for attack in harness.ATTACK_NAMES if ok else ():
-        together = harness.run_attack_suite(eval_records, oracle, attack, config, pga_config=pga_config)
+        together = harness.run_attack_suite(suite, oracle, attack, config, pga_config=pga_config)
         with mock.patch.object(harness, "_LOCKSTEP_RECORDS", 1):
-            alone = harness.run_attack_suite(eval_records, oracle, attack, config, pga_config=pga_config)
+            alone = harness.run_attack_suite(suite, oracle, attack, config, pga_config=pga_config)
         if harness.report_body(together) != harness.report_body(alone):
             ok = False
             lines.append(f"FAIL the {attack} report of records in lockstep differs from that of one record at a time")
@@ -227,7 +231,8 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
         f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores and two-edit walk scores equal their "
         f"sentences', one call over every record's edits scores as a call per record, every n-gram has its "
         f"CRC32 feature index, the full-width single-edit attack matches the exhaustive scan exactly, and "
-        f"every attack reports alike in lockstep and one record at a time on {samples} samples"
+        f"every attack reports alike in lockstep and one record at a time on {samples} samples, half of them "
+        f"after a premise"
     )
     return ok, lines
 

@@ -20,7 +20,8 @@ from charmer.classifier import (
     mixture_loss_and_grad,
     train_builtin,
 )
-from charmer.oracle import Oracle, OracleError, PairedOracle, cw_loss
+from charmer.harness import join_premise
+from charmer.oracle import EditRequest, Oracle, OracleError, check_edits, cw_loss
 from charmer.sentence import XI, SentenceError, single_edit
 from charmer.synth import make_keyword_corpus
 from reference import (
@@ -488,6 +489,7 @@ def _edit(text, i, c, op):
 
 
 chars = st.text(alphabet="ab é€😀", max_size=12)
+BAD_CODES = (-1, 0xD800, 0x110000)  # no Unicode scalar values
 edits = st.lists(
     st.tuples(st.integers(0, 40), st.sampled_from("ab é😀x"), st.integers(0, 2)), max_size=3
 )
@@ -615,9 +617,15 @@ class TestScoreEdits:
         positions = data.draw(st.lists(st.one_of(st.just(1), st.just(top), st.integers(1, top)), max_size=12))
         # a replacement may keep its character; the sentinel deletes, or does nothing at an odd position
         replaced = [data.draw(st.sampled_from("ab é😀x" + XI + s)) for _ in positions]
-        for oracle in (BuiltinOracle(clf), PairedOracle(BuiltinOracle(clf), premise=data.draw(chars))):
-            rows, full = scored_edits(oracle, s, positions, replaced)
-            assert rows.tobytes() == np.array(full).tobytes()
+        oracle = BuiltinOracle(clf)
+        rows, full = scored_edits(oracle, s, positions, replaced)
+        assert rows.tobytes() == np.array(full).tobytes()
+        # and after a premise, as the harness scores a record of a sentence pair
+        premise = data.draw(chars)
+        request = EditRequest(s, np.array(positions, dtype=np.int64), np.array([ord(c) for c in replaced]))
+        rows = oracle._score_requests([join_premise(premise, request)])
+        edited = [single_edit(s, i, c) for i, c in zip(positions, replaced)]
+        assert rows.tobytes() == oracle.score_batch(join_premise(premise, edited)).tobytes()
 
     @pytest.mark.parametrize("length", [0, 1, 2, 5, 32, 256, 1024])
     def test_equals_score_batch_at_every_length(self, clf, length):
@@ -654,10 +662,13 @@ class TestScoreEdits:
     @settings(max_examples=200, deadline=None)
     @given(
         st.text(alphabet="ab é😀", max_size=6),
-        st.lists(st.tuples(st.integers(-2, 16), st.sampled_from([0, ord("a"), ord("😀")])), max_size=5),
+        st.lists(st.tuples(st.integers(-2, 16), st.sampled_from([0, ord("a"), ord("😀"), *BAD_CODES])), max_size=5),
     )
     @example("abc", [(9, 65)])
     @example("abc", [(1, 65), (0, 65), (-1, 0), (100, 66)])
+    @example("abc", [(1, 65), (2, -1)])
+    @example("abc", [(9, 0xD800)])
+    @example("a\x00", [(1, 0x110000)])
     def test_bad_positions_raise_as_in_the_default(self, clf, base, edits):
         positions = np.array([i for i, _ in edits], dtype=np.int64)
         codes = np.array([c for _, c in edits], dtype=np.int64)
@@ -794,6 +805,25 @@ class TestWalkLogits:
                 clf.walk_logits(base, positions, codes)
             assert str(raised.value) == error
 
+    @pytest.mark.parametrize(
+        "positions, codes, message",
+        [
+            ([[1]], [[97.9]], "codes must be integers, not float64"),
+            ([[1.7]], [[97]], "positions must be integers, not float64"),
+            ([[True]], [[97]], "positions must be integers, not bool"),
+            ([[1]], [[False]], "codes must be integers, not bool"),
+            ([[1]], [[-1]], "the code point -0x1 is not a Unicode scalar value"),
+            ([[99]], [[0xD800]], "the code point 0xd800 is not a Unicode scalar value"),
+            ([[1], [3]], [[97], [0x110000]], "the code point 0x110000 is not a Unicode scalar value"),
+        ],
+    )
+    def test_edits_that_check_edits_refuses_raise_as_there(self, clf, positions, codes, message):
+        # floats were truncated: [[97.9]] and [[1.7]] scored as [[97]] and [[1]]
+        with pytest.raises(SentenceError, match=message):
+            clf.walk_logits("abc", positions, codes)
+        with pytest.raises(SentenceError, match=message):
+            check_edits(np.ravel(positions), np.ravel(codes))
+
     def test_a_later_edit_is_checked_against_its_own_sentence(self, clf):
         clf.walk_logits("abc", np.array([[2, 5]]), np.array([[0, 66]]))
         with pytest.raises(SentenceError, match=re.escape("position 7 out of range [1, 5]")):
@@ -869,6 +899,24 @@ class TestManyBases:
         for b in range(len(bases)):  # each base's walks, scored as sentences in one batch
             mine = which == b
             assert rows[mine].tobytes() == oracle.score_batch([w[3] for w in walks if w[0] == b]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.none() | chars, chars), min_size=1, max_size=4), st.data())
+    def test_premised_and_plain_requests_in_one_call_score_as_their_sentences(self, clf, records, data):
+        # as records of sentence pairs and of single sentences share a call of the harness
+        requests, sentences = [], []
+        for premise, s in records:
+            positions = data.draw(st.lists(st.integers(1, 2 * len(s) + 1), max_size=8))
+            replaced = [data.draw(st.sampled_from("ab é😀x" + XI)) for _ in positions]
+            codes = np.array([ord(c) for c in replaced], dtype=np.int64)
+            requests.append(join_premise(premise, EditRequest(s, np.array(positions, dtype=np.int64), codes)))
+            sentences += join_premise(premise, [single_edit(s, i, c) for i, c in zip(positions, replaced)])
+        full = BuiltinOracle(clf).score_batch(sentences)
+        for oracle in (BuiltinOracle(clf), ByBatch(clf)):
+            rows = oracle._score_requests(requests)
+            assert len(rows) == len(sentences)
+            for row, expected in zip(rows, full):
+                assert row.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("walk_rows", [1, 3, 2048])
     def test_requests_score_alike_in_slices(self, clf, monkeypatch, walk_rows):

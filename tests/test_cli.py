@@ -238,10 +238,10 @@ class TestVerifyAndUsage:
         assert "FAIL the n-gram 'e' has feature index" in out and "FAIL single-edit" not in out
 
     def test_equivalence_names_an_attack_that_lockstep_changes(self, monkeypatch, capsys):
-        # a scorer of many requests that swaps rows is only used when records share a call
+        # a scorer that hands each request the rows of the next: one request alone is scored right
         right = classifier.BuiltinOracle._score_requests
-        swapped = lambda self, requests: right(self, requests)[::-1]  # noqa: E731
-        monkeypatch.setattr(classifier.BuiltinOracle, "_score_requests", swapped)
+        rotated = lambda self, requests: right(self, [*requests[1:], *requests[:1]])  # noqa: E731
+        monkeypatch.setattr(classifier.BuiltinOracle, "_score_requests", rotated)
         assert main(["verify", "--suite", "equivalence"]) == 1
         out = capsys.readouterr().out
         assert "FAIL the charmer report of records in lockstep differs from that of one record at a time" in out

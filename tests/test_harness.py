@@ -25,13 +25,14 @@ from charmer.harness import (
     DatasetRecord,
     config_fingerprint,
     extract_alphabet,
+    join_premise,
     load_dataset,
     report_body,
     report_from_transcripts,
     run_attack_suite,
     similarity,
 )
-from charmer.oracle import Oracle, OracleError, PairedOracle, cw_loss
+from charmer.oracle import Oracle, OracleError, cw_loss
 from charmer.pga import GradientUnavailableError, PgaConfig
 from charmer.sentence import XI, single_edit
 from charmer.verify import reference_levenshtein
@@ -230,10 +231,10 @@ class FailingOracle(Oracle):
 
 
 class RefusesEditsOf(BuiltinOracle):
-    """Scores ``victim`` alone but refuses every batch of its edits, so its
-    attack fails after the clean score, before any attack query is scored.
-    Refuses any batch that holds ``refused``, and counts every row it does
-    score."""
+    """Scores ``victim`` alone but refuses every call that holds its edits, so
+    its attack fails after the clean score, before any attack query is
+    scored. Refuses any batch that holds ``refused``, and counts every row it
+    does score."""
 
     def __init__(self, classifier, victim, refused):
         super().__init__(classifier)
@@ -250,10 +251,10 @@ class RefusesEditsOf(BuiltinOracle):
         self.rows += len(scores)
         return scores
 
-    def score_edits(self, base, positions, codes):
-        if base == self.victim:
+    def _score_requests(self, requests):
+        if any(base == self.victim for base, _, _ in requests):
             raise OracleError("simulated failure mid-attack")
-        scores = super().score_edits(base, positions, codes)
+        scores = super()._score_requests(requests)
         self.rows += len(scores)
         return scores
 
@@ -262,9 +263,10 @@ class RefusesEditsOf(BuiltinOracle):
 def fold_records(desk_oracle, attackable_records):
     """One record of each kind: attacked, skipped, failing at the clean score, failing mid-attack, paired."""
     premise = "irrelevant premise"
-    scoring = PairedOracle(desk_oracle, premise)
     paired = next(
-        r for r in attackable_records[3:] if cw_loss(scoring.score_batch([r.text])[0], r.label) < 0
+        r
+        for r in attackable_records[3:]
+        if cw_loss(desk_oracle.score_batch(join_premise(premise, [r.text]))[0], r.label) < 0
     )
     ok, victim, flipped = attackable_records[:3]
     return [
@@ -320,7 +322,7 @@ class TestReportFromTranscripts:
 
 
 class CountsRows(BuiltinOracle):
-    """Counts the calls and the rows it scores, by each entry; its scorer of many requests serves a whole step."""
+    """Counts the calls and the rows it scores, sentences and edits; one call of each kind serves a whole step."""
 
     def __init__(self, classifier):
         super().__init__(classifier)
@@ -333,9 +335,6 @@ class CountsRows(BuiltinOracle):
 
     def score_batch(self, sentences):
         return self._counted(super().score_batch(sentences))
-
-    def score_edits(self, base, positions, codes):
-        return self._counted(super().score_edits(base, positions, codes))
 
     def _score_requests(self, requests):
         return self._counted(super()._score_requests(requests))
@@ -383,6 +382,24 @@ class TestLockstep:
         assert runs[0] == runs[1]
         if scorer == "counts-rows":
             assert calls[0] < calls[1]
+
+    @pytest.mark.parametrize("attack", ["charmer", "random", "exhaustive-k1"])
+    def test_records_with_a_premise_share_the_calls_of_a_step(
+        self, attack, desk_classifier, desk_alphabet, attackable_records
+    ):
+        # with k=1 every attacked record makes the same requests: a clean score, (probes,) candidates
+        config = AttackConfig(alphabet=desk_alphabet, n=5, k=1)
+        plain = attackable_records[:12]
+        paired = [
+            dataclasses.replace(r, paired_text="the critics said that") if i % 2 else r for i, r in enumerate(plain)
+        ]
+        calls = []
+        for records in (plain, paired):
+            oracle = CountsRows(desk_classifier)
+            report = run_attack_suite(records, oracle, attack, config)
+            assert report["counts"]["attackable"] > 0 and report["queries_total"] == oracle.rows
+            calls.append(oracle.calls)
+        assert calls[0] == calls[1] == (3 if attack == "charmer" else 2)
 
     def test_a_lone_surrogate_is_written_escaped(self, tmp_path, desk_oracle, desk_alphabet):
         records = [DatasetRecord("ok", "good movie", 1), DatasetRecord("bad", "a\ud800b", 1)]
@@ -513,11 +530,10 @@ class TestSuite:
 
     def test_pga_reports_paired_text_as_error(self, desk_oracle, desk_alphabet, attackable_records):
         premise = "irrelevant premise"
-        scoring = PairedOracle(desk_oracle, premise)
         paired = [
             DatasetRecord(r.id, r.text, r.label, paired_text=premise)
             for r in attackable_records
-            if cw_loss(scoring.score_batch([r.text])[0], r.label) < 0
+            if cw_loss(desk_oracle.score_batch(join_premise(premise, [r.text]))[0], r.label) < 0
         ][:2]
         assert paired
         config = AttackConfig(alphabet=desk_alphabet, n=5, k=2)
@@ -589,11 +605,23 @@ class TestSuite:
         assert report["per_sample"][0]["error"] is None
         assert report["per_sample"][1]["error"] == "OracleError: cannot score the lone surrogate U+D800"
 
-    def test_paired_text_routes_through_premise(self, desk_oracle, desk_alphabet, attackable_records):
+    def test_paired_text_routes_through_premise(self, desk_classifier, desk_alphabet, attackable_records):
+        class Seen(BuiltinOracle):
+            def score_batch(self, sentences):
+                seen.extend(sentences)
+                return super().score_batch(sentences)
+
+            def _score_requests(self, requests):
+                seen.extend(base for base, _, _ in requests)
+                return super()._score_requests(requests)
+
+        seen = []
         base = attackable_records[0]
         paired = DatasetRecord(base.id, base.text, base.label, paired_text="irrelevant premise")
         config = AttackConfig(alphabet=desk_alphabet, n=5, k=3)
-        report = run_attack_suite([paired], desk_oracle, "charmer", config)
+        report = run_attack_suite([paired], Seen(desk_classifier), "charmer", config)
+        assert seen[0] == "irrelevant premise\n" + base.text
+        assert all(s.startswith("irrelevant premise\n") for s in seen)
         # the premise shifts scores, so the record may be skipped, but the
         # suite must still produce a structurally complete report
         counts = report["counts"]

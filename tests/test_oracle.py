@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charmer.oracle import CountingOracle, EditRequest, Oracle, OracleError, PairedOracle, cw_loss, is_adversarial
+from charmer.harness import join_premise
+from charmer.oracle import CountingOracle, EditRequest, Oracle, OracleError, cw_loss, is_adversarial
 from charmer.sentence import SentenceError, single_edit
 from reference import reference_cw_loss
 
@@ -188,18 +189,24 @@ class TestBatching:
             assert counting.queries == 1
 
     def test_paired_prefix(self):
-        inner = RecordingOracle()
-        paired = PairedOracle(inner, premise="pre")
-        scores = paired.score_batch(["xy"])
+        scores = RecordingOracle().score_batch(join_premise("pre", ["xy"]))
         # length of "pre" + newline + "xy"
         assert scores.tolist() == [[6.0, 0.0]]
 
+    def test_a_plugin_that_overrides_score_edits_is_refused(self):
+        # score_edits is one request of _score_requests; the calls that score many requests would bypass it
+        with pytest.raises(TypeError, match="override _score_requests"):
+
+            class ChecksEachRequest(RecordingOracle):
+                def score_edits(self, base, positions, codes):
+                    return super().score_edits(base, positions, codes)
+
 
 class EditRecordingOracle(RecordingOracle):
-    """Logs every sentence it scores and every score_edits call."""
+    """Logs every sentence it scores and every edit request."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
         self.sentences = []
         self.edits = []
 
@@ -207,9 +214,9 @@ class EditRecordingOracle(RecordingOracle):
         self.sentences += sentences
         return super()._score_chunk(sentences)
 
-    def score_edits(self, base, positions, codes):
-        self.edits.append((base, list(positions), list(codes)))
-        return super().score_edits(base, positions, codes)
+    def _score_requests(self, requests):
+        self.edits += [(base, list(positions), list(codes)) for base, positions, codes in requests]
+        return super()._score_requests(requests)
 
 
 class TestScoreEdits:
@@ -249,10 +256,14 @@ class TestScoreEdits:
             (np.array([1], dtype=np.float32), [97], "positions must be integers, not float32"),
             ([True], [97], "positions must be integers, not bool"),
             ([1], [False], "codes must be integers, not bool"),
+            ([1], [-1], "the code point -0x1 is not a Unicode scalar value"),
+            ([1], [0xD800], "the code point 0xd800 is not a Unicode scalar value"),
+            ([1, 3], [97, 0x110000], "the code point 0x110000 is not a Unicode scalar value"),
         ],
     )
     def test_edits_that_are_not_integers_raise(self, desk_oracle, positions, codes, message):
-        # a float code was truncated by the builtin scorer ([97.9] scored "aabc") and raised TypeError in the default
+        # a float code was truncated by the builtin scorer ([97.9] scored "aabc") and raised TypeError in the
+        # default; code -1 raised ValueError in the default, and 0xD800 was scored there as a lone surrogate
         for oracle in (EditRecordingOracle(), desk_oracle):
             with pytest.raises(SentenceError, match=message):
                 oracle.score_edits("abc", positions, codes)
@@ -263,11 +274,21 @@ class TestScoreEdits:
 
     def test_paired_shifts_positions_past_the_premise(self):
         inner = EditRecordingOracle()
-        paired = PairedOracle(inner, premise="pre")
-        rows = paired.score_edits("xy", np.array([1, 4]), np.array([ord("z"), 0]))
+        request = EditRequest("xy", np.array([1, 4]), np.array([ord("z"), 0]))
+        rows = inner._score_requests([join_premise("pre", request)])
         assert inner.edits == [("pre\nxy", [9, 12], [ord("z"), 0])]
         assert inner.sentences == ["pre\nzxy", "pre\nx"]
-        assert rows.tobytes() == paired.score_batch(["zxy", "x"]).tobytes()
+        assert rows.tobytes() == inner.score_batch(join_premise("pre", ["zxy", "x"])).tobytes()
+
+    def test_default_raises_before_it_scores_any_slice(self):
+        oracle = EditRecordingOracle(batch_limit=2)
+        requests = [EditRequest("ab", [1, 2, 3], [97] * 3), EditRequest("ab", [5, 6], [97] * 2)]
+        with pytest.raises(SentenceError, match=r"position 6 out of range \[1, 5\]"):
+            oracle._score_requests(requests)
+        with pytest.raises(SentenceError, match="sentinel"):
+            oracle._score_requests([requests[0], EditRequest("a\x00", [1], [97])])
+        assert oracle.sentences == []
+        assert oracle._score_requests(requests[:1]).shape == (3, 2) and oracle.chunks == [2, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -125,6 +125,9 @@ class TestSuite:
             report = run_attack_suite(records, RemoteOracle(base_url, batch_limit=8), attack, config)
             assert report["counts"]["attackable"] == len(records)
             assert sum(map(len, server.requests)) == report["queries_total"]
+            if chunk > 1:  # the paired record's sentences share POSTs with the others'
+                premised = [{s.startswith("premise\n") for s in post} for post in server.requests]
+                assert {True, False} in premised
             posts.append(len(server.requests))
             bodies.append(report_body(report))
         assert bodies[0] == bodies[1]
