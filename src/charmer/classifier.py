@@ -15,13 +15,14 @@ nearby one gets the same logits as when scored from scratch. ``s`` is the
 largest scale at which ``_MAX_GRAMS`` weights and the bias cannot overflow
 int64; a longer row raises ``OracleError``.
 
-Whole rows are hashed into CSR count rows and multiplied by ``Wq``. Single
-edits (``walk_logits``) are not: each is one column, its neighbourhood of
-codes and then the edited one down the rows (``_edit_hoods``), so that
-array operations run along whole rows. Shifting those rows gives the keys
-of the grams of each order, and an edit's removed and inserted grams are
-fixed rows of them (``_edit_windows``), whose weights are gathered from a
-class-major ``Wq`` (``_wq``) with a zero column for those that do not count.
+Whole rows are hashed into CSR count rows and summed from a class-major
+``Wq`` (``_wq``), which has a zero column for grams that do not count.
+Single edits (``walk_logits``) are not: each is one column, its
+neighbourhood of codes and then the edited one down the rows
+(``_edit_hoods``), so that array operations run along whole rows. Shifting
+those rows gives the keys of the grams of each order, and an edit's removed
+and inserted grams are fixed rows of them (``_edit_windows``), whose
+weights are gathered from ``_wq``.
 
 A sentence becomes counts one way (``_featurize``): each gram is one packed
 int64 key, and its feature index comes from an open-addressing table per
@@ -35,9 +36,10 @@ counts. The base rows' counts are cached for the 64 sentences asked last
 (``harness._LOCKSTEP_RECORDS``): each record scores its probes and then its
 candidates as edits of the same base, and never goes back to an earlier one.
 
-``scipy.sparse`` is imported where a CSR matrix is first built, so a
-process that never featurizes, such as a run against a remote oracle, never
-loads it.
+Everything here is numpy: training multiplies the CSR rows by the weights
+in numpy passes that add the same terms in the same order as a sparse
+product (``train_builtin``), and scoring sums integers, whose order does not
+matter.
 """
 
 from __future__ import annotations
@@ -135,10 +137,12 @@ class _KeyTable:
     slot: no packed key is 0, as each code is stored plus one. A batch is
     probed with array operations, so a key found costs no Python; the
     distinct keys not found are hashed together, CRC32 from byte tables
-    (``_gram_indices``), and inserted. The table is cleared when an insert
-    would fill more than half its slots, so every probe ends at a free slot;
-    a batch with more new keys than that inserts only the first of them, and
-    still returns every index.
+    (``_gram_indices``), and inserted, each from the free slot where its
+    probe ended: only new keys that end at the same slot probe on. The table
+    is cleared when an insert would fill more than half its slots, so every
+    probe ends at a free slot; after a clear the keys go in from their first
+    slots, and a batch with more new keys than half the slots inserts only
+    the first of them, and still returns every index.
     """
 
     def __init__(self, dim: int):
@@ -159,10 +163,11 @@ class _KeyTable:
         out = self.index[slot]  # right where the key is in its first slot
         going = np.flatnonzero(found != keys)
         slot, found = slot[going], found[going]
-        missed = []
+        missed, ends = [], []  # the keys not held, and the free slot where the probe of each ended
         while len(going):
             free = found == 0
             missed.append(going[free])
+            ends.append(slot[free])
             going, slot = going[~free], (slot[~free] + 1) & wrap
             found = self.keys[slot]
             hit = found == keys[going]
@@ -170,22 +175,23 @@ class _KeyTable:
             going, slot, found = going[~hit], slot[~hit], found[~hit]
         missed = np.concatenate(missed) if missed else going
         if len(missed):
-            new, same = np.unique(keys[missed], return_inverse=True)
+            new, first, same = np.unique(keys[missed], return_index=True, return_inverse=True)
             index = _gram_indices(new, self.dim)
             out[missed] = index[same]
-            self._insert(new, index)
+            self._insert(new, index, np.concatenate(ends)[first])
         return out
 
-    def _insert(self, keys: np.ndarray, index: np.ndarray) -> None:
-        """Add distinct keys that the table does not hold."""
+    def _insert(self, keys: np.ndarray, index: np.ndarray, slot: np.ndarray) -> None:
+        """Add distinct keys that the table does not hold, each probing on from the free ``slot`` where its
+        lookup ended."""
         room = len(self.keys) // 2
         if self.used + len(keys) > room:
             self.keys[:] = 0
             self.used = 0
             keys, index = keys[:room], index[:room]
+            slot = self._first_slot(keys)
         self.used += len(keys)
         wrap = len(self.keys) - 1
-        slot = self._first_slot(keys)
         while len(keys):
             free = np.flatnonzero(self.keys[slot] == 0)
             self.keys[slot[free]] = keys[free]  # of keys that share a free slot, one lands
@@ -275,14 +281,6 @@ def _hashed_counts(text: str, orders: tuple[int, ...], dim: int) -> tuple[np.nda
     """``_featurize`` of one sentence: its feature indices and their counts, cached; do not write to them."""
     _, indices, counts = _featurize([text], orders, dim)
     return indices, counts
-
-
-def feature_matrix(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
-    """Hashed n-gram counts of a batch as int64 CSR rows, in first-occurrence order (``_featurize``)."""
-    from scipy import sparse
-
-    indptr, indices, counts = _featurize(texts, orders, dim)
-    return sparse.csr_matrix((counts, indices, indptr), shape=(len(indptr) - 1, dim))
 
 
 def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -404,7 +402,6 @@ class BuiltinClassifier:
             raise OracleError(f"bias of shape {np.shape(self.bias)} does not match {shape[0]} classes")
         # the fixed-point copy scoring uses; the float weights are not read again
         self.scale_bits: int = _scale_bits(self.weights, self.bias)
-        self._wq_t = np.ascontiguousarray(np.rint(np.ldexp(self.weights.T, self.scale_bits)).astype(np.int64))
         self._bq = np.rint(np.ldexp(self.bias, self.scale_bits)).astype(np.int64)
         self._windows = _edit_windows(self.ngram_orders)
         # the longest sentence whose padded n-grams, len(orders)·(L + 3) - sum(orders),
@@ -417,19 +414,30 @@ class BuiltinClassifier:
 
     @cached_property
     def _wq(self) -> np.ndarray:
-        """``Wq`` class-major, for gathers of a few weights per edit, with a last column of zeros.
+        """``Wq`` class-major, for gathers of the weights of rows and edits, with a last column of zeros.
 
-        Built on the first walk, about 1 MB at two classes and the default
-        dimension: a model that only trains or scores whole rows never
-        allocates it.
+        Built on the first score, about 1 MB at two classes and the default
+        dimension: a model that only trains never allocates it.
         """
         wq = np.zeros((self.num_classes, self.feature_dim + 1), dtype=np.int64)
-        wq[:, :-1] = self._wq_t.T
+        wq[:, :-1] = np.rint(np.ldexp(self.weights, self.scale_bits))
         return wq
 
-    def features(self, texts: Sequence[str]) -> sparse.csr_matrix:
-        """Hashed n-gram counts, int64, one row per sentence (``feature_matrix``)."""
-        return feature_matrix(texts, self.ngram_orders, self.feature_dim)
+    def features(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hashed n-gram counts of each sentence as int64 CSR arrays ``(indptr, indices, counts)``,
+        each row in first-occurrence order (``_featurize``)."""
+        return _featurize(texts, self.ngram_orders, self.feature_dim)
+
+    def _row_sums(self, indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """``X·Wq`` in int64 of CSR count rows, one row per row.
+
+        The row sums are differences of one running sum over all the terms,
+        so an empty row is zero. A running sum may wrap past int64; its
+        differences are exact modulo 2^64, and so exact where a row's sum fits.
+        """
+        running = np.zeros((self.num_classes, len(indices) + 1), dtype=np.int64)
+        np.cumsum(self._wq.take(indices, axis=1) * counts, axis=1, out=running[:, 1:])
+        return (running[:, indptr[1:]] - running[:, indptr[:-1]]).T
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
         """Exact logits ``(X·Wq + bq) / 2^s``, one row per sentence."""
@@ -532,10 +540,9 @@ class BuiltinClassifier:
         change = (weights[:, half:].sum(axis=1) - weights[:, :half].sum(axis=1)).T
         if k > 1:
             change = change[same]
-        base_logits = np.empty((len(bases), self.num_classes), dtype=np.int64)
-        for b, base in enumerate(bases):
-            base_index, base_counts = _hashed_counts(base, self.ngram_orders, self.feature_dim)
-            base_logits[b] = self._wq.take(base_index, axis=1) @ base_counts
+        base_rows = [_hashed_counts(base, self.ngram_orders, self.feature_dim) for base in bases]
+        indptr = np.cumsum([0] + [len(index) for index, _ in base_rows])
+        base_logits = self._row_sums(indptr, *(np.concatenate(part) for part in zip(*base_rows)))
         return base_logits.take(which, axis=0) + change.reshape(m, k, self.num_classes).sum(axis=1)
 
     def _check_length(self, longest: int) -> None:
@@ -550,7 +557,7 @@ class BuiltinClassifier:
         self._check_length(max(map(len, texts), default=0))
         Z = np.empty((len(texts), self.num_classes), dtype=np.int64)
         for start in range(0, len(texts), _CHUNK_ROWS):
-            Z[start : start + _CHUNK_ROWS] = self.features(texts[start : start + _CHUNK_ROWS]) @ self._wq_t
+            Z[start : start + _CHUNK_ROWS] = self._row_sums(*self.features(texts[start : start + _CHUNK_ROWS]))
         return Z
 
     def predict(self, texts: Sequence[str]) -> np.ndarray:
@@ -628,7 +635,15 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     """Full-batch gradient descent on softmax cross-entropy over hashed counts.
 
     Reproducible: the seed fixes the weight initialization and the rest of
-    the procedure is deterministic.
+    the procedure is deterministic. Both products with the count rows ``X``
+    add the same terms in the same order as a CSR product does, each sum
+    from zero in the order of the rows' entries, so the weights are the
+    same bits as with ``scipy.sparse``. The forward pass ``X·W`` lays the
+    entries out ELL-style: entry ``j`` of every row is row ``j`` of an
+    array, the rows padded to the longest with a zero weight, and a sum
+    down the first axis adds one such row after another. The backward pass
+    ``Xᵀ·G`` is one ``bincount`` over the used features, which adds its
+    terms in input order.
     """
     if not dataset:
         raise OracleError("training dataset is empty")
@@ -642,37 +657,49 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     if o < 2:
         raise OracleError("need at least 2 classes in the training data")
 
-    from scipy import sparse
-
-    # float64 from the count arrays themselves: scipy's astype may sort a row's indices,
-    # and with them the order in which its terms are summed
-    indptr, indices, counts = _featurize(texts, config.ngram_orders, config.feature_dim)
-    X = sparse.csr_matrix((counts.astype(np.float64), indices, indptr), shape=(len(texts), config.feature_dim))
-    Y = np.zeros((len(texts), o))
-    Y[np.arange(len(texts)), labels] = 1.0
+    n, dim = len(texts), config.feature_dim
+    indptr, indices, counts = _featurize(texts, config.ngram_orders, dim)
+    sizes = np.diff(indptr)
+    data = counts.astype(np.float64)
+    used, feature = np.unique(indices, return_inverse=True)
+    # ELL: entry j of row r at [j, r], once per class; a pad is a 0 that gathers the zero row past the used weights
+    row = np.repeat(np.arange(n), sizes)
+    slot = np.arange(len(indices)) - np.repeat(indptr[:-1], sizes)
+    ell_index = np.full((int(sizes.max()), n), len(used))
+    ell_index[slot, row] = feature
+    ell_data = np.zeros(ell_index.shape + (o,))
+    ell_data[slot, row] = data[:, None]
+    Y = np.zeros((n, o))
+    Y[np.arange(n), labels] = 1.0
 
     rng = np.random.default_rng(config.seed)
-    # the weights transposed, (feature_dim, classes) in C order: the layout scipy
-    # multiplies a sparse matrix by; it would copy W.T into it on every step
-    Wt = np.ascontiguousarray(rng.normal(0.0, 1e-3, size=(o, config.feature_dim)).T)
+    # the weights transposed, (feature_dim, classes) in C order, so that a gather takes a feature's row
+    Wt = np.ascontiguousarray(rng.normal(0.0, 1e-3, size=(o, dim)).T)
     b = np.zeros(o)
-    n = len(texts)
-    Xt = X.T  # a CSC view, no copy
+    used_w = np.zeros((len(used) + 1, o))
+    terms = np.empty(ell_data.shape)
+    Z = np.empty((n, o))
+    grad = np.empty((len(used), o))
     step = np.empty_like(Wt)
     for _ in range(config.steps):
-        Z = X @ Wt + b
+        Wt.take(used, axis=0, out=used_w[:-1])
+        np.multiply(used_w.take(ell_index, axis=0, out=terms, mode="clip"), ell_data, out=terms)
+        terms.sum(axis=0, out=Z)
+        Z += b
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
         P /= P.sum(axis=1, keepdims=True)
         G = (P - Y) / n
         # W -= lr·(Gᵀ·X + l2·W), the same operation on each element, in one buffer
         np.multiply(Wt, config.l2, out=step)
-        step += Xt @ G
+        for c in range(o):
+            grad[:, c] = np.bincount(feature, data * np.repeat(G[:, c], sizes), len(used))
+        step[used] += grad
         step *= config.learning_rate
         Wt -= step
         b -= config.learning_rate * G.sum(axis=0)
     return BuiltinClassifier(
-        ngram_orders=config.ngram_orders, feature_dim=config.feature_dim, weights=np.ascontiguousarray(Wt.T), bias=b
+        ngram_orders=config.ngram_orders, feature_dim=dim, weights=np.ascontiguousarray(Wt.T), bias=b
     )
 
 

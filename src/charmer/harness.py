@@ -55,9 +55,9 @@ from .attack import (
     random_position_baseline,
 )
 from .classifier import BuiltinClassifier, BuiltinOracle
-from .oracle import EditRequest, Oracle, OracleError, cw_loss, request_rows, score_together
+from .oracle import EditRequest, Oracle, OracleError, check_edits, cw_loss, request_rows, score_together
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
-from .sentence import XI, Alphabet, L_MAX, levenshtein
+from .sentence import XI, Alphabet, L_MAX, SentenceError, levenshtein
 
 log = logging.getLogger("charmer")
 
@@ -396,14 +396,21 @@ def join_premise(premise: Optional[str], request):
     """``request`` of a record with ``premise`` as the oracle scores it, after the premise and a newline.
 
     Sentences get that prefix, and so does an ``EditRequest``'s base, with
-    every expanded position moved by two per character of the prefix.
-    Without a premise the request is unchanged.
+    every expanded position moved by two per character of the prefix. The
+    edits are checked against the base first: those the request would refuse
+    without a premise raise its ``SentenceError`` here, rather than edit the
+    premise. Without a premise the request is unchanged.
     """
     if premise is None:
         return request
     prefix = premise + "\n"
     if isinstance(request, EditRequest):
-        return EditRequest(prefix + request.base, np.asarray(request.positions) + 2 * len(prefix), request.codes)
+        positions, codes = check_edits(request.positions, request.codes)
+        top = 2 * len(request.base) + 1
+        outside = (positions < 1) | (positions > top)
+        if outside.any() and XI not in request.base:  # a base with the sentinel is refused as a whole, below
+            raise SentenceError(f"position {positions[outside][0]} out of range [1, {top}]")
+        return EditRequest(prefix + request.base, positions + 2 * len(prefix), codes)
     return [prefix + s for s in request]
 
 

@@ -82,6 +82,16 @@ def reference_hashed_counts(text: str, orders: tuple[int, ...], dim: int):
     return np.array(list(counts), dtype=np.int64), np.array(list(counts.values()))
 
 
+def reference_feature_rows(texts, orders: tuple[int, ...], dim: int) -> sparse.csr_matrix:
+    """Float CSR rows of ``reference_hashed_counts``, one per text, each in first-occurrence order."""
+    rows = [reference_hashed_counts(text, orders, dim) for text in texts]
+    return sparse.csr_matrix(
+        (np.concatenate([v for _, v in rows]), np.concatenate([i for i, _ in rows]),
+         np.cumsum([0] + [len(i) for i, _ in rows])),
+        shape=(len(rows), dim),
+    )
+
+
 def reference_gram_index(gram: str, dim: int) -> int:
     """The feature index of one n-gram: CRC32 of its UTF-8 bytes and its order, modulo ``dim``."""
     return zlib.crc32(gram.encode("utf-8") + bytes([len(gram)])) % dim
@@ -95,12 +105,7 @@ def reference_pack(gram: str) -> int:
 def reference_train_builtin(dataset, orders: tuple[int, ...], dim: int, steps: int, lr: float, l2: float, seed: int):
     """Weights ``(classes, dim)`` and bias of full-batch softmax regression on
     hashed counts: ``steps`` gradient steps from ``normal(0, 1e-3)`` weights."""
-    rows = [reference_hashed_counts(text, orders, dim) for text, _ in dataset]
-    X = sparse.csr_matrix(
-        (np.concatenate([v for _, v in rows]), np.concatenate([i for i, _ in rows]),
-         np.cumsum([0] + [len(i) for i, _ in rows])),
-        shape=(len(rows), dim),
-    )
+    X = reference_feature_rows([text for text, _ in dataset], orders, dim)
     labels = np.array([y for _, y in dataset])
     o = int(labels.max()) + 1
     Y = np.zeros((len(dataset), o))

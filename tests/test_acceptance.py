@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from reference import brute_force_ball, central_difference_gradient
+from reference import brute_force_ball, central_difference_gradient, reference_feature_rows
 
 from charmer.attack import (
     AttackConfig,
@@ -255,7 +255,8 @@ def test_criterion_8_gradient_check(desk_classifier):
     for _ in range(100):
         m = int(rng.integers(2, 8))
         cands = list(rng.choice(texts, size=m, replace=False))
-        F = desk_classifier.features(cands) @ desk_classifier.weights.T
+        rows = reference_feature_rows(cands, desk_classifier.ngram_orders, desk_classifier.feature_dim)
+        F = rows @ desk_classifier.weights.T
         u = rng.dirichlet(np.ones(m))
         y = int(rng.integers(0, 2))
         _, grad = mixture_loss_and_grad(desk_classifier, F, u, y)

@@ -16,7 +16,6 @@ from charmer.classifier import (
     BuiltinClassifier,
     BuiltinOracle,
     TrainConfig,
-    feature_matrix,
     mixture_loss_and_grad,
     train_builtin,
 )
@@ -27,6 +26,7 @@ from charmer.synth import make_keyword_corpus
 from reference import (
     central_difference_gradient,
     feature_mixture_loss_and_grad,
+    reference_feature_rows,
     reference_gram_index,
     reference_hashed_counts,
     reference_pack,
@@ -48,17 +48,34 @@ def corpora(draw):
     return corpus
 
 
+def features(texts, orders, dim):
+    """``BuiltinClassifier.features`` of a model with these orders and dimension."""
+    return BuiltinClassifier(orders, dim, np.zeros((2, dim)), np.zeros(2)).features(texts)
+
+
+def check_feature_rows(texts, orders, dim):
+    """``features`` are int64 CSR arrays whose rows are the reference counts, in first-occurrence order."""
+    indptr, indices, counts = features(texts, orders, dim)
+    assert indptr.dtype == indices.dtype == counts.dtype == np.int64
+    assert len(indptr) == len(texts) + 1 and indptr[0] == 0
+    for i, text in enumerate(texts):
+        row = np.s_[indptr[i] : indptr[i + 1]]
+        ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
+        assert indices[row].tolist() == ref_idx.tolist()  # order included
+        assert counts[row].tolist() == ref_val.tolist()
+
+
 class TestFeatures:
     def test_deterministic_and_counted(self):
-        X1 = feature_matrix(["hello"], (1, 2, 3), 4096)
-        X2 = feature_matrix(["hello"], (1, 2, 3), 4096)
-        assert (X1 != X2).nnz == 0
+        one = features(["hello"], (1, 2, 3), 4096)
+        two = features(["hello"], (1, 2, 3), 4096)
+        assert all(a.tolist() == b.tolist() for a, b in zip(one, two))
         # padded length 7: 7 unigrams + 6 bigrams + 5 trigrams
-        assert X1.sum() == 18
+        assert one[2].sum() == 18
 
     def test_empty_batch(self):
-        X = feature_matrix([], (1, 2), 128)
-        assert X.shape == (0, 128)
+        indptr, indices, counts = features([], (1, 2), 128)
+        assert indptr.tolist() == [0] and len(indices) == len(counts) == 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="ab é€😀\x02\x03", max_size=24), st.sampled_from([(1, 2, 3), (2,), (3, 1)]))
@@ -81,21 +98,14 @@ class TestFeatures:
     @example(["", "\x02\x03é€😀", "a"], (1, 2, 3))
     def test_feature_rows_match_per_gram_hashing_in_order(self, texts, orders):
         for dim in (1 << 16, 7):
-            X = feature_matrix(texts, orders, dim)
-            assert X.shape == (len(texts), dim) and X.dtype == np.int64
-            for i, text in enumerate(texts):
-                row = np.s_[X.indptr[i] : X.indptr[i + 1]]
-                ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
-                assert X.indices[row].tolist() == ref_idx.tolist()  # order included
-                assert X.data[row].tolist() == ref_val.tolist()
+            check_feature_rows(texts, orders, dim)
 
     def test_rows_are_hashed_in_chunks_alike(self, monkeypatch):
         texts = ["the movie was good", "", "aaaa aaaa", "é😀 ab", "bad"]
-        whole = feature_matrix(texts, (1, 2, 3), 97)
+        whole = features(texts, (1, 2, 3), 97)
         monkeypatch.setattr(classifier_module, "_FEATURE_ROWS", 2)
-        chunked = feature_matrix(texts, (1, 2, 3), 97)
-        for name in ("indptr", "indices", "data"):
-            assert getattr(chunked, name).tolist() == getattr(whole, name).tolist()
+        chunked = features(texts, (1, 2, 3), 97)
+        assert all(a.tolist() == b.tolist() for a, b in zip(chunked, whole))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -105,11 +115,11 @@ class TestFeatures:
     def test_window_counts_are_the_grams_overlapping_the_window(self, texts, orders):
         orders = tuple(orders)
         for dim in (1 << 16, 7):
-            X = feature_matrix(texts, orders, dim)
-            assert X.shape == (len(texts), dim) and X.dtype == np.int64
+            indptr, indices, counts = features(texts, orders, dim)
             for i, text in enumerate(texts):
                 got = Counter()
-                for col, count in zip(X[i].indices.tolist(), X[i].data.tolist()):
+                row = np.s_[indptr[i] : indptr[i + 1]]
+                for col, count in zip(indices[row].tolist(), counts[row].tolist()):
                     got[col] += count
                 assert got == reference_window_counts(text, orders, dim, 0, len(text) + 2)
 
@@ -160,6 +170,18 @@ def check_key_table(table, dim):
         assert table.index[slot] == reference_gram_index(gram, dim)
 
 
+def check_probe_chains(table):
+    """Each key a table holds is held once, and reached from its first slot without passing a free slot."""
+    held = table.keys[table.keys != 0].tolist()
+    assert len(held) == len(set(held))
+    size = len(table.keys)
+    for key in held:
+        slot = first_slot(key, table.bits)
+        while table.keys[slot] != key:
+            assert table.keys[slot] != 0, f"key {key} lies past a free slot"
+            slot = (slot + 1) % size
+
+
 class TestKeyTable:
     """``_hash_keys``, the open-addressing table of packed keys, and ``_gram_indices``, against per-gram CRC32."""
 
@@ -183,6 +205,28 @@ class TestKeyTable:
                 assert got.dtype == np.int64
                 assert got.tolist() == [reference_gram_index(g, dim) for g in grams]
                 check_key_table(classifier_module._KEY_TABLES[dim], dim)
+                check_probe_chains(classifier_module._KEY_TABLES[dim])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3, 4]), st.data())
+    def test_new_keys_go_where_their_probes_ended(self, bits, data):
+        # many keys of a batch share one or two neighbouring first slots, so that keys inserted
+        # together collide with each other, and with the keys the table holds
+        dim, grams = 97, [a + b for a in KEY_CHARS for b in KEY_CHARS]
+        crowded = data.draw(st.integers(0, 2**bits - 1))
+        near = [g for g in grams if first_slot(reference_pack(g), bits) in (crowded, (crowded + 1) % 2**bits)]
+        drawn = st.one_of(st.sampled_from(near), st.sampled_from(grams))
+        batches = data.draw(st.lists(st.lists(drawn, max_size=2**bits), min_size=1, max_size=5))
+        with mock.patch.object(classifier_module, "_KEY_TABLE_BITS", bits), mock.patch.object(
+            classifier_module, "_KEY_TABLES", {}
+        ):
+            for batch in batches:
+                keys = np.array([reference_pack(g) for g in batch], dtype=np.int64)
+                got = classifier_module._hash_keys(keys, dim)
+                assert got.tolist() == [reference_gram_index(g, dim) for g in batch]
+                table = classifier_module._KEY_TABLES[dim]
+                check_key_table(table, dim)
+                check_probe_chains(table)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -286,6 +330,8 @@ class TestTraining:
         st.integers(0, 2**32 - 1),
     )
     @example([("", 0), ("😀𝔸", 2), ("😀𝔸", 2)], (1, 2, 3), 97, 1e-4, 1.0, 3, 0)  # no sample of class 1
+    @example([("", 0), ("", 1)], (3,), 97, 1e-4, 1.0, 3, 0)  # every row empty: no grams at all
+    @example([("ab", 0), ("ba é", 1), ("b", 1)], (1, 2, 3), 1, 0.0, 1.0, 5, 0)  # every gram shares one feature
     def test_bit_equal_to_the_reference_loop(self, corpus, orders, dim, l2, lr, steps, seed):
         config = TrainConfig(ngram_orders=orders, feature_dim=dim, steps=steps, learning_rate=lr, l2=l2, seed=seed)
         clf = train_builtin(corpus, config)
@@ -423,10 +469,15 @@ def clf():
     )
 
 
+def feature_rows(clf, texts):
+    """The reference's float CSR count rows of ``texts`` under the model's orders and dimension."""
+    return reference_feature_rows(texts, clf.ngram_orders, clf.feature_dim)
+
+
 class TestMixtureGradient:
     def test_one_hot_equals_single_candidate(self, clf):
         cands = ["the movie was good", "the movie was bxd", "awful pace"]
-        F = clf.features(cands) @ clf.weights.T
+        F = feature_rows(clf, cands) @ clf.weights.T
         for i, cand in enumerate(cands):
             u = np.zeros(len(cands))
             u[i] = 1.0
@@ -434,7 +485,7 @@ class TestMixtureGradient:
             assert loss == pytest.approx(cw_loss(clf.logits([cand])[0].tolist(), 1), abs=1e-9)
 
     def test_single_candidate(self, clf):
-        F = clf.features(["whatever text"]) @ clf.weights.T
+        F = feature_rows(clf, ["whatever text"]) @ clf.weights.T
         loss, grad = mixture_loss_and_grad(clf, F, np.array([1.0]), 0)
         assert grad.shape == (1,)
 
@@ -445,7 +496,7 @@ class TestMixtureGradient:
         for _ in range(100):
             m = int(rng.integers(2, 7))
             cands = list(rng.choice(texts, size=m, replace=False))
-            F = clf.features(cands) @ clf.weights.T
+            F = feature_rows(clf, cands) @ clf.weights.T
             u = rng.dirichlet(np.ones(m))
             y = int(rng.integers(0, 2))
             _, grad = mixture_loss_and_grad(clf, F, u, y)
@@ -461,7 +512,7 @@ class TestMixtureGradient:
         texts = [r.text for r in make_keyword_corpus(30, seed=9)] + ["", "é€😀"]
         for _ in range(100):
             m = int(rng.integers(1, 9))
-            F = clf.features(list(rng.choice(texts, size=m, replace=False)))
+            F = feature_rows(clf, list(rng.choice(texts, size=m, replace=False)))
             u = rng.dirichlet(np.ones(m))
             y = int(rng.integers(0, 2))
             loss, grad = mixture_loss_and_grad(clf, F @ clf.weights.T, u, y)
@@ -471,7 +522,7 @@ class TestMixtureGradient:
             assert float(np.max(np.abs(grad - ref_grad))) <= 1e-12 * scale
 
     def test_dimension_mismatch(self, clf):
-        F = clf.features(["abc", "def"])
+        F = feature_rows(clf, ["abc", "def"])
         with pytest.raises(OracleError):
             mixture_loss_and_grad(clf, F @ clf.weights.T, np.array([1.0]), 0)
         with pytest.raises(OracleError):  # feature rows, not logit rows
@@ -523,7 +574,7 @@ class TestExactLogits:
     def test_integer_logits_close_to_float(self, clf):
         texts = [r.text for r in make_keyword_corpus(20, seed=4)] + ["", "é€😀"]
         exact = clf.logits(texts)
-        floating = clf.features(texts) @ clf.weights.T + clf.bias
+        floating = feature_rows(clf, texts) @ clf.weights.T + clf.bias
         assert float(np.max(np.abs(exact - floating))) < 1e-11
 
     @pytest.mark.parametrize("orders", [(1,), (1, 2, 3)])
@@ -626,6 +677,16 @@ class TestScoreEdits:
         rows = oracle._score_requests([join_premise(premise, request)])
         edited = [single_edit(s, i, c) for i, c in zip(positions, replaced)]
         assert rows.tobytes() == oracle.score_batch(join_premise(premise, edited)).tobytes()
+
+    # 2·len("xy") + 2 is one past the base; shifted past a premise, 0 and -1 would edit it or its newline
+    @pytest.mark.parametrize("positions, bad", [([0, -1], 0), ([1, 6], 6)])
+    def test_a_premised_position_outside_the_base_raises_as_without_the_premise(self, clf, positions, bad):
+        oracle, request = BuiltinOracle(clf), EditRequest("xy", np.array(positions), np.array([97, 98]))
+        with pytest.raises(SentenceError) as alone:
+            oracle._score_requests([request])
+        with pytest.raises(SentenceError) as premised:
+            oracle._score_requests([join_premise("pre", request)])
+        assert str(premised.value) == str(alone.value) == f"position {bad} out of range [1, 5]"
 
     @pytest.mark.parametrize("length", [0, 1, 2, 5, 32, 256, 1024])
     def test_equals_score_batch_at_every_length(self, clf, length):
@@ -829,15 +890,15 @@ class TestWalkLogits:
         with pytest.raises(SentenceError, match=re.escape("position 7 out of range [1, 5]")):
             clf.walk_logits("abc", np.array([[2, 7]]), np.array([[0, 66]]))  # "a" deleted first
 
-    def test_weights_copy_is_built_on_the_first_walk(self):
+    def test_weights_copy_is_built_on_the_first_score(self):
         model = train_builtin([(r.text, r.label) for r in make_keyword_corpus(30, seed=2)], SMALL)
-        model.logits(["a good movie"])
+        assert "_wq" not in vars(model)  # training never builds it
         BuiltinOracle(model).score_batch(["a bad movie", ""])
-        assert "_wq" not in vars(model)  # training and whole rows never build it
-        check_walk_rows(model, examples=40)
         assert model._wq.shape == (2, SMALL.feature_dim + 1)
-        assert model._wq[:, :-1].tobytes() == np.ascontiguousarray(model._wq_t.T).tobytes()
+        wq = np.rint(np.ldexp(model.weights, model.scale_bits)).astype(np.int64)
+        assert model._wq[:, :-1].tobytes() == wq.tobytes()
         assert not model._wq[:, -1].any()
+        check_walk_rows(model, examples=40)
 
     def test_a_sentence_past_the_bound_raises_as_in_candidate_logits(self, clf):
         s = "a" * clf._max_chars

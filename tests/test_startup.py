@@ -1,10 +1,10 @@
-"""Start-up: ``scipy`` loads on the first featurization, not at import.
+"""Start-up: no run loads ``scipy``; the program is numpy only.
 
 Each check runs in a fresh interpreter, because the pytest process has long
-since loaded scipy. A run against a remote oracle never featurizes, so it
-must finish without loading scipy at all; the builtin classifier's first
-scoring or training call loads it and must give the same bits as in this
-process.
+since loaded scipy (the tests' reference implementations use it). A run
+against a remote oracle, training, saving, loading and scoring the builtin
+classifier, and the CLI's ``train-builtin`` and ``run`` must all finish
+without loading any scipy module, and give the same bits as in this process.
 """
 
 import json
@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from charmer.classifier import BuiltinClassifier, TrainConfig, train_builtin
+from charmer.cli import main
+from charmer.harness import report_body
 from charmer.synth import make_keyword_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -45,22 +47,21 @@ assert report["counts"]["attackable"], report["counts"]
 assert not scipy_loaded(), scipy_loaded()[:5]
 """
 
-FIRST_SCORE = PRELUDE + """
-from charmer.classifier import BuiltinClassifier
+TRAIN_AND_SCORE = PRELUDE + """
+from charmer.classifier import BuiltinClassifier, TrainConfig, train_builtin
 
+corpus = json.loads(sys.argv[2])
+train_builtin(corpus, TrainConfig(feature_dim=4096, steps=20, seed=0)).save(sys.argv[1])
+logits = BuiltinClassifier.load(sys.argv[1]).logits(json.loads(sys.argv[3]))
 assert not scipy_loaded(), scipy_loaded()[:5]
-logits = BuiltinClassifier.load(sys.argv[1]).logits(json.loads(sys.argv[2]))
-assert scipy_loaded()
 print(logits.tobytes().hex())
 """
 
-FIRST_TRAIN = PRELUDE + """
-from charmer.classifier import TrainConfig, train_builtin
+CLI = PRELUDE + """
+from charmer.cli import main
 
+assert main(sys.argv[1:]) == 0
 assert not scipy_loaded(), scipy_loaded()[:5]
-corpus = json.loads(sys.argv[2])
-train_builtin(corpus, TrainConfig(feature_dim=4096, steps=20, seed=0)).save(sys.argv[1])
-assert scipy_loaded()
 """
 
 
@@ -113,15 +114,29 @@ def test_a_remote_run_never_loads_scipy(builtin_server):
     fresh_python(REMOTE_RUN, builtin_server)
 
 
-def test_first_scoring_call_loads_scipy_and_scores_the_same_bits(tmp_path):
-    path = tmp_path / "model.bin"
-    clf = train_builtin(corpus(), SMALL)
-    clf.save(path)
-    expected = BuiltinClassifier.load(path).logits(TEXTS)
-    assert fresh_python(FIRST_SCORE, str(path), json.dumps(TEXTS)).strip() == expected.tobytes().hex()
-
-
-def test_first_training_call_loads_scipy_and_saves_the_same_bytes(tmp_path):
+def test_training_saving_loading_and_scoring_load_no_scipy_and_give_the_same_bits(tmp_path):
     train_builtin(corpus(), SMALL).save(tmp_path / "here.bin")
-    fresh_python(FIRST_TRAIN, str(tmp_path / "there.bin"), json.dumps(corpus()))
+    expected = BuiltinClassifier.load(tmp_path / "here.bin").logits(TEXTS)
+    scored = fresh_python(TRAIN_AND_SCORE, str(tmp_path / "there.bin"), json.dumps(corpus()), json.dumps(TEXTS))
     assert (tmp_path / "there.bin").read_bytes() == (tmp_path / "here.bin").read_bytes()
+    assert scored.strip() == expected.tobytes().hex()
+
+
+def test_a_builtin_cli_run_loads_no_scipy_and_gives_the_same_report(tmp_path):
+    data = tmp_path / "data.jsonl"
+    lines = [json.dumps({"id": f"r{i}", "text": text, "label": y}) + "\n" for i, (text, y) in enumerate(corpus())]
+    data.write_text("".join(lines))
+    train = ["train-builtin", "--dataset", str(data), "--steps", "20", "--dim", "4096"]
+    run = ["run", "--dataset", str(data), "--n", "5", "--k", "2"]
+
+    def here(argv):
+        assert main(argv) == 0
+
+    for where, command in (("here", here), ("there", lambda argv: fresh_python(CLI, *argv))):
+        model = tmp_path / f"{where}.bin"
+        command([*train, "--out", str(model)])
+        command([*run, "--oracle", f"builtin:{model}", "--report", str(tmp_path / f"{where}.json")])
+    assert (tmp_path / "there.bin").read_bytes() == (tmp_path / "here.bin").read_bytes()
+    reports = [json.loads((tmp_path / f"{where}.json").read_text()) for where in ("here", "there")]
+    assert reports[0]["counts"]["attackable"]
+    assert report_body(reports[1]) == report_body(reports[0])
