@@ -49,7 +49,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +76,8 @@ _CHUNK_ROWS = 512
 _FEATURE_ROWS = 64
 # single edits scored in one walk; bounds the memory of scoring many requests at once
 _WALK_ROWS = 2048
+# terms (entries × classes) of one block of training's forward pass (_ell_blocks); bounds its buffer
+_ELL_TERMS = 1 << 16
 # classes a model file can hold: its class count is one "<I" field
 _MAX_CLASSES = 2**32 - 1
 
@@ -402,6 +404,11 @@ class BuiltinClassifier:
             raise OracleError(f"bias of shape {np.shape(self.bias)} does not match {shape[0]} classes")
         # the fixed-point copy scoring uses; the float weights are not read again
         self.scale_bits: int = _scale_bits(self.weights, self.bias)
+        # Wq class-major, for gathers of the weights of rows and edits, with a last column of zeros;
+        # about 1 MB at two classes and the default dimension
+        self._wq = np.zeros((shape[0], dim + 1), dtype=np.int64)
+        wq = np.ldexp(self.weights, self.scale_bits)
+        self._wq[:, :-1] = np.rint(wq, out=wq)
         self._bq = np.rint(np.ldexp(self.bias, self.scale_bits)).astype(np.int64)
         self._windows = _edit_windows(self.ngram_orders)
         # the longest sentence whose padded n-grams, len(orders)·(L + 3) - sum(orders),
@@ -411,17 +418,6 @@ class BuiltinClassifier:
     @property
     def num_classes(self) -> int:
         return self.weights.shape[0]
-
-    @cached_property
-    def _wq(self) -> np.ndarray:
-        """``Wq`` class-major, for gathers of the weights of rows and edits, with a last column of zeros.
-
-        Built on the first score, about 1 MB at two classes and the default
-        dimension: a model that only trains never allocates it.
-        """
-        wq = np.zeros((self.num_classes, self.feature_dim + 1), dtype=np.int64)
-        wq[:, :-1] = np.rint(np.ldexp(self.weights, self.scale_bits))
-        return wq
 
     def features(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hashed n-gram counts of each sentence as int64 CSR arrays ``(indptr, indices, counts)``,
@@ -631,6 +627,42 @@ def _real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _ell_blocks(
+    indptr: np.ndarray, feature: np.ndarray, data: np.ndarray, pad: int, classes: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """CSR rows ``(indptr, feature, data)`` laid out for ``train_builtin``'s forward pass: the order of the
+    rows, longest first, and blocks ``(index, counts)`` of consecutive rows in that order.
+
+    In a block, entry ``j`` of its ``r``-th row has its feature at
+    ``index[j, r]`` and its count at ``counts[j, r, :]``, once per class, so
+    that the gathered weights of every class are multiplied in one pass.
+    Each row is padded to the block's first with feature ``pad`` and count
+    0. A block holds the rows at least half as long as its first, so
+    padding at most doubles the entries, and at most ``_ELL_TERMS`` terms
+    unless it is one row, so its buffer of terms stays small.
+    """
+    sizes = np.diff(indptr)
+    order = np.argsort(-sizes, kind="stable")
+    longest_first = sizes[order]
+    blocks, lo = [], 0
+    while lo < len(order):
+        width = int(longest_first[lo])
+        # past the rows at least half as long as this one
+        half = len(order) - int(np.searchsorted(longest_first[::-1], (width + 1) // 2))
+        hi = max(lo + 1, min(half, lo + _ELL_TERMS // max(width * classes, 1)))
+        rows, lens = order[lo:hi], longest_first[lo:hi]
+        column = np.repeat(np.arange(hi - lo), lens)
+        slot = np.arange(len(column)) - np.repeat(np.cumsum(lens) - lens, lens)
+        entry = np.repeat(indptr[rows], lens) + slot
+        index = np.full((width, hi - lo), pad)
+        index[slot, column] = feature[entry]
+        counts = np.zeros((width, hi - lo, classes))
+        counts[slot, column] = data[entry, None]
+        blocks.append((index, counts))
+        lo = hi
+    return order, blocks
+
+
 def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = TrainConfig()) -> BuiltinClassifier:
     """Full-batch gradient descent on softmax cross-entropy over hashed counts.
 
@@ -638,12 +670,11 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     the procedure is deterministic. Both products with the count rows ``X``
     add the same terms in the same order as a CSR product does, each sum
     from zero in the order of the rows' entries, so the weights are the
-    same bits as with ``scipy.sparse``. The forward pass ``X·W`` lays the
-    entries out ELL-style: entry ``j`` of every row is row ``j`` of an
-    array, the rows padded to the longest with a zero weight, and a sum
-    down the first axis adds one such row after another. The backward pass
-    ``Xᵀ·G`` is one ``bincount`` over the used features, which adds its
-    terms in input order.
+    same bits as with ``scipy.sparse``. The forward pass ``X·W`` sums
+    blocks of rows laid out ELL-style (``_ell_blocks``) down their first
+    axis, which adds one entry of every row after another. The backward
+    pass ``Xᵀ·G`` is one ``bincount`` over the used features, which adds
+    its terms in input order.
     """
     if not dataset:
         raise OracleError("training dataset is empty")
@@ -662,13 +693,8 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     sizes = np.diff(indptr)
     data = counts.astype(np.float64)
     used, feature = np.unique(indices, return_inverse=True)
-    # ELL: entry j of row r at [j, r], once per class; a pad is a 0 that gathers the zero row past the used weights
-    row = np.repeat(np.arange(n), sizes)
-    slot = np.arange(len(indices)) - np.repeat(indptr[:-1], sizes)
-    ell_index = np.full((int(sizes.max()), n), len(used))
-    ell_index[slot, row] = feature
-    ell_data = np.zeros(ell_index.shape + (o,))
-    ell_data[slot, row] = data[:, None]
+    order, blocks = _ell_blocks(indptr, feature, data, len(used), o)
+    place = order.argsort()  # where each row's logits are in block order
     Y = np.zeros((n, o))
     Y[np.arange(n), labels] = 1.0
 
@@ -676,15 +702,21 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     # the weights transposed, (feature_dim, classes) in C order, so that a gather takes a feature's row
     Wt = np.ascontiguousarray(rng.normal(0.0, 1e-3, size=(o, dim)).T)
     b = np.zeros(o)
-    used_w = np.zeros((len(used) + 1, o))
-    terms = np.empty(ell_data.shape)
+    used_w = np.zeros((len(used) + 1, o))  # the last row is the pads' zero weights
+    terms = np.empty(max(block.size for _, block in blocks))
+    Z_blocks = np.empty((n, o))
     Z = np.empty((n, o))
     grad = np.empty((len(used), o))
     step = np.empty_like(Wt)
     for _ in range(config.steps):
         Wt.take(used, axis=0, out=used_w[:-1])
-        np.multiply(used_w.take(ell_index, axis=0, out=terms, mode="clip"), ell_data, out=terms)
-        terms.sum(axis=0, out=Z)
+        lo = 0
+        for index, block in blocks:
+            t = terms[: block.size].reshape(block.shape)
+            np.multiply(used_w.take(index, axis=0, out=t, mode="clip"), block, out=t)
+            t.sum(axis=0, out=Z_blocks[lo : lo + index.shape[1]])
+            lo += index.shape[1]
+        Z_blocks.take(place, axis=0, out=Z)
         Z += b
         Z -= Z.max(axis=1, keepdims=True)
         P = np.exp(Z)
@@ -698,9 +730,9 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
         step *= config.learning_rate
         Wt -= step
         b -= config.learning_rate * G.sum(axis=0)
-    return BuiltinClassifier(
-        ngram_orders=config.ngram_orders, feature_dim=dim, weights=np.ascontiguousarray(Wt.T), bias=b
-    )
+    weights = np.ascontiguousarray(Wt.T)
+    del Wt, step, terms, blocks  # freed before the model builds its fixed-point copy, which would raise the peak
+    return BuiltinClassifier(ngram_orders=config.ngram_orders, feature_dim=dim, weights=weights, bias=b)
 
 
 def mixture_loss_and_grad(

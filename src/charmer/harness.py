@@ -57,7 +57,7 @@ from .attack import (
 from .classifier import BuiltinClassifier, BuiltinOracle
 from .oracle import EditRequest, Oracle, OracleError, check_edits, cw_loss, request_rows, score_together
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
-from .sentence import XI, Alphabet, L_MAX, SentenceError, levenshtein
+from .sentence import XI, Alphabet, L_MAX, levenshtein, single_edit
 
 log = logging.getLogger("charmer")
 
@@ -406,10 +406,9 @@ def join_premise(premise: Optional[str], request):
     prefix = premise + "\n"
     if isinstance(request, EditRequest):
         positions, codes = check_edits(request.positions, request.codes)
-        top = 2 * len(request.base) + 1
-        outside = (positions < 1) | (positions > top)
-        if outside.any() and XI not in request.base:  # a base with the sentinel is refused as a whole, below
-            raise SentenceError(f"position {positions[outside][0]} out of range [1, {top}]")
+        outside = (positions < 1) | (positions > 2 * len(request.base) + 1)
+        if outside.any():
+            single_edit(request.base, int(positions[outside.argmax()]), XI)  # raises as without the premise
         return EditRequest(prefix + request.base, positions + 2 * len(prefix), codes)
     return [prefix + s for s in request]
 

@@ -1,6 +1,9 @@
 import math
+import random
 import re
+import string
 import struct
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -339,6 +342,60 @@ class TestTraining:
         assert clf.weights.shape == weights.shape
         assert clf.weights.tobytes() == weights.tobytes()
         assert clf.bias.tobytes() == bias.tobytes()
+
+    @pytest.mark.parametrize("terms", [1, 40, 1 << 16])
+    def test_bit_equal_to_the_reference_loop_in_blocks_of_any_size(self, terms):
+        corpus = [(r.text, r.label) for r in make_keyword_corpus(30, seed=4)] + [("", 0), ("a", 1), ("", 2)]
+        config = TrainConfig(feature_dim=4096, steps=4)
+        with mock.patch.object(classifier_module, "_ELL_TERMS", terms):
+            clf = train_builtin(corpus, config)
+        weights, bias = reference_train_builtin(corpus, config.ngram_orders, 4096, 4, 1.0, 1e-4, 0)
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.bias.tobytes() == bias.tobytes()
+
+    def test_one_long_row_among_short_ones_pads_only_its_own_block(self):
+        # padded to the longest row (1,668 entries), the 400 short rows would take about 26 MB
+        rng = random.Random(0)
+        long_text = "".join(rng.choice(string.ascii_lowercase + " ") for _ in range(1500))
+        corpus = [("ab", 0), ("ba c", 1)] * 200 + [(long_text, 1)]
+        config = TrainConfig(feature_dim=4096, steps=3)
+        train_builtin(corpus[:2], config)  # hashing's tables are built once per process
+        tracemalloc.start()
+        try:
+            clf = train_builtin(corpus, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        weights, bias = reference_train_builtin(corpus, config.ngram_orders, 4096, 3, 1.0, 1e-4, 0)
+        assert clf.weights.tobytes() == weights.tobytes()
+        assert clf.bias.tobytes() == bias.tobytes()
+
+
+class TestEllBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 3), st.sampled_from([1, 8, 64, 1 << 16]))
+    def test_each_row_in_order_padded_at_most_twofold(self, sizes, classes, terms):
+        indptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        feature = np.arange(indptr[-1])  # each entry's own number, to see where it lands
+        data = feature + 1.0
+        with mock.patch.object(classifier_module, "_ELL_TERMS", terms):
+            order, blocks = classifier_module._ell_blocks(indptr, feature, data, -1, classes)
+        assert sorted(order.tolist()) == list(range(len(sizes)))
+        assert [sizes[r] for r in order] == sorted(sizes, reverse=True)
+        lo = 0
+        for index, counts in blocks:
+            width, m = index.shape
+            assert counts.shape == (width, m, classes)
+            assert m == 1 or width * m * classes <= terms
+            for r, row in enumerate(order[lo : lo + m].tolist()):
+                pads = width - sizes[row]
+                assert 0 <= pads <= sizes[row]
+                assert index[:, r].tolist() == list(range(indptr[row], indptr[row + 1])) + [-1] * pads
+                column = np.concatenate([data[indptr[row] : indptr[row + 1]], np.zeros(pads)])
+                assert (counts[:, r] == column[:, None]).all()
+            lo += m
+        assert lo == len(sizes)
 
 
 class TestTrainConfig:
@@ -688,6 +745,16 @@ class TestScoreEdits:
             oracle._score_requests([join_premise("pre", request)])
         assert str(premised.value) == str(alone.value) == f"position {bad} out of range [1, 5]"
 
+    @pytest.mark.parametrize("positions", [[0], [1, 9]])
+    def test_a_premised_base_with_the_sentinel_raises_as_without_the_premise(self, clf, positions):
+        oracle = BuiltinOracle(clf)
+        request = EditRequest("x" + XI, np.array(positions), np.full(len(positions), 97))
+        with pytest.raises(SentenceError) as alone:
+            oracle._score_requests([request])
+        with pytest.raises(SentenceError) as premised:
+            oracle._score_requests([join_premise("pre", request)])
+        assert str(premised.value) == str(alone.value) == "cannot edit a sentence containing the sentinel"
+
     @pytest.mark.parametrize("length", [0, 1, 2, 5, 32, 256, 1024])
     def test_equals_score_batch_at_every_length(self, clf, length):
         rng = np.random.default_rng(length)
@@ -890,10 +957,8 @@ class TestWalkLogits:
         with pytest.raises(SentenceError, match=re.escape("position 7 out of range [1, 5]")):
             clf.walk_logits("abc", np.array([[2, 7]]), np.array([[0, 66]]))  # "a" deleted first
 
-    def test_weights_copy_is_built_on_the_first_score(self):
+    def test_weights_copy_is_the_fixed_point_weights_and_a_zero_column(self):
         model = train_builtin([(r.text, r.label) for r in make_keyword_corpus(30, seed=2)], SMALL)
-        assert "_wq" not in vars(model)  # training never builds it
-        BuiltinOracle(model).score_batch(["a bad movie", ""])
         assert model._wq.shape == (2, SMALL.feature_dim + 1)
         wq = np.rint(np.ldexp(model.weights, model.scale_bits)).astype(np.int64)
         assert model._wq[:, :-1].tobytes() == wq.tobytes()
