@@ -11,24 +11,32 @@ and candidates are generated in canonical order (position ascending, then
 alphabet order, sentinel last), so the first maximum wins.
 
 The attacks that query an oracle are written as steps (``STEPS``): a
-generator that yields each scoring request (a list of sentences or an
-``EditRequest``), is sent that request's rows, and returns the
-``AttackOutcome``. ``_drive`` runs them on one record; the harness runs the
-steps of many records in lockstep and scores their requests together.
+generator that yields each request and returns the ``AttackOutcome``; it
+never sees the record's label, which only the losses need. A
+scoring request (a list of sentences or an ``EditRequest``) is sent the CW
+losses of its rows; a ``BuildRequest`` (a base, positions and a PJC mask) is
+sent its greedy candidates as ``(m, 2)`` ``[position, code]`` rows. A step
+keeps only its ranking, its first-maximum choice and its budget checks:
+``answer_requests`` answers the requests of many steps at once, with one
+``candidate_edits`` call for all builds, one oracle call per kind of
+scoring request and one ``cw_loss`` call, with a label per row, for the rows
+of each oracle call. ``_drive`` runs the steps of one record through it; the
+harness runs the steps of many records in lockstep.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .oracle import EditRequest, Oracle, cw_loss, score_together
+from .oracle import EditRequest, Oracle, OracleError, cw_loss, request_rows, score_together
 from .sentence import XI, Alphabet, distinct_edits, single_edit
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -175,23 +183,32 @@ def pjc_violates(
     return False
 
 
-def candidate_edits(
+class BuildRequest(NamedTuple):
+    """The greedy candidates of ``base`` to build: at ``positions`` (sorted, distinct), every replacement
+    character that the PJC ``keep`` mask over that grid lets through, or every one when it is ``None``."""
+
+    base: str
+    positions: list[int]
+    keep: Optional[list[list[bool]]]
+
+
+def build_request(
     s: str,
     positions: Sequence[int],
     alphabet: Alphabet,
     constraints: Optional[PjcConstraints] = None,
     history: Optional[EditHistory] = None,
-) -> np.ndarray:
-    """Distinct single edits in canonical order, as ``(m, 2)`` ``[position, code]`` rows.
+) -> BuildRequest:
+    """What to build for the candidates of ``s`` at ``positions`` (``candidate_edits``).
 
     Positions are sorted ascending so the candidate order is independent of
-    the ranking that produced them (``sentence.distinct_edits``); a sentence
-    rejected at one parametrization may still enter through another.
+    the ranking that produced them; a sentence rejected at one
+    parametrization may still enter through another.
     """
     positions = sorted(set(positions))
-    chars = alphabet.replacement_chars()
     keep = None
     if constraints is not None and constraints.any():
+        chars = alphabet.replacement_chars()
         spans = word_spans(s)
         edited = history.edited if history is not None else frozenset()
         # the no-op edit never violates anything
@@ -199,11 +216,27 @@ def candidate_edits(
             [single_edit(s, i, c) == s or not pjc_violates(s, i, c, constraints, edited, spans) for c in chars]
             for i in positions
         ]
-    return distinct_edits(s, positions, chars, keep)
+    return BuildRequest(s, positions, keep)
+
+
+def candidate_edits(builds: Sequence[BuildRequest], alphabet: Alphabet) -> np.ndarray:
+    """The distinct single edits of many builds in canonical order, as ``(m, 3)`` ``[build, position, code]`` rows.
+
+    One ``sentence.distinct_edits`` call over every build, with the
+    alphabet's replacement characters; the rows of build ``b`` follow those
+    of build ``b - 1``.
+    """
+    return distinct_edits(
+        [b.base for b in builds], [b.positions for b in builds], alphabet.replacement_chars(), [b.keep for b in builds]
+    )
 
 
 def _probe_request(s: str, test_char: str, allowed: Optional[set[int]]) -> EditRequest:
-    """One probe edit per expanded position that ``allowed`` admits (see ``select_positions``)."""
+    """One probe edit per expanded position that ``allowed`` admits (all when it is ``None``).
+
+    Probes replace the position with the test character, or with the
+    sentinel when the test character already sits there.
+    """
     probe = ord(test_char)
     codes = np.full(2 * len(s) + 1, probe, dtype=np.int64)
     # an even position whose character is the test character is probed with the sentinel
@@ -215,32 +248,27 @@ def _probe_request(s: str, test_char: str, allowed: Optional[set[int]]) -> EditR
     return EditRequest(s, idxs, codes[idxs - 1])
 
 
-def select_positions(
-    oracle: Oracle,
-    s: str,
-    y: int,
-    n: int,
-    test_char: str = " ",
-    allowed: Optional[set[int]] = None,
-) -> list[int]:
-    """Rank expanded positions by the loss of a one-character probe edit.
+def select_positions(probes: EditRequest, losses: np.ndarray, n: int) -> list[int]:
+    """Rank the probed positions of ``probes`` (``_probe_request``) by their probe ``losses``.
 
-    Probes replace the position with the test character, or with the sentinel
-    when the test character already sits there. Issues exactly one scoring per
-    probed position (all positions unless ``allowed`` restricts them) and
-    returns at most ``n`` indices, highest probe loss first, lowest index on
+    Returns at most ``n`` positions, highest loss first, lowest index on
     ties.
     """
-    request = _probe_request(s, test_char, allowed)
-    if not len(request.positions):
-        return []
-    losses = cw_loss(oracle.score_edits(*request), y)
-    return request.positions[np.argsort(-losses, kind="stable")[:n]].tolist()
+    return probes.positions[np.argsort(-losses, kind="stable")[:n]].tolist()
 
 
 def _segment_masks(s: str, spans: list[tuple[int, int]], test_char: str) -> list[str]:
     """``s`` with each word of ``spans`` replaced by the test character."""
     return [s[: a - 1] + test_char + s[b:] for a, b in spans]
+
+
+def _top_segments(spans: list[tuple[int, int]], losses: np.ndarray, m: int) -> set[int]:
+    """The expanded positions of the ``m`` segments of ``spans`` whose masks have the highest ``losses``."""
+    allowed: set[int] = set()
+    for j in np.argsort(-losses, kind="stable")[:m]:
+        a, b = spans[j]
+        allowed.update(range(2 * a - 1, 2 * b + 2))
+    return allowed
 
 
 def preselect_segments(
@@ -262,35 +290,15 @@ def preselect_segments(
     spans = word_spans(s)
     if len(spans) <= m:
         return set(range(1, 2 * len(s) + 2))
-    losses = cw_loss(oracle.score_batch(_segment_masks(s, spans, test_char)), y)
-    allowed: set[int] = set()
-    for j in np.argsort(-losses, kind="stable")[:m]:
-        a, b = spans[j]
-        allowed.update(range(2 * a - 1, 2 * b + 2))
-    return allowed
+    return _top_segments(spans, cw_loss(oracle.score_batch(_segment_masks(s, spans, test_char)), y), m)
 
 
-class _Scored(Oracle):
-    """Hands the rows of a request that were already scored to the ranking helpers, which ask for them again."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        return self.rows
-
-    def _score_requests(self, requests) -> np.ndarray:
-        return self.rows
-
-
-def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
+def _greedy_attack(s: str, config: AttackConfig, draw: bool = False):
     """The greedy loop as steps: probe-ranked positions, or positions drawn with ``random.Random(config.seed)``.
 
-    Its ranking goes through ``preselect_segments``, ``select_positions``,
-    ``candidate_edits`` and ``cw_loss`` as this module binds them; the two
-    rankers are handed the rows of their requests (``_Scored``). A request is
-    made only while the budget allows all of its rows, and the queries are
-    the rows received.
+    Its ranking goes through ``select_positions`` as this module binds it.
+    A scoring request is made only while the budget allows all of its rows,
+    and the queries are the rows answered.
     """
     rng = random.Random(config.seed) if draw else None
     test_char = config.alphabet.test_char
@@ -311,9 +319,9 @@ def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
             if len(spans) > config.segment_preselect:
                 if not budget_allows(len(spans)):
                     break
-                rows = yield _segment_masks(cur, spans, test_char)
-                queries += len(rows)
-                allowed = preselect_segments(_Scored(rows), cur, y, config.segment_preselect, test_char)
+                losses = yield _segment_masks(cur, spans, test_char)
+                queries += len(losses)
+                allowed = _top_segments(spans, losses, config.segment_preselect)
         if rng is not None:
             pool = sorted(allowed) if allowed is not None else list(range(1, 2 * len(cur) + 2))
             positions = rng.sample(pool, min(config.n, len(pool)))
@@ -321,21 +329,21 @@ def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
             probes = _probe_request(cur, test_char, allowed)
             if not budget_allows(len(probes.positions)):  # one probe per position
                 break
-            rows = None
+            losses = np.empty(0)
             if len(probes.positions):
-                rows = yield probes
-                queries += len(rows)
-            positions = select_positions(_Scored(rows), cur, y, config.n, test_char, allowed=allowed)
-        edits = candidate_edits(cur, positions, config.alphabet, config.constraints, history)
+                losses = yield probes
+                queries += len(losses)
+            positions = select_positions(probes, losses, config.n)
+        edits = yield build_request(cur, positions, config.alphabet, config.constraints, history)
         if not len(edits) or not budget_allows(len(edits)):
             break
-        rows = yield EditRequest(cur, edits[:, 0], edits[:, 1])
-        queries += len(rows)
-        losses = cw_loss(rows, y)
+        losses = yield EditRequest(cur, edits[:, 0], edits[:, 1])
+        queries += len(losses)
         j = int(np.argmax(losses))  # first maximum on ties
         pos, char = int(edits[j, 0]), chr(edits[j, 1])
         chosen = single_edit(cur, pos, char)
-        history.record(cur, pos, char, chosen)
+        if config.constraints.repeat:  # the only constraint that reads the history
+            history.record(cur, pos, char, chosen)
         cur = chosen
         final_loss = float(losses[j])
         trace.append(TraceStep(position=pos, char=char, loss=final_loss))
@@ -355,16 +363,15 @@ def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
     )
 
 
-def _exhaustive_k1(s: str, y: int, config: AttackConfig):
-    """``exhaustive_k1`` as steps: one request, the whole single-edit neighbourhood."""
+def _exhaustive_k1(s: str, config: AttackConfig):
+    """``exhaustive_k1`` as steps: one request, the whole single-edit neighbourhood, built for this record alone."""
     # generate_neighbors' sentences in its order, so that the first maximum is the same one
-    edits = distinct_edits(s, range(1, 2 * len(s) + 2), config.alphabet.replacement_chars())
+    edits = distinct_edits([s], [range(1, 2 * len(s) + 2)], config.alphabet.replacement_chars())[:, 1:]
     if config.budget is not None and len(edits) > config.budget:
         return AttackOutcome(
             original=s, adversarial=s, success=False, edits_used=0, final_loss=None, queries=0, elapsed=0.0, trace=[]
         )
-    rows = yield EditRequest(s, edits[:, 0], edits[:, 1])
-    losses = cw_loss(rows, y)
+    losses = yield EditRequest(s, edits[:, 0], edits[:, 1])
     j = int(np.argmax(losses))  # first maximum on ties
     loss = float(losses[j])
     adversarial = single_edit(s, int(edits[j, 0]), chr(edits[j, 1]))
@@ -374,23 +381,89 @@ def _exhaustive_k1(s: str, y: int, config: AttackConfig):
         success=loss >= 0,
         edits_used=int(adversarial != s),  # every neighbor is within one edit
         final_loss=loss,
-        queries=len(rows),
+        queries=len(losses),
         elapsed=0.0,
         trace=[TraceStep(position=None, char=None, loss=loss)],
     )
 
 
-def _drive(oracle: Oracle, steps) -> AttackOutcome:
-    """Run an attack's steps on one record, scoring each request with ``oracle`` (``score_together``).
+def answer_requests(oracle: Oracle, alphabet: Alphabet, pending: dict) -> dict:
+    """Each pending ``(request, label)``'s answer, or the ``OracleError`` of its request alone, and its seconds.
+
+    Every ``BuildRequest`` is answered from one ``candidate_edits`` call, as
+    its ``(m, 2)`` ``[position, code]`` rows. The scoring requests go into
+    one oracle call per kind (``score_together``), sentences and edits, and
+    each call's rows into one ``cw_loss`` call with each row's label; each
+    request is answered with its rows' losses. A call of many requests that
+    raises is made again one request at a time, in the order given, so that
+    each error lands on its own request; a loss pass that raises is made
+    again over each request's rows alone. The seconds of a call, its loss
+    pass or the build are shared by its requests in proportion to their rows.
+    """
+    answers = {}
+    builds = [i for i, (request, _) in pending.items() if isinstance(request, BuildRequest)]
+    if builds:
+        start = time.perf_counter()
+        edits = candidate_edits([pending[i][0] for i in builds], alphabet)
+        ends = np.searchsorted(edits[:, 0], np.arange(1, len(builds) + 1))
+        share = (time.perf_counter() - start) / max(len(edits), 1)
+        for i, lo, hi in zip(builds, [0, *ends[:-1].tolist()], ends.tolist()):
+            answers[i] = (edits[lo:hi, 1:], share * (hi - lo))
+    groups: dict = {}
+    for i, (request, _) in pending.items():
+        if i not in answers:
+            groups.setdefault(isinstance(request, EditRequest), []).append(i)
+    for members in groups.values():
+        if len(members) > 1:
+            requests = [pending[i][0] for i in members]
+            start = time.perf_counter()
+            try:
+                rows = score_together(oracle, requests)
+            except Exception:  # made again one request at a time
+                pass
+            else:
+                sizes = [request_rows(r) for r in requests]
+                bounds = list(zip(members, sizes, itertools.accumulate(sizes)))
+                try:
+                    losses = cw_loss(rows, np.repeat([pending[i][1] for i in members], sizes))
+                    parts = [losses[end - size : end] for _, size, end in bounds]
+                except OracleError:  # each request's rows alone, so that the error lands on its own request
+                    parts = [_losses(rows[end - size : end], pending[i][1]) for i, size, end in bounds]
+                share = (time.perf_counter() - start) / max(sum(sizes), 1)
+                for (i, size, _), part in zip(bounds, parts):
+                    answers[i] = (part, share * size)
+                continue
+        for i in members:
+            request, label = pending[i]
+            start = time.perf_counter()
+            try:
+                answers[i] = (cw_loss(score_together(oracle, [request]), label), time.perf_counter() - start)
+            except OracleError as exc:
+                answers[i] = (exc, 0.0)
+    return answers
+
+
+def _losses(rows: np.ndarray, label: int):
+    """``cw_loss`` of ``rows`` with ``label``, or the ``OracleError`` it raises."""
+    try:
+        return cw_loss(rows, label)
+    except OracleError as exc:
+        return exc
+
+
+def _drive(oracle: Oracle, steps, y: int, alphabet: Alphabet) -> AttackOutcome:
+    """Run an attack's steps on one record with label ``y``: each request is answered alone (``answer_requests``).
 
     The outcome's ``elapsed`` is the wall time of the whole run. An error
     of a request or a step propagates.
     """
     start = time.perf_counter()
-    rows = None
+    answer = None
     try:
         while True:
-            rows = score_together(oracle, [steps.send(rows)])
+            answer, _ = answer_requests(oracle, alphabet, {0: (steps.send(answer), y)})[0]
+            if isinstance(answer, OracleError):
+                raise answer
     except StopIteration as stop:
         outcome = stop.value
     outcome.elapsed = time.perf_counter() - start
@@ -399,12 +472,12 @@ def _drive(oracle: Oracle, steps) -> AttackOutcome:
 
 def charmer_attack(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Greedy attack with probe-based position pre-selection."""
-    return _drive(oracle, _greedy_attack(s, y, config))
+    return _drive(oracle, _greedy_attack(s, config), y, config.alphabet)
 
 
 def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Same greedy loop with positions drawn uniformly without replacement."""
-    return _drive(oracle, _greedy_attack(s, y, config, draw=True))
+    return _drive(oracle, _greedy_attack(s, config, draw=True), y, config.alphabet)
 
 
 def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
@@ -413,10 +486,11 @@ def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Attac
     A neighborhood larger than ``config.budget`` is not scored at all: the
     outcome is then the unattacked sentence.
     """
-    return _drive(oracle, _exhaustive_k1(s, y, config))
+    return _drive(oracle, _exhaustive_k1(s, config), y, config.alphabet)
 
 
-# the steps of each attack above, fn(s, y, config) -> generator, for the harness to run many records at once
+# the steps of each attack above, fn(s, config) -> generator, for the harness to run many records at once; the
+# label enters only the losses, which the driver computes
 STEPS = {
     charmer_attack: _greedy_attack,
     random_position_baseline: functools.partial(_greedy_attack, draw=True),

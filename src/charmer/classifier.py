@@ -687,6 +687,12 @@ def train_builtin(dataset: Sequence[tuple[str, int]], config: TrainConfig = Trai
     o = int(labels.max()) + 1
     if o < 2:
         raise OracleError("need at least 2 classes in the training data")
+    present = set(labels.tolist())  # checked before any array of the classes is drawn
+    if len(present) < o:
+        missing = min(set(range(len(present) + 1)) - present)
+        raise OracleError(
+            f"class {missing} has no training row; every class from 0 to the largest label {o - 1} needs one"
+        )
 
     n, dim = len(texts), config.feature_dim
     indptr, indices, counts = _featurize(texts, config.ngram_orders, dim)

@@ -1,14 +1,17 @@
 """Batch evaluation: dataset ingestion, metrics, transcripts and reports.
 
 Records are attacked in chunks of ``_LOCKSTEP_RECORDS``, in lockstep: at
-each step the requests of all live records of a chunk are scored together,
-one oracle call per kind of request (``_attack_chunk``). A record with a
-``paired_text`` premise (sentence-pair tasks, where only the hypothesis is
-attacked) joins its premise to each of its requests (``join_premise``), so
-its requests share those calls too. Transcripts are JSON Lines, one object
-per record, written in record order as soon as a record and those before it
-are done, so a crash loses at most one chunk of lines. A line's ``elapsed`` is the time of
-its attack's own steps plus its row share of each call that scored rows of
+each step the requests of all live records of a chunk are answered together
+(``_attack_chunk``, through ``attack.answer_requests``): the candidates of
+every record that asks for them in one build, each kind of scoring request
+in one oracle call, and the CW losses of each call's rows in one pass with a
+label per row. A record with a ``paired_text`` premise (sentence-pair tasks,
+where only the hypothesis is attacked) joins its premise to each of its
+scoring requests (``join_premise``), so its requests share those calls too.
+Transcripts are JSON Lines, one object per record, written in record order
+as soon as a record and those before it are done, so a crash loses at most
+one chunk of lines. A line's ``elapsed`` is the time of its attack's own
+steps plus its row share of each build, call and loss pass that answered
 its attack. The report is
 ``report_from_transcripts`` of those lines: each line's ``id``, ``skipped``,
 ``success``, ``d_lev``, ``queries``, ``final_loss`` and ``error`` make its
@@ -33,7 +36,6 @@ import csv
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -44,18 +46,18 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .attack import (
     STEPS,
     AttackConfig,
     AttackOutcome,
+    BuildRequest,
+    answer_requests,
     charmer_attack,
     exhaustive_k1,
     random_position_baseline,
 )
 from .classifier import BuiltinClassifier, BuiltinOracle
-from .oracle import EditRequest, Oracle, OracleError, check_edits, cw_loss, request_rows, score_together
+from .oracle import EditRequest, Oracle, OracleError, check_edits
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
 from .sentence import XI, Alphabet, L_MAX, levenshtein, single_edit
 
@@ -310,15 +312,18 @@ def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
 
     Each record first asks for its clean score. A record that the oracle
     classifies correctly then runs its attack's steps (``attack.STEPS``). At
-    each step the live records' requests, each joined to its record's premise
-    (``join_premise``), are scored together (``_score_step``), and each
-    record takes its next step with its own rows. An attack without steps
-    (pga) scores on the classifier, where no premise goes, so a record with
-    one fails with ``GradientUnavailableError`` there.
+    each step the live records' requests, each scoring request joined to its
+    record's premise (``join_premise``), are answered together
+    (``attack.answer_requests``): one candidate build for all builds, one
+    oracle call per kind of scoring request and one loss pass per call.
+    Each record then takes its next step with its own answer. An attack
+    without steps (pga) scores on the classifier, where no premise goes, so
+    a record with one fails with ``GradientUnavailableError`` there.
     A record leaves when its attack returns, when its request or step raises
     ``OracleError``, or when it is skipped. Its line's ``elapsed`` is the time
-    of its attack's own steps plus, for each call that scored its attack's
-    rows, that call's time times its share of the call's rows.
+    of its attack's own steps plus, for each build, call and loss pass that
+    answered its attack's requests, that one's time times its share of the
+    rows.
     """
     lines = [
         {
@@ -343,33 +348,35 @@ def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
         for record in records
     ]
     steps, spent = {}, [0.0] * len(records)  # the attacks under way, and their time so far
-    pending = {i: join_premise(record.paired_text, [record.text]) for i, record in enumerate(records)}  # clean scores
+    # clean scores first
+    pending = {i: (join_premise(record.paired_text, [record.text]), record.label) for i, record in enumerate(records)}
     written = 0
     while pending:
-        answers, pending = _score_step(oracle, pending), {}
+        answers, pending = answer_requests(oracle, config.alphabet, pending), {}
         for i in sorted(answers):
-            record, line, (rows, seconds) = records[i], lines[i], answers[i]
+            record, line, (answer, seconds) = records[i], lines[i], answers[i]
             try:
-                if isinstance(rows, OracleError):
-                    raise rows
+                if isinstance(answer, OracleError):
+                    raise answer
                 if i in steps:
                     spent[i] += seconds
                 else:  # the clean score
-                    clean_loss = cw_loss(rows[0], record.label)
+                    clean_loss = float(answer[0])
                     line["clean_loss"] = clean_loss
                     if clean_loss >= 0:
                         line.update(skipped=True, final_loss=clean_loss)
                         continue
                     if run in STEPS:
-                        steps[i] = STEPS[run](record.text, record.label, config)
+                        steps[i] = STEPS[run](record.text, config)
                     elif record.paired_text is None:
                         steps[i] = _whole(run, oracle, record.text, record.label, config)
                     else:  # it scores sentences on the classifier, where no premise goes
                         raise GradientUnavailableError("pga cannot score a paired_text premise")
-                    rows = None  # the attack's first step
+                    answer = None  # the attack's first step
                 start = time.perf_counter()
                 try:
-                    pending[i] = join_premise(record.paired_text, steps[i].send(rows))
+                    request = join_premise(record.paired_text, steps[i].send(answer))
+                    pending[i] = (request, record.label)
                 except StopIteration as stop:
                     elapsed, outcome = spent[i] + time.perf_counter() - start, stop.value
                     line.update(
@@ -399,9 +406,10 @@ def join_premise(premise: Optional[str], request):
     every expanded position moved by two per character of the prefix. The
     edits are checked against the base first: those the request would refuse
     without a premise raise its ``SentenceError`` here, rather than edit the
-    premise. Without a premise the request is unchanged.
+    premise. Without a premise, or for a ``BuildRequest``, whose candidates
+    are edits of the hypothesis alone, the request is unchanged.
     """
-    if premise is None:
+    if premise is None or isinstance(request, BuildRequest):
         return request
     prefix = premise + "\n"
     if isinstance(request, EditRequest):
@@ -411,41 +419,6 @@ def join_premise(premise: Optional[str], request):
             single_edit(request.base, int(positions[outside.argmax()]), XI)  # raises as without the premise
         return EditRequest(prefix + request.base, positions + 2 * len(prefix), codes)
     return [prefix + s for s in request]
-
-
-def _score_step(oracle, pending) -> dict:
-    """Each pending request's rows, or the ``OracleError`` of its request alone, and its seconds.
-
-    The requests go into one call per kind (``score_together``): sentences
-    and edits. A call of many requests that raises is made again one request
-    at a time, in record order, so that each error lands on its own record. A
-    call's seconds are shared by its requests in proportion to their rows.
-    """
-    groups: dict = {}
-    for i, request in pending.items():
-        groups.setdefault(isinstance(request, EditRequest), []).append(i)
-    answers = {}
-    for members in groups.values():
-        if len(members) > 1:
-            requests = [pending[i] for i in members]
-            start = time.perf_counter()
-            try:
-                rows = score_together(oracle, requests)
-            except Exception:  # made again one request at a time
-                pass
-            else:
-                sizes = [request_rows(r) for r in requests]
-                share = (time.perf_counter() - start) / max(sum(sizes), 1)
-                for i, size, end in zip(members, sizes, itertools.accumulate(sizes)):
-                    answers[i] = (rows[end - size : end], share * size)
-                continue
-        for i in members:
-            start = time.perf_counter()
-            try:
-                answers[i] = (score_together(oracle, [pending[i]]), time.perf_counter() - start)
-            except OracleError as exc:
-                answers[i] = (exc, 0.0)
-    return answers
 
 
 def report_from_transcripts(lines, attack: str, config_fingerprint: str, alphabet_fingerprint: str) -> dict:

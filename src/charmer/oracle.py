@@ -78,23 +78,34 @@ def check_edit_values(positions: np.ndarray, codes: np.ndarray) -> None:
             raise SentenceError(f"the code point {int(bad[0]):#x} is not a Unicode scalar value")
 
 
-def cw_loss(scores, y: int):
+def cw_loss(scores, y):
     """Margin loss: best score among the other classes minus the true-class score.
 
     ``scores`` is one row, giving a float, or an ``(m, classes)`` batch,
-    giving m losses. Unclipped; nonnegative exactly when the scores
+    giving m losses. ``y`` is the label of every row, or of a batch an array
+    of m labels, one per row; the losses equal those of each row with its
+    own label bit for bit. Unclipped; nonnegative exactly when the scores
     misclassify (a tie with the true class counts). The best other class is
     the first maximum, as ``max`` over the row, so tied signed zeros keep it.
     """
     z = _as_scores(scores)
     if z.ndim not in (1, 2) or z.shape[-1] < 2:
         raise OracleError("need at least 2 classes")
-    if not 0 <= y < z.shape[-1]:
-        raise OracleError(f"label {y} out of range for {z.shape[-1]} classes")
+    labels = np.asarray(y)
+    if labels.ndim and labels.shape != z.shape[:-1]:
+        raise OracleError(f"{labels.size} labels for scores of shape {z.shape}")
+    outside = (labels < 0) | (labels >= z.shape[-1])
+    if outside.any():
+        raise OracleError(f"label {labels[outside].flat[0]} out of range for {z.shape[-1]} classes")
     if not np.isfinite(z).all():
         raise OracleError("scores must be finite")
-    others = np.where(np.arange(z.shape[-1]) == y, -np.inf, z)
-    loss = np.take_along_axis(z, others.argmax(axis=-1)[..., None], axis=-1)[..., 0] - z[..., y]
+    labels = np.broadcast_to(labels, z.shape[:-1])[..., None]
+    others = z.copy()
+    np.put_along_axis(others, labels, -np.inf, axis=-1)
+    best = others.argmax(axis=-1)[..., None]
+    del others  # a batch of many records' rows is large
+    loss = np.take_along_axis(z, best, axis=-1)[..., 0]
+    loss -= np.take_along_axis(z, labels, axis=-1)[..., 0]
     return float(loss) if z.ndim == 1 else loss
 
 

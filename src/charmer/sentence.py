@@ -131,7 +131,7 @@ def single_edit(s: str, i: int, c: str) -> str:
     ``s`` unchanged on odd ones. The result is always within edit distance 1
     of ``s``. It is the only builder of single-edit sentences;
     ``single_edit_rows`` is the same edit on rows of code points, and
-    ``distinct_edits`` lists the distinct edits of a sentence.
+    ``distinct_edits`` lists the distinct edits of many sentences at once.
     """
     if XI in s:
         raise SentenceError("cannot edit a sentence containing the sentinel")
@@ -169,42 +169,81 @@ def single_edit_rows(rows: np.ndarray, lens: np.ndarray, positions: np.ndarray, 
     return out, new_lens
 
 
-def distinct_edits(s: str, positions: Sequence[int], chars: Sequence[str], keep=None) -> np.ndarray:
-    """The distinct single edits of ``s``, as ``(m, 2)`` int64 ``[position, code]`` rows.
+def distinct_edits(
+    bases: Sequence[str], positions: Sequence[Sequence[int]], chars: Sequence[str], keeps=None
+) -> np.ndarray:
+    """The distinct single edits of each of ``bases``, as ``(m, 3)`` int64 ``[record, position, code]`` rows.
 
-    Edits are taken position by position as given, then ``chars`` in order;
-    the code is the character's code point, 0 for the sentinel. Two edits
-    are the same when they give the same sentence (``single_edit``), and
-    the first of them is kept. That is, every no-op (the sentinel at an odd
-    position, or an even position's own character) is one edit; a deletion
-    is the deletion of the leftmost character of its run of equal
-    characters; an insertion of ``c`` is the insertion at the leftmost slot
-    of its run of ``c``; a replacement is itself. ``keep``, if given, is a
-    boolean mask over the ``len(positions)`` × ``len(chars)`` grid: an edit
-    it rejects at one parametrization may still enter through another.
+    Record ``r`` edits ``bases[r]`` at ``positions[r]``; its rows follow
+    those of record ``r - 1``, position by position as given, then ``chars``
+    in order. The code is the character's code point, 0 for the sentinel.
+    Two edits of one base are the same when they give the same sentence
+    (``single_edit``), and the first of them is kept. That is, every no-op
+    (the sentinel at an odd position, or an even position's own character)
+    is one edit; a deletion is the deletion of the leftmost character of its
+    run of equal characters; an insertion of ``c`` is the insertion at the
+    leftmost slot of its run of ``c``; a replacement is itself. ``keeps``, if
+    given, holds for each record ``None`` or a boolean mask over its
+    ``len(positions[r])`` × ``len(chars)`` grid: an edit it rejects at one
+    parametrization may still enter through another. The first record whose
+    base holds the sentinel or whose position is out of range raises the
+    ``SentenceError`` it raises alone.
     """
-    if XI in s:
-        raise SentenceError("cannot edit a sentence containing the sentinel")
-    at = np.asarray(positions, dtype=np.int64)
-    if np.any((at < 1) | (at > 2 * len(s) + 1)):
-        raise SentenceError(f"an edit position is out of range [1, {2 * len(s) + 1}]")
+    n = len(bases)
+    lens = np.fromiter(map(len, bases), dtype=np.int64, count=n)
+    at = [np.asarray(p, dtype=np.int64).ravel() for p in positions]
+    sizes = [len(p) for p in at]
+    record = np.repeat(np.arange(n), sizes)
+    at = np.concatenate([np.empty(0, dtype=np.int64), *at])
+    # the bases one after another, each after a code no character has, so that
+    # index starts[r] + i // 2 holds the character an even i of record r
+    # replaces, or the one before the slot of an odd i
+    starts = np.cumsum(lens + 1) - lens - 1
+    flat = np.full(n + lens.sum(), -1, dtype=np.int64)
+    is_char = np.ones(len(flat), dtype=bool)
+    is_char[starts] = False
+    flat[is_char] = np.frombuffer("".join(bases).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # the records whose base holds the sentinel, and those with a position out of range
+    sentinel = np.repeat(np.arange(n), lens)[flat[is_char] == 0]
+    bad = np.concatenate([sentinel, record[(at < 1) | (at > 2 * lens[record] + 1)]])
+    if len(bad):
+        r = int(bad.min())
+        if XI in bases[r]:
+            raise SentenceError("cannot edit a sentence containing the sentinel")
+        raise SentenceError(f"an edit position is out of range [1, {2 * lens[r] + 1}]")
     codes = np.fromiter(map(ord, chars), dtype=np.int64, count=len(chars))
-    # the sentence after a code no character has, so that index i // 2 is the
-    # character an even i replaces, or the one before the slot of an odd i
-    text = np.fromiter(map(ord, s), dtype=np.int64, count=len(s))
-    padded = np.concatenate(([-1], text))
-    run = np.arange(len(padded))  # the index of the first character of each run of equal characters
-    run[1:][padded[1:] == padded[:-1]] = 0
-    run = np.maximum.accumulate(run)[at // 2][:, None]
-    i, c = np.broadcast_arrays(at[:, None], codes[None, :])
-    even, same = i % 2 == 0, padded[at // 2][:, None] == c
-    # each edit's first form, as a position and a code; every no-op is (1, 0)
-    where = np.where(even & (c == 0), 2 * run, np.where(~even & same, 2 * run - 1, i))
-    noop = np.where(even, same, c == 0)
-    key = (np.where(noop, 1, where) * 0x110000 + np.where(noop, 0, c)).ravel()
-    live = np.flatnonzero(np.ones(i.shape, dtype=bool) if keep is None else np.reshape(np.asarray(keep, dtype=bool), i.shape))
-    first = np.sort(live[np.unique(key[live], return_index=True)[1]])
-    return np.stack([i.ravel()[first], c.ravel()[first]], axis=1)
+    run = np.arange(len(flat))  # the index of the first character of each run of equal characters
+    run[1:][flat[1:] == flat[:-1]] = 0
+    here = starts[record] + at // 2
+    run = np.maximum.accumulate(run)[here] - starts[record]
+    # each edit's first form as one key, (origin of its record + position) * 0x110000 + code:
+    # a replacement or an insertion is itself, and every no-op is position 1 with code 0
+    even = at % 2 == 0
+    origin = record * (2 * lens.max(initial=0) + 2)
+    key = (origin + at)[:, None] * 0x110000 + codes
+    # the sentinel deletes the run's first character at an even position and is a no-op at an odd one
+    key[:, codes == 0] = ((origin + np.where(even, 2 * run, 1)) * 0x110000)[:, None]
+    # the position's own character is a no-op at an even position and goes to the run's first slot at an odd one
+    p, c = np.nonzero(flat[here][:, None] == codes)
+    key[p, c] = np.where(even[p], origin[p] + 1, origin[p] + 2 * run[p] - 1) * 0x110000 + np.where(even[p], 0, codes[c])
+    key = key.ravel()
+    kept = np.ones(len(key), dtype=bool)
+    if keeps is not None and any(keep is not None for keep in keeps):
+        grids = [
+            np.ones(size * len(codes), dtype=bool)
+            if keep is None
+            else np.reshape(np.asarray(keep, dtype=bool), size * len(codes))
+            for size, keep in zip(sizes, keeps)
+        ]
+        kept = np.concatenate(grids)
+        key = np.where(kept, key, -1 - np.arange(len(key)))  # a rejected cell is no other cell's repeat
+    order = key.argsort(kind="stable")  # each key's cells in grid order
+    key = key[order]
+    kept[order[1:][key[1:] == key[:-1]]] = False  # the cells after a key's first
+    del key, order  # a chunk's grids are large: freed before the rows are gathered
+    cell = np.flatnonzero(kept)
+    row = cell // max(len(codes), 1)
+    return np.stack([record.take(row), at.take(row), codes.take(cell - row * len(codes))], axis=1)
 
 
 def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
@@ -214,8 +253,8 @@ def generate_neighbors(s: str, alphabet: Alphabet) -> list[str]:
     sentinel last), deduplicated keeping the first occurrence. Contains ``s``
     itself whenever every character of ``s`` lies in the alphabet.
     """
-    edits = distinct_edits(s, range(1, 2 * len(s) + 2), alphabet.replacement_chars())
-    return [single_edit(s, i, chr(c)) for i, c in edits.tolist()]
+    edits = distinct_edits([s], [range(1, 2 * len(s) + 2)], alphabet.replacement_chars())
+    return [single_edit(s, i, chr(c)) for _, i, c in edits.tolist()]
 
 
 def _ball_lower_bound(s: str, alphabet: Alphabet, k: int) -> int:

@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 
 from . import harness
-from .attack import AttackConfig, charmer_attack, exhaustive_k1
+from .attack import AttackConfig, PjcConstraints, build_request, candidate_edits, charmer_attack, exhaustive_k1
 from .classifier import _CODE_BITS, BuiltinOracle, TrainConfig, _gram_keys, _hash_keys, _padded_codes, train_builtin
 from .pga import PgaConfig, project_simplex
 from .oracle import EditRequest
@@ -180,7 +180,7 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
     requests, by_request = [], []
     for record in eval_records:
         s = record.text
-        edits = distinct_edits(s, range(1, 2 * len(s) + 2), alphabet.replacement_chars())
+        edits = distinct_edits([s], [range(1, 2 * len(s) + 2)], alphabet.replacement_chars())[:, 1:]
         by_edit = oracle.score_edits(s, edits[:, 0], edits[:, 1])
         requests.append(EditRequest(s, edits[:, 0], edits[:, 1]))
         by_request.append(by_edit)
@@ -227,9 +227,27 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
             ok = False
             lines.append(f"FAIL the record's rows of one call over every record's edits differ on record {record.id}")
             break
+    # the records' candidates built in one call, as a lockstep step builds them, against each built alone;
+    # every other record under every PJC constraint, at seeded positions
+    builds = [
+        build_request(
+            r.text,
+            [rng.randint(1, 2 * len(r.text) + 1) for _ in range(8)],
+            alphabet,
+            PjcConstraints.all_enabled() if j % 2 else None,
+        )
+        for j, r in enumerate(eval_records)
+    ]
+    together = candidate_edits(builds, alphabet)
+    for j, (record, build) in enumerate(zip(eval_records, builds)):
+        if together[together[:, 0] == j, 1:].tobytes() != candidate_edits([build], alphabet)[:, 1:].tobytes():
+            ok = False
+            lines.append(f"FAIL the candidates built for every record in one call differ on record {record.id}")
+            break
     lines.append(
         f"{'PASS' if ok else 'FAIL'} equivalence: single-edit scores and two-edit walk scores equal their "
-        f"sentences', one call over every record's edits scores as a call per record, every n-gram has its "
+        f"sentences', one call over every record's edits scores as a call per record, one build of every "
+        f"record's candidates builds them as a build per record, every n-gram has its "
         f"CRC32 feature index, the full-width single-edit attack matches the exhaustive scan exactly, and "
         f"every attack reports alike in lockstep and one record at a time on {samples} samples, half of them "
         f"after a premise"

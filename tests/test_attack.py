@@ -9,6 +9,8 @@ from charmer.attack import (
     AttackConfig,
     EditHistory,
     PjcConstraints,
+    _probe_request,
+    build_request,
     candidate_edits,
     charmer_attack,
     exhaustive_k1,
@@ -27,8 +29,19 @@ ALPHA_AB = Alphabet(("a", "b"))
 
 
 def as_triples(s, edits):
-    """``candidate_edits`` rows as (candidate, position, char), the candidate built by ``single_edit``."""
+    """``[position, code]`` rows as (candidate, position, char), the candidate built by ``single_edit``."""
     return [(single_edit(s, i, chr(c)), i, chr(c)) for i, c in edits.tolist()]
+
+
+def built(s, positions, alphabet, constraints=None, history=None):
+    """The ``[position, code]`` rows ``candidate_edits`` builds for one record."""
+    return candidate_edits([build_request(s, positions, alphabet, constraints, history)], alphabet)[:, 1:]
+
+
+def ranked(oracle, s, y, n, test_char=" ", allowed=None):
+    """``select_positions`` of the probes of ``s``, scored with ``oracle``."""
+    probes = _probe_request(s, test_char, allowed)
+    return select_positions(probes, cw_loss(oracle.score_edits(*probes), y), n)
 
 
 class LengthOracle(Oracle):
@@ -106,29 +119,29 @@ class TestWordSpans:
 
 class TestSelectPositions:
     def test_constant_oracle_orders_by_index(self):
-        positions = select_positions(ConstantOracle(), "abc", 0, 4)
+        positions = ranked(ConstantOracle(), "abc", 0, 4)
         assert positions == [1, 2, 3, 4]
 
     def test_probe_count_is_expanded_length(self):
         oracle = BatchLogOracle(ConstantOracle())
-        select_positions(oracle, "abcd", 0, 3)
+        ranked(oracle, "abcd", 0, 3)
         assert oracle.batch_sizes == [9]
 
     def test_ranks_critical_character_first(self):
         # deleting the only 'b' (position 4 in "a b a") hurts class 1 most
-        positions = select_positions(CharCountOracle("b"), "aba", 1, 1, test_char=" ")
+        positions = ranked(CharCountOracle("b"), "aba", 1, 1, test_char=" ")
         # probe at position 4 replaces 'b' with ' ': count drops to 0
         assert positions == [4]
 
     def test_allowed_restricts_probes(self):
         oracle = BatchLogOracle(ConstantOracle())
-        positions = select_positions(oracle, "abc", 0, 10, allowed={2, 5})
+        positions = ranked(oracle, "abc", 0, 10, allowed={2, 5})
         assert positions == [2, 5]
         assert oracle.batch_sizes == [2]
 
     def test_space_position_probed_with_sentinel(self):
         # "a b": position 4 holds the test char, so the probe deletes it
-        positions = select_positions(LengthOracle(), "a b", 0, 1)
+        positions = ranked(LengthOracle(), "a b", 0, 1)
         # class 0 is the label; shorter sentence -> lower class-1 score -> lower
         # loss, so deletion probes rank last and an insertion slot wins
         assert positions[0] in (1, 3, 5, 7)
@@ -136,7 +149,7 @@ class TestSelectPositions:
     def test_a_score_batch_override_with_one_row_raises(self):
         # every attack probes through CountingOracle, which checks the row count
         with pytest.raises(OracleError, match="expected 21 score rows"):
-            select_positions(CountingOracle(OneRowOracle()), "good movie", 1, 5)
+            ranked(CountingOracle(OneRowOracle()), "good movie", 1, 5)
         with pytest.raises(OracleError):
             charmer_attack(OneRowOracle(), "good movie", 1, AttackConfig(alphabet=ALPHA_AB, n=5, k=2))
 
@@ -144,7 +157,7 @@ class TestSelectPositions:
 class TestCandidates:
     def test_worked_example(self):
         # positions sorted; the no-op (3, ξ) repeats "ab" and is dropped
-        assert as_triples("ab", candidate_edits("ab", [3, 2], ALPHA_AB)) == [
+        assert as_triples("ab", built("ab", [3, 2], ALPHA_AB)) == [
             ("ab", 2, "a"),
             ("bb", 2, "b"),
             ("b", 2, XI),
@@ -153,7 +166,7 @@ class TestCandidates:
         ]
 
     def test_dedup_keeps_first_parametrization(self):
-        edits = as_triples("aa", candidate_edits("aa", [1, 2], ALPHA_AB))
+        edits = as_triples("aa", built("aa", [1, 2], ALPHA_AB))
         cands = [c for c, _, _ in edits]
         assert cands == sorted(set(cands), key=cands.index)
         # "aaa" reachable from both positions; kept with its earliest position
@@ -161,15 +174,15 @@ class TestCandidates:
         assert triples["aaa"] == (1, "a")
 
     def test_positions_sorted_so_order_is_rank_independent(self):
-        assert candidate_edits("ab", [3, 1], ALPHA_AB).tolist() == candidate_edits("ab", [1, 3], ALPHA_AB).tolist()
+        assert built("ab", [3, 1], ALPHA_AB).tolist() == built("ab", [1, 3], ALPHA_AB).tolist()
 
     def test_out_of_range_position(self):
         with pytest.raises(ValueError):
-            candidate_edits("ab", [6], ALPHA_AB)
+            built("ab", [6], ALPHA_AB)
 
     def test_all_candidates_within_one_edit(self):
         alphabet = Alphabet(tuple("abc"))
-        for cand, i, c in as_triples("abc", candidate_edits("abc", list(range(1, 8)), alphabet)):
+        for cand, i, c in as_triples("abc", built("abc", list(range(1, 8)), alphabet)):
             assert levenshtein("abc", cand) <= 1
             assert cand == single_edit("abc", i, c)
 
@@ -192,7 +205,7 @@ class TestCandidates:
         def keep(cand, i, c):
             return cand == s or not pjc_violates(s, i, c, constraints, edited, spans)
 
-        edits = candidate_edits(s, positions, alphabet, constraints, history)
+        edits = built(s, positions, alphabet, constraints, history)
         expected = list(reference_single_edits(s, sorted(set(positions)), alphabet.replacement_chars(), keep))
         assert as_triples(s, edits) == expected
         assert len(edits) == len({cand for cand, _, _ in expected})
@@ -236,13 +249,13 @@ class TestPjc:
 
     def test_filtering_in_candidate_edits(self):
         c = PjcConstraints(length=True)
-        edits = as_triples("hi", candidate_edits("hi", [3], ALPHA_AB, constraints=c))
+        edits = as_triples("hi", built("hi", [3], ALPHA_AB, constraints=c))
         # only the no-op survives: every real edit touches the 2-char word
         assert edits == [("hi", 3, XI)]
 
     def test_noop_bypasses_filters(self):
         c = PjcConstraints.all_enabled()
-        edits = as_triples("aaaa", candidate_edits("aaaa", [2], Alphabet(("a",)), constraints=c))
+        edits = as_triples("aaaa", built("aaaa", [2], Alphabet(("a",)), constraints=c))
         assert ("aaaa", 2, "a") in edits
 
     def test_from_names(self):

@@ -43,12 +43,13 @@ SMALL = TrainConfig(feature_dim=4096, steps=200, seed=0)
 @st.composite
 def corpora(draw):
     """Small labelled corpora: repeated texts, empty and non-BMP ones, and
-    labels that may skip a class index."""
+    2 to 4 classes, each with a row (training refuses a class without one)."""
     pool = draw(st.lists(st.text(st.sampled_from("ab é😀𝔸"), max_size=8), min_size=1, max_size=4))
-    corpus = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 3)), min_size=1, max_size=8))
-    if max(y for _, y in corpus) == 0:
-        corpus[-1] = (corpus[-1][0], draw(st.integers(1, 3)))
-    return corpus
+    corpus = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 3)), min_size=2, max_size=8))
+    if len({y for _, y in corpus}) == 1:
+        corpus[-1] = (corpus[-1][0], (corpus[-1][1] + draw(st.integers(1, 3))) % 4)
+    rank = {y: k for k, y in enumerate(sorted({y for _, y in corpus}))}
+    return [(text, rank[y]) for text, y in corpus]
 
 
 def features(texts, orders, dim):
@@ -311,6 +312,21 @@ class TestTraining:
         with pytest.raises(OracleError, match=r"^training row 2: label "):
             train_builtin([("a", 0), ("b", 1), ("c", bad)], SMALL)
 
+    def test_a_class_without_rows_raises_before_allocating(self):
+        # at the default dimension, 10**4 classes would draw a 5 GB weight array
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match=r"^class 1 has no training row"):
+                train_builtin([("a", 0), ("b", 10**4)], TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_first_class_without_rows_is_named(self):
+        with pytest.raises(OracleError, match=r"^class 2 has no training row.* largest label 4 "):
+            train_builtin([("a", 0), ("b", 4), ("c", 1), ("d", 3), ("e", 1)], SMALL)
+
     def test_a_numpy_integer_label_is_a_class_index(self):
         clf = train_builtin([("a", np.int64(0)), ("b", np.int64(1))], SMALL)
         assert clf.num_classes == 2
@@ -332,7 +348,7 @@ class TestTraining:
         st.integers(1, 5),
         st.integers(0, 2**32 - 1),
     )
-    @example([("", 0), ("😀𝔸", 2), ("😀𝔸", 2)], (1, 2, 3), 97, 1e-4, 1.0, 3, 0)  # no sample of class 1
+    @example([("", 0), ("😀𝔸", 2), ("😀𝔸", 1)], (1, 2, 3), 97, 1e-4, 1.0, 3, 0)  # an empty row, three classes
     @example([("", 0), ("", 1)], (3,), 97, 1e-4, 1.0, 3, 0)  # every row empty: no grams at all
     @example([("ab", 0), ("ba é", 1), ("b", 1)], (1, 2, 3), 1, 0.0, 1.0, 5, 0)  # every gram shares one feature
     def test_bit_equal_to_the_reference_loop(self, corpus, orders, dim, l2, lr, steps, seed):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from charmer import classifier
+from charmer import classifier, verify
 from charmer.cli import main
 from charmer.harness import report_body
 from charmer.sentence import single_edit
@@ -63,6 +63,12 @@ class TestTrainBuiltin:
             ["train-builtin", "--dataset", str(tmp_path / "no.jsonl"), "--out", str(tmp_path / "m")]
         ) == 1
 
+    def test_a_class_without_training_rows_exits_1(self, tmp_path, capsys):
+        dataset = tmp_path / "gap.jsonl"
+        dataset.write_text('{"text": "a", "label": 0}\n{"text": "b", "label": 10000}\n', encoding="utf-8")
+        assert main(["train-builtin", "--dataset", str(dataset), "--out", str(tmp_path / "m")]) == 1
+        assert "class 1 has no training row" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -246,6 +252,22 @@ class TestVerifyAndUsage:
         out = capsys.readouterr().out
         assert "FAIL the charmer report of records in lockstep differs from that of one record at a time" in out
         assert "FAIL the record's rows of one call over every record's edits differ on record" in out
+        assert "FAIL single-edit" not in out and "FAIL equivalence on record" not in out
+
+    def test_equivalence_names_a_record_whose_candidates_a_shared_build_changes(self, monkeypatch, capsys):
+        # a builder that hands the second record's edits to the first: one record alone is built right
+        right = verify.candidate_edits
+
+        def handed_over(builds, alphabet):
+            rows = right(builds, alphabet)
+            rows[rows[:, 0] == 1, 0] = 0
+            return rows
+
+        monkeypatch.setattr(verify, "candidate_edits", handed_over)
+        assert main(["verify", "--suite", "equivalence"]) == 1
+        out = capsys.readouterr().out
+        first = make_keyword_corpus(100, seed=1)[0].id
+        assert f"FAIL the candidates built for every record in one call differ on record {first}\n" in out
         assert "FAIL single-edit" not in out and "FAIL equivalence on record" not in out
 
     def test_equivalence_names_a_walk_of_two_edits_scored_wrongly(self, monkeypatch, capsys):

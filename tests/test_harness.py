@@ -584,6 +584,40 @@ class TestSuite:
         for row in report["per_sample"]:
             assert row["error"].startswith("OracleError: ")
 
+    def test_a_loss_pass_that_raises_fails_only_its_own_records(
+        self, monkeypatch, desk_classifier, desk_alphabet, attackable_records
+    ):
+        # a label out of range fails at the clean score's loss pass, non-finite rows at a step's; neither
+        # call is made again, and each error lands on its record as one record at a time
+        class NanEditsOf(CountsRows):
+            def _score_requests(self, requests):
+                rows = super()._score_requests(requests).copy()
+                at = 0
+                for base, positions, _ in requests:
+                    if base == victim.text:
+                        rows[at : at + len(positions)] = np.nan
+                    at += len(positions)
+                return rows
+
+        records = list(attackable_records[:6])
+        victim = records[1]
+        records[3] = DatasetRecord("no-such-class", records[3].text, 5)
+        config = AttackConfig(alphabet=desk_alphabet, n=5, k=2)
+        bodies = []
+        for chunk in (harness._LOCKSTEP_RECORDS, 1):
+            monkeypatch.setattr(harness, "_LOCKSTEP_RECORDS", chunk)
+            oracle = NanEditsOf(desk_classifier)
+            report = run_attack_suite(records, oracle, "charmer", config)
+            errors = {row["id"]: row["error"] for row in report["per_sample"] if row["error"]}
+            assert errors == {
+                victim.id: "OracleError: scores must be finite",
+                "no-such-class": "OracleError: label 5 out of range for 2 classes",
+            }
+            # uncounted: the clean row of the label out of range, and the victim's probes
+            assert oracle.rows == report["queries_total"] + 1 + 2 * len(victim.text) + 1
+            bodies.append(report_body(report))
+        assert bodies[0] == bodies[1]
+
     def test_a_clean_score_without_rows_is_a_record_error(self, desk_alphabet):
         class NoRows(Oracle):  # overrides score_batch, so no chunk check applies
             num_classes = 2

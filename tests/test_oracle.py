@@ -101,6 +101,39 @@ class TestBatchCwLoss:
                 cw_loss(bad, y)
 
 
+class TestPerRowLabels:
+    """``cw_loss`` of a batch with a label per row, as the lockstep loss pass calls it."""
+
+    @settings(max_examples=300)
+    @given(st.integers(min_value=2, max_value=5).flatmap(
+        lambda c: st.lists(
+            st.tuples(st.lists(tie_prone, min_size=c, max_size=c), st.integers(0, c - 1)), min_size=1, max_size=12
+        )
+    ))
+    @example([([0.0, -0.0, 0.0], 0), ([-0.0, 0.0, -0.0], 1), ([0.0, -0.0, -0.0], 2)])  # tied signed zeros
+    @example([([-0.0, 0.0, -0.0, 0.0], 2), ([0.0, -0.0, -0.0, 0.0], 0)])
+    def test_equal_per_row_scalar_calls_bit_for_bit(self, rows):
+        scores = np.array([row for row, _ in rows])
+        labels = np.array([y for _, y in rows], dtype=np.int64)
+        losses = cw_loss(scores, labels)
+        assert losses.shape == (len(rows),)
+        for (row, y), loss in zip(rows, losses.tolist()):
+            assert struct.pack("<d", loss) == struct.pack("<d", cw_loss(row, y))
+
+    def test_no_rows_have_no_losses(self):
+        assert cw_loss(np.empty((0, 3)), np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_a_non_finite_row_raises(self):
+        with pytest.raises(OracleError, match="scores must be finite"):
+            cw_loss(np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 1.0]]), np.array([2, 0]))
+
+    def test_a_label_out_of_range_or_a_count_that_is_not_the_rows_raises(self):
+        with pytest.raises(OracleError, match="label 3 out of range for 3 classes"):
+            cw_loss(np.zeros((3, 3)), np.array([0, 3, 5]))
+        with pytest.raises(OracleError, match=r"2 labels for scores of shape \(3, 3\)"):
+            cw_loss(np.zeros((3, 3)), np.array([0, 1]))
+
+
 class TestIsAdversarial:
     @pytest.mark.parametrize(
         "scores,y,expected",

@@ -170,8 +170,8 @@ class TestSingleEdit:
 
     def test_distinct_edits_keep(self):
         # "aab" is reachable from slots 1 and 3; rejected at 1, it enters at 3
-        got = distinct_edits("ab", [1, 3], ("a",), keep=[[False], [True]])
-        assert got.dtype == np.int64 and got.tolist() == [[3, ord("a")]]
+        got = distinct_edits(["ab"], [[1, 3]], ("a",), keeps=[[[False], [True]]])
+        assert got.dtype == np.int64 and got.tolist() == [[0, 3, ord("a")]]
 
 
 @st.composite
@@ -205,20 +205,66 @@ class TestDistinctEdits:
         if rejected is not None:
             keep = [[(i, c) not in rejected for c in chars] for i in positions]
             ref_keep = lambda cand, i, c: (i, c) not in rejected  # noqa: E731
-        rows = distinct_edits(s, positions, chars, keep)
-        assert rows.dtype == np.int64 and rows.shape == (len(rows), 2)
-        got = [(single_edit(s, i, chr(c)), i, chr(c)) for i, c in rows.tolist()]
+        rows = distinct_edits([s], [positions], chars, [keep])
+        assert rows.dtype == np.int64 and rows.shape == (len(rows), 3) and not rows[:, 0].any()
+        got = [(single_edit(s, i, chr(c)), i, chr(c)) for _, i, c in rows.tolist()]
         assert got == list(reference_single_edits(s, positions, chars, ref_keep))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(edit_grids(), min_size=1, max_size=8),
+        st.lists(st.sampled_from("ab é€😀x" + XI), max_size=6),
+        st.data(),
+    )
+    def test_each_record_of_many_is_the_reference_in_order(self, grids, chars, data):
+        # one call over every base, with one list of chars, against each base's reference
+        bases, positions = [s for s, _, _, _ in grids], [at for _, at, _, _ in grids]
+        rejected = [
+            data.draw(st.none() | st.sets(st.tuples(st.sampled_from(at), st.sampled_from(chars))))
+            if at and chars
+            else data.draw(st.none() | st.just(set()))
+            for at in positions
+        ]
+        keeps = [
+            None if no is None else [[(i, c) not in no for c in chars] for i in at] for at, no in zip(positions, rejected)
+        ]
+        rows = distinct_edits(bases, positions, chars, keeps)
+        assert rows.dtype == np.int64 and rows.shape == (len(rows), 3)
+        assert rows[:, 0].tolist() == sorted(rows[:, 0].tolist())
+        for r, (s, at, no) in enumerate(zip(bases, positions, rejected)):
+            ref_keep = None if no is None else lambda cand, i, c, no=no: (i, c) not in no  # noqa: E731
+            got = [(single_edit(s, i, chr(c)), i, chr(c)) for i, c in rows[rows[:, 0] == r, 1:].tolist()]
+            assert got == list(reference_single_edits(s, at, chars, ref_keep))
 
     def test_runs_take_their_leftmost_form(self):
         # the deletions of "aa", the insertions of "a" next to "aa", and every no-op
-        rows = distinct_edits("aab", [4, 2, 5, 3, 1, 7, 6], ["a", XI])
+        rows = distinct_edits(["aab"], [[4, 2, 5, 3, 1, 7, 6]], ["a", XI])[:, 1:]
         assert rows.tolist() == [[4, ord("a")], [4, 0], [5, ord("a")], [7, ord("a")], [6, ord("a")], [6, 0]]
 
-    @pytest.mark.parametrize("s,positions", [("ab", [0]), ("ab", [6]), ("a" + XI, [1])])
+    @pytest.mark.parametrize("s,positions", [("ab", [0]), ("ab", [6]), ("a" + XI, [1]), (XI, [])])
     def test_bad_input_raises_as_single_edit(self, s, positions):
         with pytest.raises(SentenceError):
-            distinct_edits(s, positions, ["a"])
+            distinct_edits([s], [positions], ["a"])
+
+    @pytest.mark.parametrize(
+        "bases,positions",
+        [
+            (["ab", "a" + XI, "abc"], [[1], [1], [99]]),  # the sentinel comes first
+            (["ab", "abc", "a" + XI], [[1], [99], [1]]),  # the range does
+            ([XI, "ab"], [[], [0]]),  # a base with the sentinel and no positions
+            (["", "ab", "a" + XI + "b"], [[1], [5, 6], [2]]),
+        ],
+    )
+    def test_the_first_bad_record_raises_as_it_does_alone(self, bases, positions):
+        alone = []
+        for s, at in zip(bases, positions):
+            try:
+                distinct_edits([s], [at], ["a"])
+            except SentenceError as exc:
+                alone.append(str(exc))
+        with pytest.raises(SentenceError) as together:
+            distinct_edits(bases, positions, ["a"])
+        assert str(together.value) == alone[0]
 
 
 class TestNeighbors:
