@@ -10,23 +10,24 @@ Tie-breaking everywhere is lowest index first: positions are ranked stably
 and candidates are generated in canonical order (position ascending, then
 alphabet order, sentinel last), so the first maximum wins.
 
-The attacks that query an oracle are written as steps (``STEPS``): a
-generator that yields each request and returns the ``AttackOutcome``; it
-never sees the record's label, which only the losses need. A
-scoring request (a list of sentences or an ``EditRequest``) is sent the CW
-losses of its rows; a ``BuildRequest`` (a base, positions and a PJC mask) is
-sent its greedy candidates as ``(m, 2)`` ``[position, code]`` rows. A step
-keeps only its ranking, its first-maximum choice and its budget checks:
+Every attack is written as steps, ``fn(s, y, config)``: a generator that
+yields each request and returns the ``AttackOutcome``. Only pga's steps
+(``harness.STEPS``), which score on the classifier and make no request, read
+the label ``y``; the greedy ones leave it to the losses. A scoring request
+(a list of sentences or an ``EditRequest``) is sent the CW losses of its
+rows; a ``BuildRequest`` (a base, positions and a PJC mask) is sent its
+greedy candidates as ``(m, 2)`` ``[position, code]`` rows. A step keeps only
+its ranking, its first-maximum choice and its budget checks:
 ``answer_requests`` answers the requests of many steps at once, with one
-``candidate_edits`` call for all builds, one oracle call per kind of
-scoring request and one ``cw_loss`` call, with a label per row, for the rows
-of each oracle call. ``_drive`` runs the steps of one record through it; the
-harness runs the steps of many records in lockstep.
+``candidate_edits`` call for all builds, one oracle call per kind of scoring
+request and one ``cw_loss`` call, with a label per row, for each call's
+rows. ``drive`` is the one loop that sends answers to steps: the harness
+runs a chunk of records through it in lockstep, and each one-record
+function (``charmer_attack``, ...) is ``drive`` of one run.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import re
@@ -36,7 +37,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .oracle import EditRequest, Oracle, OracleError, cw_loss, request_rows, score_together
+from .oracle import EditRequest, Oracle, OracleError, check_edits, cw_loss, request_rows, score_together
 from .sentence import XI, Alphabet, distinct_edits, single_edit
 
 _LOWER_ENGLISH = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -293,7 +294,7 @@ def preselect_segments(
     return _top_segments(spans, cw_loss(oracle.score_batch(_segment_masks(s, spans, test_char)), y), m)
 
 
-def _greedy_attack(s: str, config: AttackConfig, draw: bool = False):
+def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
     """The greedy loop as steps: probe-ranked positions, or positions drawn with ``random.Random(config.seed)``.
 
     Its ranking goes through ``select_positions`` as this module binds it.
@@ -363,7 +364,7 @@ def _greedy_attack(s: str, config: AttackConfig, draw: bool = False):
     )
 
 
-def _exhaustive_k1(s: str, config: AttackConfig):
+def _exhaustive_k1(s: str, y: int, config: AttackConfig):
     """``exhaustive_k1`` as steps: one request, the whole single-edit neighbourhood, built for this record alone."""
     # generate_neighbors' sentences in its order, so that the first maximum is the same one
     edits = distinct_edits([s], [range(1, 2 * len(s) + 2)], config.alphabet.replacement_chars())[:, 1:]
@@ -414,32 +415,29 @@ def answer_requests(oracle: Oracle, alphabet: Alphabet, pending: dict) -> dict:
         if i not in answers:
             groups.setdefault(isinstance(request, EditRequest), []).append(i)
     for members in groups.values():
-        if len(members) > 1:
-            requests = [pending[i][0] for i in members]
-            start = time.perf_counter()
-            try:
-                rows = score_together(oracle, requests)
-            except Exception:  # made again one request at a time
-                pass
+        requests = [pending[i][0] for i in members]
+        start = time.perf_counter()
+        try:
+            rows = score_together(oracle, requests)
+        except Exception as exc:
+            if len(members) > 1:  # made again one request at a time
+                for i in members:
+                    answers.update(answer_requests(oracle, alphabet, {i: pending[i]}))
+            elif isinstance(exc, OracleError):
+                answers[members[0]] = (exc, 0.0)
             else:
-                sizes = [request_rows(r) for r in requests]
-                bounds = list(zip(members, sizes, itertools.accumulate(sizes)))
-                try:
-                    losses = cw_loss(rows, np.repeat([pending[i][1] for i in members], sizes))
-                    parts = [losses[end - size : end] for _, size, end in bounds]
-                except OracleError:  # each request's rows alone, so that the error lands on its own request
-                    parts = [_losses(rows[end - size : end], pending[i][1]) for i, size, end in bounds]
-                share = (time.perf_counter() - start) / max(sum(sizes), 1)
-                for (i, size, _), part in zip(bounds, parts):
-                    answers[i] = (part, share * size)
-                continue
-        for i in members:
-            request, label = pending[i]
-            start = time.perf_counter()
-            try:
-                answers[i] = (cw_loss(score_together(oracle, [request]), label), time.perf_counter() - start)
-            except OracleError as exc:
-                answers[i] = (exc, 0.0)
+                raise
+            continue
+        sizes = [request_rows(r) for r in requests]
+        bounds = list(zip(members, sizes, itertools.accumulate(sizes)))
+        try:
+            losses = cw_loss(rows, np.repeat([pending[i][1] for i in members], sizes))
+            parts = [losses[end - size : end] for _, size, end in bounds]
+        except OracleError:  # each request's rows alone, so that the error lands on its own request
+            parts = [_losses(rows[end - size : end], pending[i][1]) for i, size, end in bounds]
+        share = (time.perf_counter() - start) / max(sum(sizes), 1)
+        for (i, size, _), part in zip(bounds, parts):
+            answers[i] = (part, share * size)
     return answers
 
 
@@ -451,33 +449,84 @@ def _losses(rows: np.ndarray, label: int):
         return exc
 
 
-def _drive(oracle: Oracle, steps, y: int, alphabet: Alphabet) -> AttackOutcome:
-    """Run an attack's steps on one record with label ``y``: each request is answered alone (``answer_requests``).
+def join_premise(premise: Optional[str], request):
+    """``request`` of a record with ``premise`` as the oracle scores it, after the premise and a newline.
 
-    The outcome's ``elapsed`` is the wall time of the whole run. An error
-    of a request or a step propagates.
+    Sentences get that prefix, and so does an ``EditRequest``'s base, with
+    every expanded position moved by two per character of the prefix. The
+    edits are checked against the base first: those the request would refuse
+    without a premise raise its ``SentenceError`` here, rather than edit the
+    premise. Without a premise, or for a ``BuildRequest``, whose candidates
+    are edits of the hypothesis alone, the request is unchanged.
     """
-    start = time.perf_counter()
-    answer = None
-    try:
-        while True:
-            answer, _ = answer_requests(oracle, alphabet, {0: (steps.send(answer), y)})[0]
-            if isinstance(answer, OracleError):
-                raise answer
-    except StopIteration as stop:
-        outcome = stop.value
-    outcome.elapsed = time.perf_counter() - start
+    if premise is None or isinstance(request, BuildRequest):
+        return request
+    prefix = premise + "\n"
+    if isinstance(request, EditRequest):
+        positions, codes = check_edits(request.positions, request.codes)
+        outside = (positions < 1) | (positions > 2 * len(request.base) + 1)
+        if outside.any():
+            single_edit(request.base, int(positions[outside.argmax()]), XI)  # raises as without the premise
+        return EditRequest(prefix + request.base, positions + 2 * len(prefix), codes)
+    return [prefix + s for s in request]
+
+
+def drive(oracle: Oracle, alphabet: Alphabet, runs: dict):
+    """Run attacks' steps in lockstep; yield ``(key, result, seconds, rows)`` for each run as it ends.
+
+    ``runs`` maps keys, in record order, to ``(steps, label, premise)``. At
+    each step every live run is sent its answer (``None`` first), and its
+    request, joined to its premise (``join_premise``), is answered with all
+    the others by one ``answer_requests``, in record order. A run's
+    ``result`` is the value its steps return, or the ``OracleError`` of its
+    request or step; ``seconds`` is the time of its own steps plus its row
+    share of each build, call and loss pass that answered it; ``rows``
+    counts the rows answered to its scoring requests.
+    """
+    answers = dict.fromkeys(runs, (None, 0.0))
+    seconds, rows = dict.fromkeys(runs, 0.0), dict.fromkeys(runs, 0)
+    while answers:
+        pending = {}
+        for key, (answer, share) in answers.items():
+            steps, label, premise = runs[key]
+            start = time.perf_counter()
+            try:
+                if isinstance(answer, OracleError):
+                    raise answer
+                request = join_premise(premise, steps.send(answer))
+            except StopIteration as stop:
+                result = stop.value
+            except OracleError as exc:
+                result = exc
+            else:
+                seconds[key] += share + time.perf_counter() - start
+                pending[key] = (request, label)
+                continue
+            yield key, result, seconds[key] + share + time.perf_counter() - start, rows[key]
+        got, answers = answer_requests(oracle, alphabet, pending), {}
+        for key, (request, _) in pending.items():  # in record order, as the next step's requests go
+            answers[key] = answer = got[key]
+            if not isinstance(request, BuildRequest) and not isinstance(answer[0], OracleError):
+                rows[key] += len(answer[0])
+
+
+def _alone(oracle: Oracle, steps, y: int, alphabet: Alphabet) -> AttackOutcome:
+    """The outcome of an attack's steps on one record with label ``y`` (``drive`` of one run); an error propagates."""
+    [(_, outcome, seconds, _)] = drive(oracle, alphabet, {0: (steps, y, None)})
+    if isinstance(outcome, OracleError):
+        raise outcome
+    outcome.elapsed = seconds
     return outcome
 
 
 def charmer_attack(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Greedy attack with probe-based position pre-selection."""
-    return _drive(oracle, _greedy_attack(s, config), y, config.alphabet)
+    return _alone(oracle, _greedy_attack(s, y, config), y, config.alphabet)
 
 
 def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Same greedy loop with positions drawn uniformly without replacement."""
-    return _drive(oracle, _greedy_attack(s, config, draw=True), y, config.alphabet)
+    return _alone(oracle, _greedy_attack(s, y, config, draw=True), y, config.alphabet)
 
 
 def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
@@ -486,13 +535,4 @@ def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Attac
     A neighborhood larger than ``config.budget`` is not scored at all: the
     outcome is then the unattacked sentence.
     """
-    return _drive(oracle, _exhaustive_k1(s, config), y, config.alphabet)
-
-
-# the steps of each attack above, fn(s, config) -> generator, for the harness to run many records at once; the
-# label enters only the losses, which the driver computes
-STEPS = {
-    charmer_attack: _greedy_attack,
-    random_position_baseline: functools.partial(_greedy_attack, draw=True),
-    exhaustive_k1: _exhaustive_k1,
-}
+    return _alone(oracle, _exhaustive_k1(s, y, config), y, config.alphabet)

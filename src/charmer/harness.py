@@ -1,26 +1,29 @@
 """Batch evaluation: dataset ingestion, metrics, transcripts and reports.
 
-Records are attacked in chunks of ``_LOCKSTEP_RECORDS``, in lockstep: at
-each step the requests of all live records of a chunk are answered together
-(``_attack_chunk``, through ``attack.answer_requests``): the candidates of
-every record that asks for them in one build, each kind of scoring request
-in one oracle call, and the CW losses of each call's rows in one pass with a
-label per row. A record with a ``paired_text`` premise (sentence-pair tasks,
-where only the hypothesis is attacked) joins its premise to each of its
-scoring requests (``join_premise``), so its requests share those calls too.
+Records are attacked in chunks of ``_LOCKSTEP_RECORDS``, in lockstep: a
+chunk is one ``attack.drive`` with a run per record (``_attack_chunk``),
+whose first request is the record's clean score and whose next are its
+attack's steps (``STEPS``, by name). At each step the requests of all live
+records are answered together: the candidates of every record that asks for
+them in one build, each kind of scoring request in one oracle call, and the
+CW losses of each call's rows in one pass with a label per row. A record
+with a ``paired_text`` premise (sentence-pair tasks, where only the
+hypothesis is attacked) has its premise joined to each of its scoring
+requests (``attack.join_premise``), so its requests share those calls too.
 Transcripts are JSON Lines, one object per record, written in record order
 as soon as a record and those before it are done, so a crash loses at most
-one chunk of lines. A line's ``elapsed`` is the time of its attack's own
-steps plus its row share of each build, call and loss pass that answered
-its attack. The report is
+one chunk of lines. A line's ``elapsed`` is its run's seconds: the time of
+its own steps plus its row share of each build, call and loss pass that
+answered it, its clean score included. The report is
 ``report_from_transcripts`` of those lines: each line's ``id``, ``skipped``,
 ``success``, ``d_lev``, ``queries``, ``final_loss`` and ``error`` make its
 ``per_sample`` row, with ``edit_sim`` from ``d_lev``, ``original`` and
 ``adversarial``; the counts, ASR and means come from those rows;
 ``queries_total`` sums ``queries`` plus 1 for each ``clean_loss`` (the clean
-score); ``timing`` comes from ``elapsed``. Reports keep all timing statistics
-under a single ``timing`` key so seeded reruns can be compared byte-for-byte
-on the remainder (see ``report_body``).
+score), and a line with an ``error`` counts in ``queries`` the rows answered
+before its attack failed; ``timing`` comes from ``elapsed``. Reports keep
+all timing statistics under a single ``timing`` key so seeded reruns can be
+compared byte-for-byte on the remainder (see ``report_body``).
 
 Attack success rate (ASR) uses as denominator only the samples the clean
 oracle classifies correctly; initially misclassified samples are skipped.
@@ -46,20 +49,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .attack import (
-    STEPS,
-    AttackConfig,
-    AttackOutcome,
-    BuildRequest,
-    answer_requests,
-    charmer_attack,
-    exhaustive_k1,
-    random_position_baseline,
-)
-from .classifier import BuiltinClassifier, BuiltinOracle
-from .oracle import EditRequest, Oracle, OracleError, check_edits
+from .attack import AttackConfig, _exhaustive_k1, _greedy_attack, drive
+from .classifier import BuiltinOracle
+from .oracle import Oracle, OracleError
 from .pga import GradientUnavailableError, PgaConfig, pga_attack
-from .sentence import XI, Alphabet, L_MAX, levenshtein, single_edit
+from .sentence import XI, Alphabet, L_MAX, levenshtein
 
 log = logging.getLogger("charmer")
 
@@ -227,20 +221,22 @@ def config_fingerprint(attack: str, config: AttackConfig, pga_config: Optional[P
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _pga(oracle: Oracle, s: str, y: int, config: AttackConfig, *, classifier: BuiltinClassifier, pga_config: PgaConfig):
+def _pga_steps(s: str, y: int, config: AttackConfig, *, classifier, pga_config: PgaConfig):
+    """pga as steps: it scores on the classifier itself, so it makes no request."""
     return pga_attack(classifier, s, y, pga_config, config.alphabet)
+    yield
 
 
-# every attack is fn(oracle, s, y, config) -> AttackOutcome; pga's extra
-# inputs are bound in run_attack_suite
-ATTACKS = {
-    "charmer": charmer_attack,
-    "charmer-fast": charmer_attack,  # with n=1, set in run_attack_suite
-    "random": random_position_baseline,
-    "exhaustive-k1": exhaustive_k1,
-    "pga": _pga,
+# every attack's steps by name, fn(s, y, config) -> generator (see attack.py); pga's classifier and config are
+# bound in run_attack_suite
+STEPS = {
+    "charmer": _greedy_attack,
+    "charmer-fast": _greedy_attack,  # with n=1, set in run_attack_suite
+    "random": functools.partial(_greedy_attack, draw=True),
+    "exhaustive-k1": _exhaustive_k1,
+    "pga": _pga_steps,
 }
-ATTACK_NAMES = tuple(ATTACKS)
+ATTACK_NAMES = tuple(STEPS)
 
 
 def run_attack_suite(
@@ -259,9 +255,9 @@ def run_attack_suite(
     record is attacked, and is left as it was. Oracle failures on individual
     samples are recorded and the suite continues.
     """
-    if attack not in ATTACKS:
+    if attack not in STEPS:
         raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACK_NAMES}")
-    run = ATTACKS[attack]
+    steps = STEPS[attack]
     if attack == "charmer-fast":
         config = dataclasses.replace(config, n=1)
     if attack == "pga":
@@ -269,7 +265,7 @@ def run_attack_suite(
             raise GradientUnavailableError("the pga attack needs a builtin oracle")
         if pga_config is None:
             pga_config = PgaConfig(k=min(config.k, 2), seed=config.seed)
-        run = functools.partial(run, classifier=oracle.classifier, pga_config=pga_config)
+        steps = functools.partial(steps, classifier=oracle.classifier, pga_config=pga_config)
     else:
         pga_config = None
 
@@ -277,11 +273,11 @@ def run_attack_suite(
     alpha_fp = config.alphabet.fingerprint()
     if transcript_path and os.path.exists(transcript_path) and os.path.getsize(transcript_path):
         raise FileExistsError(f"transcript {transcript_path} exists and is not empty; give a new or empty file")
-    lines = _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, transcript_path)
+    lines = _transcript_lines(records, oracle, attack, steps, config, fingerprint, alpha_fp, transcript_path)
     return report_from_transcripts(lines, attack, fingerprint, alpha_fp)
 
 
-def _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, transcript_path):
+def _transcript_lines(records, oracle, attack, steps, config, fingerprint, alpha_fp, transcript_path):
     """Attack the records, ``_LOCKSTEP_RECORDS`` at a time; write, flush and yield each line in record order.
 
     A line that UTF-8 cannot encode, which only a lone surrogate makes, is
@@ -291,7 +287,7 @@ def _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, trans
     with open(transcript_path, "a", encoding="utf-8") if transcript_path else contextlib.nullcontext() as out_fh:
         for start in range(0, len(records), _LOCKSTEP_RECORDS):
             chunk = records[start : start + _LOCKSTEP_RECORDS]
-            for entry in _attack_chunk(chunk, oracle, run, config, fingerprint, alpha_fp):
+            for entry in _attack_chunk(chunk, oracle, attack, steps, config, fingerprint, alpha_fp):
                 if out_fh is not None:
                     try:
                         out_fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
@@ -301,124 +297,58 @@ def _transcript_lines(records, oracle, run, config, fingerprint, alpha_fp, trans
                 yield entry
 
 
-def _whole(run, oracle, s, y, config):
-    """An attack without steps (pga) as steps: it runs whole in its first step and makes no request."""
-    return run(oracle, s, y, config)
-    yield
-
-
-def _attack_chunk(records, oracle, run, config, fingerprint, alpha_fp):
-    """Attack ``records`` in lockstep; yield their transcript lines in record order as they finish.
-
-    Each record first asks for its clean score. A record that the oracle
-    classifies correctly then runs its attack's steps (``attack.STEPS``). At
-    each step the live records' requests, each scoring request joined to its
-    record's premise (``join_premise``), are answered together
-    (``attack.answer_requests``): one candidate build for all builds, one
-    oracle call per kind of scoring request and one loss pass per call.
-    Each record then takes its next step with its own answer. An attack
-    without steps (pga) scores on the classifier, where no premise goes, so
-    a record with one fails with ``GradientUnavailableError`` there.
-    A record leaves when its attack returns, when its request or step raises
-    ``OracleError``, or when it is skipped. Its line's ``elapsed`` is the time
-    of its attack's own steps plus, for each build, call and loss pass that
-    answered its attack's requests, that one's time times its share of the
-    rows.
-    """
+def _attack_chunk(records, oracle, attack, steps, config, fingerprint, alpha_fp):
+    """Attack ``records`` in lockstep, one ``attack.drive`` run per record (``_record_steps``); yield their lines
+    in record order, each as soon as its record and those before it are done."""
+    unattacked = {  # what skipped and errored records keep
+        "schema": TRANSCRIPT_SCHEMA, "config_fingerprint": fingerprint, "alphabet_fingerprint": alpha_fp,
+        "error": None, "skipped": False, "success": False, "edits_used": 0, "d_lev": 0, "final_loss": None,
+        "queries": 0, "elapsed": 0.0,
+    }
     lines = [
-        {
-            "schema": TRANSCRIPT_SCHEMA,
-            "id": record.id,
-            "original": record.text,
-            "paired_text": record.paired_text,
-            "config_fingerprint": fingerprint,
-            "alphabet_fingerprint": alpha_fp,
-            # skipped and errored records keep these unattacked values
-            "error": None,
-            "skipped": False,
-            "adversarial": record.text,
-            "success": False,
-            "edits_used": 0,
-            "d_lev": 0,
-            "final_loss": None,
-            "queries": 0,
-            "elapsed": 0.0,
-            "trace": [],
-        }
-        for record in records
+        dict(unattacked, id=r.id, original=r.text, paired_text=r.paired_text, adversarial=r.text, trace=[])
+        for r in records
     ]
-    steps, spent = {}, [0.0] * len(records)  # the attacks under way, and their time so far
-    # clean scores first
-    pending = {i: (join_premise(record.paired_text, [record.text]), record.label) for i, record in enumerate(records)}
-    written = 0
-    while pending:
-        answers, pending = answer_requests(oracle, config.alphabet, pending), {}
-        for i in sorted(answers):
-            record, line, (answer, seconds) = records[i], lines[i], answers[i]
-            try:
-                if isinstance(answer, OracleError):
-                    raise answer
-                if i in steps:
-                    spent[i] += seconds
-                else:  # the clean score
-                    clean_loss = float(answer[0])
-                    line["clean_loss"] = clean_loss
-                    if clean_loss >= 0:
-                        line.update(skipped=True, final_loss=clean_loss)
-                        continue
-                    if run in STEPS:
-                        steps[i] = STEPS[run](record.text, config)
-                    elif record.paired_text is None:
-                        steps[i] = _whole(run, oracle, record.text, record.label, config)
-                    else:  # it scores sentences on the classifier, where no premise goes
-                        raise GradientUnavailableError("pga cannot score a paired_text premise")
-                    answer = None  # the attack's first step
-                start = time.perf_counter()
-                try:
-                    request = join_premise(record.paired_text, steps[i].send(answer))
-                    pending[i] = (request, record.label)
-                except StopIteration as stop:
-                    elapsed, outcome = spent[i] + time.perf_counter() - start, stop.value
-                    line.update(
-                        adversarial=outcome.adversarial,
-                        success=outcome.success,
-                        edits_used=outcome.edits_used,
-                        d_lev=levenshtein(record.text, outcome.adversarial),
-                        final_loss=outcome.final_loss if outcome.final_loss is not None else line["clean_loss"],
-                        queries=outcome.queries,
-                        elapsed=elapsed,
-                        trace=[[t.position, t.char, t.loss] for t in outcome.trace],
-                    )
-                else:
-                    spent[i] += time.perf_counter() - start
-            except OracleError as exc:
-                line["error"] = f"{type(exc).__name__}: {exc}"
-                log.warning("record %s failed: %s", record.id, exc)
-        while written < len(records) and written not in pending:
+    runs = {
+        i: (_record_steps(r, line, attack, steps, config), r.label, r.paired_text)
+        for i, (r, line) in enumerate(zip(records, lines))
+    }
+    done, written = [False] * len(records), 0
+    for i, result, seconds, rows in drive(oracle, config.alphabet, runs):
+        record, line = records[i], lines[i]
+        if isinstance(result, OracleError):
+            # the clean score, if it was answered, is counted through clean_loss
+            line.update(error=f"{type(result).__name__}: {result}", queries=rows - ("clean_loss" in line))
+            log.warning("record %s failed: %s", record.id, result)
+        elif result is not None:  # None: skipped
+            line.update(
+                adversarial=result.adversarial,
+                success=result.success,
+                edits_used=result.edits_used,
+                d_lev=levenshtein(record.text, result.adversarial),
+                final_loss=result.final_loss if result.final_loss is not None else line["clean_loss"],
+                queries=result.queries,
+                elapsed=seconds,
+                trace=[[t.position, t.char, t.loss] for t in result.trace],
+            )
+        done[i] = True
+        while written < len(records) and done[written]:
             yield lines[written]
             written += 1
 
 
-def join_premise(premise: Optional[str], request):
-    """``request`` of a record with ``premise`` as the oracle scores it, after the premise and a newline.
+def _record_steps(record, line, attack, steps, config):
+    """A record's run: its clean score, then its attack's steps unless the oracle already misclassifies it.
 
-    Sentences get that prefix, and so does an ``EditRequest``'s base, with
-    every expanded position moved by two per character of the prefix. The
-    edits are checked against the base first: those the request would refuse
-    without a premise raise its ``SentenceError`` here, rather than edit the
-    premise. Without a premise, or for a ``BuildRequest``, whose candidates
-    are edits of the hypothesis alone, the request is unchanged.
+    The clean score goes into the line at once, so that a line whose attack fails keeps it.
     """
-    if premise is None or isinstance(request, BuildRequest):
-        return request
-    prefix = premise + "\n"
-    if isinstance(request, EditRequest):
-        positions, codes = check_edits(request.positions, request.codes)
-        outside = (positions < 1) | (positions > 2 * len(request.base) + 1)
-        if outside.any():
-            single_edit(request.base, int(positions[outside.argmax()]), XI)  # raises as without the premise
-        return EditRequest(prefix + request.base, positions + 2 * len(prefix), codes)
-    return [prefix + s for s in request]
+    line["clean_loss"] = clean_loss = float((yield [record.text])[0])
+    if clean_loss >= 0:
+        line.update(skipped=True, final_loss=clean_loss)
+        return None
+    if attack == "pga" and record.paired_text is not None:  # it scores on the classifier, where no premise goes
+        raise GradientUnavailableError("pga cannot score a paired_text premise")
+    return (yield from steps(record.text, record.label, config))
 
 
 def report_from_transcripts(lines, attack: str, config_fingerprint: str, alphabet_fingerprint: str) -> dict:

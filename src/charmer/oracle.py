@@ -11,8 +11,8 @@ edits through ``Oracle._score_requests``, the one scorer of edits, which
 takes the edits of many bases at once. ``Oracle.score_edits`` is that call
 for one request; a plugin that scores edits its own way overrides
 ``_score_requests``, never ``score_edits``. A record's premise (sentence-pair
-tasks) is not the oracle's business: the harness joins it to the record's
-requests before they are scored.
+tasks) is not the oracle's business: ``attack.drive`` joins it to the
+record's requests before they are scored.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ def cw_loss(scores, y):
     if z.ndim not in (1, 2) or z.shape[-1] < 2:
         raise OracleError("need at least 2 classes")
     labels = np.asarray(y)
+    kind = labels.dtype.kind  # "O" holds an int beyond int64, which the range check below refuses; a bool is no label
+    if labels.size and (kind not in "iuO" or kind == "O" and any(type(v) is not int for v in labels.flat)):
+        raise OracleError(f"labels must be integers, not {labels.dtype}")
     if labels.ndim and labels.shape != z.shape[:-1]:
         raise OracleError(f"{labels.size} labels for scores of shape {z.shape}")
     outside = (labels < 0) | (labels >= z.shape[-1])
@@ -196,7 +199,7 @@ class Oracle:
 
 
 class CountingOracle(Oracle):
-    """Wrapper that counts scored sentences and edits, used for query budgets.
+    """Wrapper that counts scored sentences and edits, for library callers; the attacks count their own rows.
 
     Every batch must come back as one row of ``num_classes`` scores per
     sentence or edit (``check_rows``), whatever the inner oracle's scorers.

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import os
 import random
+import tempfile
 import zlib
 from unittest import mock
 
 import numpy as np
 
 from . import harness
-from .attack import AttackConfig, PjcConstraints, build_request, candidate_edits, charmer_attack, exhaustive_k1
+from .attack import (
+    AttackConfig, PjcConstraints, build_request, candidate_edits, charmer_attack, exhaustive_k1,
+    random_position_baseline,
+)
 from .classifier import _CODE_BITS, BuiltinOracle, TrainConfig, _gram_keys, _hash_keys, _padded_codes, train_builtin
 from .pga import PgaConfig, project_simplex
 from .oracle import EditRequest
@@ -213,13 +219,31 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
     # every other record is a sentence pair, whose requests join the others' after the premise
     premise = "the critics said that"
     suite = [dataclasses.replace(r, paired_text=premise) if i % 2 else r for i, r in enumerate(eval_records)]
+    one_record = {"charmer": charmer_attack, "random": random_position_baseline, "exhaustive-k1": exhaustive_k1}
     for attack in harness.ATTACK_NAMES if ok else ():
-        together = harness.run_attack_suite(suite, oracle, attack, config, pga_config=pga_config)
+        with tempfile.TemporaryDirectory() as tmp:
+            transcript = os.path.join(tmp, "t.jsonl")
+            together = harness.run_attack_suite(suite, oracle, attack, config, pga_config, transcript)
+            with open(transcript, encoding="utf-8") as fh:
+                entries = [json.loads(line) for line in fh]
         with mock.patch.object(harness, "_LOCKSTEP_RECORDS", 1):
             alone = harness.run_attack_suite(suite, oracle, attack, config, pga_config=pga_config)
         if harness.report_body(together) != harness.report_body(alone):
             ok = False
             lines.append(f"FAIL the {attack} report of records in lockstep differs from that of one record at a time")
+        # the one-record function against the suite's line of each attacked record without a premise
+        run = one_record.get(attack)
+        for record, entry in zip(suite, entries) if run else ():
+            if record.paired_text is not None or entry["skipped"] or entry["error"]:
+                continue
+            outcome = run(oracle, record.text, record.label, config)
+            got = dict(adversarial=outcome.adversarial, final_loss=outcome.final_loss, queries=outcome.queries)
+            got["trace"] = [[t.position, t.char, t.loss] for t in outcome.trace]
+            differ = ", ".join(key for key, value in got.items() if entry[key] != value)
+            if differ:
+                ok = False
+                lines.append(f"FAIL {run.__name__} differs from the {attack} suite on record {record.id}: {differ}")
+                break
     # the records' requests in one call, as records in lockstep share one, against each request alone
     in_one_call = np.split(oracle._score_requests(requests), np.cumsum([len(rows) for rows in by_request])[:-1])
     for record, alone, rows in zip(eval_records, by_request, in_one_call):
@@ -250,7 +274,7 @@ def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list
         f"record's candidates builds them as a build per record, every n-gram has its "
         f"CRC32 feature index, the full-width single-edit attack matches the exhaustive scan exactly, and "
         f"every attack reports alike in lockstep and one record at a time on {samples} samples, half of them "
-        f"after a premise"
+        f"after a premise, and each one-record attack function gives its suite's line"
     )
     return ok, lines
 

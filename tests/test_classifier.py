@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmer import classifier as classifier_module
+from charmer.attack import join_premise
 from charmer.classifier import (
     MAGIC,
     BuiltinClassifier,
@@ -22,7 +23,6 @@ from charmer.classifier import (
     mixture_loss_and_grad,
     train_builtin,
 )
-from charmer.harness import join_premise
 from charmer.oracle import EditRequest, Oracle, OracleError, check_edits, cw_loss
 from charmer.sentence import XI, SentenceError, single_edit
 from charmer.synth import make_keyword_corpus

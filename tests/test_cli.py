@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from charmer import attack as attack_module
 from charmer import classifier, verify
 from charmer.cli import main
 from charmer.harness import report_body
@@ -283,6 +284,24 @@ class TestVerifyAndUsage:
         out = capsys.readouterr().out
         assert "FAIL two-edit walk scores differ from the walked sentences' on record" in out
         assert "FAIL single-edit" not in out and "FAIL equivalence on record" not in out
+
+    def test_equivalence_names_a_record_whose_one_record_attack_differs_from_its_line(self, monkeypatch, capsys):
+        # a one-record run that counts one query too many: the suites and the full-width check still agree
+        right = attack_module._alone
+
+        def one_more(*args):
+            outcome = right(*args)
+            outcome.queries += 1
+            return outcome
+
+        monkeypatch.setattr(attack_module, "_alone", one_more)
+        assert main(["verify", "--suite", "equivalence"]) == 1
+        out = capsys.readouterr().out
+        first = make_keyword_corpus(100, seed=1)[0].id
+        assert f"FAIL charmer_attack differs from the charmer suite on record {first}: queries\n" in out
+        assert "FAIL random_position_baseline differs from the random suite on record" in out
+        assert "FAIL exhaustive_k1 differs from the exhaustive-k1 suite on record" in out
+        assert "FAIL equivalence on record" not in out and "lockstep differs" not in out
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,15 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charmer import harness
-from charmer.attack import AttackConfig, PjcConstraints
-from charmer.classifier import BuiltinOracle
+from charmer.attack import AttackConfig, PjcConstraints, join_premise
+from charmer.classifier import BuiltinOracle, TrainConfig, train_builtin
 from charmer.harness import (
     ATTACK_NAMES,
     DatasetError,
     DatasetRecord,
     config_fingerprint,
     extract_alphabet,
-    join_premise,
     load_dataset,
     report_body,
     report_from_transcripts,
@@ -35,6 +34,7 @@ from charmer.harness import (
 from charmer.oracle import Oracle, OracleError, cw_loss
 from charmer.pga import GradientUnavailableError, PgaConfig
 from charmer.sentence import XI, single_edit
+from charmer.synth import make_keyword_corpus
 from charmer.verify import reference_levenshtein
 
 
@@ -340,6 +340,62 @@ class CountsRows(BuiltinOracle):
         return self._counted(super()._score_requests(requests))
 
 
+class LogsCalls(BuiltinOracle):
+    """Logs each scoring call: ``s<rows>`` for sentences, ``e<rows>+<rows>...`` for edits, one count per request.
+    Refuses, after logging it, every call that holds an edit of ``victim``."""
+
+    def __init__(self, classifier, victim):
+        super().__init__(classifier)
+        self.victim, self.log = victim, []
+
+    def score_batch(self, sentences):
+        sentences = list(sentences)
+        self.log.append(f"s{len(sentences)}")
+        return super().score_batch(sentences)
+
+    def _score_requests(self, requests):
+        self.log.append("e" + "+".join(str(len(positions)) for _, positions, _ in requests))
+        if any(base == self.victim for base, _, _ in requests):
+            raise OracleError("simulated failure mid-attack")
+        return super()._score_requests(requests)
+
+
+# the calls of a suite of 12 records, half after a premise, one skipped (2) and one refused mid-attack (4), in
+# lockstep and one record at a time; pga scores only the clean sentences through the oracle
+SUITE_CALLS = {
+    ("charmer", 64): "s12 e57+39+43+43+41+41+89+59+43+89+75 e57 e39 e43 e43 e41 e41 e89 e59 e43 e89 e75 "
+    "e73+73+73+73+73+73+73+72+73+73 e59+43+89+75 e73+73+73+73",
+    ("charmer", 1): "s1 e57 e73 s1 e39 e73 s1 s1 e43 e73 s1 e43 s1 e41 e73 s1 e41 e73 s1 e89 e73 s1 e59 e73 e59 e73 "
+    "s1 e43 e72 e43 e73 s1 e89 e73 e89 e73 s1 e75 e73 e75 e73",
+    ("random", 64): "s12 e73+73+73+73+73+73+73+73+73+73+73 e73 e73 e73 e73 e73 e73 e73 e73 e73 e73 e73 "
+    "e73+73+73+73+73+73+73+73",
+    ("random", 1): "s1 e73 e73 s1 e73 s1 s1 e73 e73 s1 e73 s1 e73 e73 s1 e73 s1 e73 e73 s1 e73 e73 s1 e73 e73 "
+    "s1 e73 e73 s1 e73 e73",
+    ("exhaustive-k1", 64): "s12 e1341+918+1012+1011+964+965+2091+1387+1011+2092+1764 e1341 e918 e1012 e1011 e964 "
+    "e965 e2091 e1387 e1011 e2092 e1764",
+    ("exhaustive-k1", 1): "s1 e1341 s1 e918 s1 s1 e1012 s1 e1011 s1 e964 s1 e965 s1 e2091 s1 e1387 s1 e1011 s1 e2092 "
+    "s1 e1764",
+    ("pga", 64): "s12",
+    ("pga", 1): " ".join(["s1"] * 12),
+}
+
+
+@pytest.mark.parametrize("attack, chunk", sorted(SUITE_CALLS))
+def test_the_oracle_calls_of_a_suite_are_fixed(
+    monkeypatch, attack, chunk, desk_classifier, desk_alphabet, attackable_records
+):
+    records = [
+        dataclasses.replace(r, paired_text="the critics said that") if i % 2 else r
+        for i, r in enumerate(attackable_records[:12])
+    ]
+    records[2] = dataclasses.replace(records[2], label=1 - records[2].label)
+    monkeypatch.setattr(harness, "_LOCKSTEP_RECORDS", chunk)
+    oracle = LogsCalls(desk_classifier, victim=records[4].text)
+    report = run_attack_suite(records, oracle, attack, AttackConfig(alphabet=desk_alphabet, n=3, k=2, seed=3))
+    assert report["counts"]["skipped"] == 1 and report["counts"]["errors"] == (6 if attack == "pga" else 1)
+    assert " ".join(oracle.log) == SUITE_CALLS[attack, chunk]
+
+
 LOCKSTEP_CONFIGS = {
     "plain": dict(n=5, k=2, seed=3),
     "pjc": dict(n=5, k=3, constraints=PjcConstraints.all_enabled()),
@@ -561,6 +617,26 @@ class TestSuite:
         assert report["counts"]["attackable"] == 2
         assert report["per_sample"][0]["error"] is not None
         assert report["per_sample"][1]["error"] is None
+
+    def test_a_record_that_fails_mid_attack_counts_the_rows_answered_before(self):
+        class RefusesSecondEditCall(BuiltinOracle):
+            calls = 0
+
+            def _score_requests(self, requests):
+                self.calls += 1
+                if self.calls == 2:
+                    raise OracleError("simulated failure at the candidates")
+                return super()._score_requests(requests)
+
+        train = make_keyword_corpus(200, seed=0)
+        clf = train_builtin([(r.text, r.label) for r in train], TrainConfig(seed=0, steps=50))
+        records = make_keyword_corpus(1, seed=7)
+        config = AttackConfig(alphabet=extract_alphabet(records), n=5, k=3)
+        report = run_attack_suite(records, RefusesSecondEditCall(clf), "charmer", config)
+        (row,) = report["per_sample"]
+        assert row["error"] == "OracleError: simulated failure at the candidates"
+        # the 57 probes were answered; the clean score is counted once, through clean_loss
+        assert (row["queries"], report["queries_total"]) == (57, 58)
 
     @pytest.mark.parametrize(
         "rows",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charmer.harness import join_premise
+from charmer.attack import join_premise
 from charmer.oracle import CountingOracle, EditRequest, Oracle, OracleError, cw_loss, is_adversarial
 from charmer.sentence import SentenceError, single_edit
 from reference import reference_cw_loss
@@ -50,6 +50,18 @@ class TestCwLoss:
             cw_loss([0.1, 0.9], 2)
         with pytest.raises(OracleError):
             cw_loss([0.1, 0.9], -1)
+
+    @pytest.mark.parametrize(
+        "y, dtype", [(1.0, "float64"), (True, "bool"), (np.float64(1), "float64"), ([1, 0.5], "float64")]
+    )
+    def test_a_label_that_is_not_an_integer_raises(self, y, dtype):
+        scores = [0.1, 0.9] if np.ndim(y) == 0 else [[0.1, 0.9], [0.3, 0.7]]
+        with pytest.raises(OracleError, match=f"labels must be integers, not {dtype}$"):
+            cw_loss(scores, y)
+
+    def test_an_int_beyond_int64_is_a_label_out_of_range(self):
+        with pytest.raises(OracleError, match="^label 100000000000000000000 out of range for 2 classes$"):
+            cw_loss([0.1, 0.9], 10**20)
 
     def test_single_class_rejected(self):
         with pytest.raises(OracleError):
