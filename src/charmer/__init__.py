@@ -5,6 +5,8 @@ classifier oracle, plus a projected-gradient relaxation and a batch
 evaluation harness.
 """
 
+import importlib
+
 from .attack import (
     AttackConfig,
     AttackOutcome,
@@ -31,7 +33,6 @@ from .harness import (
 )
 from .oracle import Oracle, cw_loss, is_adversarial
 from .pga import PgaConfig, pga_attack, project_simplex
-from .remote import RemoteOracle
 from .sentence import (
     XI,
     Alphabet,
@@ -82,3 +83,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``RemoteOracle`` and the ``remote`` submodule, imported on first use, so that a run that
+    never asks for them never loads ``http.client`` and ``ssl``."""
+    if name in ("RemoteOracle", "remote"):
+        remote = importlib.import_module(".remote", __name__)
+        return remote if name == "remote" else remote.RemoteOracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,17 +24,18 @@ those rows gives the keys of the grams of each order, and an edit's removed
 and inserted grams are fixed rows of them (``_edit_windows``), whose
 weights are gathered from ``_wq``.
 
-A sentence becomes counts one way (``_featurize``): each gram is one packed
-int64 key, and its feature index comes from an open-addressing table per
-feature width (``_KeyTable``): two fixed arrays of 2^17 slots, 2 MB, probed
-for a whole batch at once. The keys it does not hold are hashed together,
-CRC32 from byte tables (``_gram_indices``), and inserted; the table is
-cleared when they would fill more than half its slots. Training, whole-row
-scoring and the base row of a walk all fold these indices into per-row
-counts. The base rows' counts are cached for the 64 sentences asked last
-(``_hashed_counts``), the bases of one lockstep chunk of records
-(``harness._LOCKSTEP_RECORDS``): each record scores its probes and then its
-candidates as edits of the same base, and never goes back to an earlier one.
+A gram's feature index comes from its packed int64 key, looked up in an
+open-addressing table per feature width (``_KeyTable``): two fixed arrays of
+2^17 slots, 2 MB, probed for a whole batch at once. The keys it does not
+hold are hashed together, CRC32 from byte tables (``_gram_indices``), and
+inserted; the table is cleared when they would fill more than half its
+slots. Training and whole-row scoring fold the indices into per-row counts
+(``_featurize``). A walk's base rows stay unfolded, one index per gram, as
+integer sums do not depend on order: a walk call hashes the distinct bases
+it does not hold together, and the rows of the 64 bases asked last are kept
+(``_hashed_counts``), one per record of a lockstep chunk
+(``harness._LOCKSTEP_RECORDS``). Each record scores its probes and then its
+candidates as edits of the same base, so about half the bases asked are held.
 
 Everything here is numpy: training multiplies the CSR rows by the weights
 in numpy passes that add the same terms in the same order as a sparse
@@ -48,6 +49,7 @@ import math
 import os
 import struct
 import zlib
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -277,12 +279,58 @@ def _featurize(texts: Sequence[str], orders: tuple[int, ...], dim: int) -> tuple
     return indptr, np.concatenate(indices), np.concatenate(counts)
 
 
-# one base per record of a lockstep chunk (harness._LOCKSTEP_RECORDS): each step asks once for each
-@lru_cache(maxsize=64)
-def _hashed_counts(text: str, orders: tuple[int, ...], dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_featurize`` of one sentence: its feature indices and their counts, cached; do not write to them."""
-    _, indices, counts = _featurize([text], orders, dim)
-    return indices, counts
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _BaseRows:
+    """Unfolded base rows of walk calls, the feature index of each gram, for the ``maxsize`` bases asked last.
+
+    A call asks for all of its bases and gets their rows in order; the
+    distinct ones not held are hashed together, ``_FEATURE_ROWS`` at a time.
+    It counts, keeps and evicts as an ``lru_cache`` called base by base would
+    (``cache_info``, ``cache_clear``). The rows are shared, so read-only.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._rows))
+
+    def cache_clear(self) -> None:
+        self._rows = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, texts: list[str], orders: tuple[int, ...], dim: int) -> list[np.ndarray]:
+        rows = self._rows
+        got = [rows.get((text, orders, dim)) for text in texts]
+        new = list(dict.fromkeys(text for text, row in zip(texts, got) if row is None))
+        fresh = {}
+        for start in range(0, len(new), _FEATURE_ROWS):
+            chunk = new[start : start + _FEATURE_ROWS]
+            keys, per_row = _gram_keys(*_padded_codes(chunk), orders)
+            index = _hash_keys(keys, dim)
+            for text, end, n in zip(chunk, np.cumsum(per_row).tolist(), per_row.tolist()):
+                fresh[text] = row = index[end - n : end].copy()  # a copy, so the chunk's array is freed
+                row.flags.writeable = False
+        got = [fresh[text] if row is None else row for text, row in zip(texts, got)]
+        for text, row in zip(texts, got):  # counted and kept as by an lru_cache asked base by base
+            key = (text, orders, dim)
+            if key in rows:
+                self._hits += 1
+                rows.move_to_end(key)
+            else:
+                self._misses += 1
+                rows[key] = row
+                if len(rows) > self.maxsize:
+                    rows.popitem(last=False)
+        return got
+
+
+# one base per record of a lockstep chunk (harness._LOCKSTEP_RECORDS): each step's walk call asks for
+# them all, and the next asks again for those of the records still running
+_hashed_counts = _BaseRows(64)
 
 
 def _edit_windows(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -424,15 +472,18 @@ class BuiltinClassifier:
         each row in first-occurrence order (``_featurize``)."""
         return _featurize(texts, self.ngram_orders, self.feature_dim)
 
-    def _row_sums(self, indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """``X·Wq`` in int64 of CSR count rows, one row per row.
+    def _row_sums(self, indptr: np.ndarray, indices: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+        """``X·Wq`` in int64 of CSR count rows, one row per row; a count of 1 for each entry without ``counts``.
 
         The row sums are differences of one running sum over all the terms,
         so an empty row is zero. A running sum may wrap past int64; its
         differences are exact modulo 2^64, and so exact where a row's sum fits.
         """
         running = np.zeros((self.num_classes, len(indices) + 1), dtype=np.int64)
-        np.cumsum(self._wq.take(indices, axis=1) * counts, axis=1, out=running[:, 1:])
+        terms = self._wq.take(indices, axis=1)
+        if counts is not None:
+            terms *= counts
+        np.cumsum(terms, axis=1, out=running[:, 1:])
         return (running[:, indptr[1:]] - running[:, indptr[:-1]]).T
 
     def logits(self, texts: Sequence[str]) -> np.ndarray:
@@ -468,8 +519,9 @@ class BuiltinClassifier:
         windows a side, fixed rows of the neighbourhoods' gram keys
         (``_edit_windows``); one that reaches past the row counts for
         nothing. The edits' keys are looked up (``_hash_keys``) and the
-        base's counts taken from ``_hashed_counts``; their integer weights
-        are summed from gathers of the class-major ``Wq``. A sentence is the
+        base's gram indices taken from ``_hashed_counts``; their integer
+        weights are summed from gathers of the class-major ``Wq``, the bases'
+        in one gather and running sum over all their grams. A sentence is the
         integer logits of ``base`` plus the changes of its walk's edits. The
         sums are exact, so the rows equal ``candidate_logits`` of the
         sentences bit for bit. Each edit is checked against its own ``t_j``:
@@ -536,9 +588,8 @@ class BuiltinClassifier:
         change = (weights[:, half:].sum(axis=1) - weights[:, :half].sum(axis=1)).T
         if k > 1:
             change = change[same]
-        base_rows = [_hashed_counts(base, self.ngram_orders, self.feature_dim) for base in bases]
-        indptr = np.cumsum([0] + [len(index) for index, _ in base_rows])
-        base_logits = self._row_sums(indptr, *(np.concatenate(part) for part in zip(*base_rows)))
+        base_rows = _hashed_counts(bases, self.ngram_orders, self.feature_dim)
+        base_logits = self._row_sums(np.cumsum([0, *map(len, base_rows)]), np.concatenate(base_rows))
         return base_logits.take(which, axis=0) + change.reshape(m, k, self.num_classes).sum(axis=1)
 
     def _check_length(self, longest: int) -> None:

@@ -19,7 +19,6 @@ from .harness import (
 )
 from .oracle import OracleError
 from .pga import PgaConfig
-from .remote import RemoteOracle
 from .verify import SUITES, run_suite
 
 log = logging.getLogger("charmer")
@@ -33,10 +32,10 @@ def _setup_logging() -> None:
 def _make_oracle(spec: str):
     if spec.startswith("builtin:"):
         return BuiltinOracle(BuiltinClassifier.load(spec[len("builtin:") :]))
-    if spec.startswith(("http://", "https://")):
-        return RemoteOracle(spec)
-    if spec.startswith("http:"):
-        return RemoteOracle("http://" + spec[len("http:") :])
+    if spec.startswith(("http:", "https://")):
+        from .remote import RemoteOracle  # only a remote run loads http.client and ssl
+
+        return RemoteOracle(spec if spec.startswith(("http://", "https://")) else "http://" + spec[len("http:") :])
     raise OracleError(f"unknown oracle spec {spec!r}; use builtin:<file> or http:<url>")
 
 

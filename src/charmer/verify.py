@@ -14,7 +14,6 @@ import os
 import random
 import tempfile
 import zlib
-from unittest import mock
 
 import numpy as np
 
@@ -175,6 +174,8 @@ def two_edit_walks(rng: random.Random, s: str, chars: tuple[str, ...]):
 
 
 def run_equivalence_suite(samples: int = 100, seed: int = 0) -> tuple[bool, list[str]]:
+    from unittest import mock  # here, as it loads asyncio and ssl, which no attack run needs
+
     corpus = make_keyword_corpus(300, seed=seed)
     clf = train_builtin([(r.text, r.label) for r in corpus], TrainConfig(seed=seed))
     oracle = BuiltinOracle(clf)

@@ -147,7 +147,7 @@ class TestSelectPositions:
         assert positions[0] in (1, 3, 5, 7)
 
     def test_a_score_batch_override_with_one_row_raises(self):
-        # every attack probes through CountingOracle, which checks the row count
+        # CountingOracle's _score_requests refuses a wrong row count, and so does an attack's scoring call
         with pytest.raises(OracleError, match="expected 21 score rows"):
             ranked(CountingOracle(OneRowOracle()), "good movie", 1, 5)
         with pytest.raises(OracleError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,6 +7,7 @@ import struct
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -86,9 +88,9 @@ class TestFeatures:
     @example("", (1, 2, 3))
     @example("\x02\x03é€😀", (1, 2, 3))
     def test_counts_match_per_gram_hashing(self, text, orders):
-        # bypass the sentence cache; the key tables persist across examples
+        # one sentence's folded row; the key tables persist across examples
         for dim in (1 << 16, 7):
-            idx, val = classifier_module._hashed_counts.__wrapped__(text, orders, dim)
+            _, idx, val = classifier_module._featurize([text], orders, dim)
             ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
             assert idx.tolist() == ref_idx.tolist()  # order included
             assert val.tolist() == ref_val.tolist()
@@ -131,7 +133,7 @@ class TestFeatures:
         monkeypatch.setattr(classifier_module, "_KEY_TABLE_BITS", 2)
         monkeypatch.setattr(classifier_module, "_KEY_TABLES", {})
         text = "abcabd é"
-        idx, val = classifier_module._hashed_counts.__wrapped__(text, (1, 2, 3), 4096)
+        _, idx, val = classifier_module._featurize([text], (1, 2, 3), 4096)
         ref_idx, ref_val = reference_hashed_counts(text, (1, 2, 3), 4096)
         assert idx.tolist() == ref_idx.tolist() and val.tolist() == ref_val.tolist()
         table = classifier_module._KEY_TABLES[4096]
@@ -1088,3 +1090,66 @@ class TestManyBases:
         hits = cache.cache_info().hits
         oracle._score_requests(requests)  # and the candidates of the next, on the same bases
         assert cache.cache_info().hits == hits + len(bases)
+
+
+@st.composite
+def base_calls(draw):
+    """The bases of a few walk calls: lists of 0 to 80 sentences from one pool, so that they repeat within a
+    call and across calls, and a call can hold more than 64 distinct ones."""
+    texts = st.text(st.sampled_from("ab é€😀\x02\x03"), max_size=8)
+    pool = draw(st.lists(texts, min_size=1, max_size=90, unique=True))
+    return draw(st.lists(st.lists(st.sampled_from(pool), max_size=80), min_size=1, max_size=4))
+
+
+# 71 distinct bases; then the first 10 again, 7 of them no longer held and 3 that the call's own misses
+# evict before it asks for them, and 3 repeats; then a call of none
+SPILL = ["".join(t) for t in itertools.product("ab é", repeat=3)] + ["€", "😀", "\x02", "\x03", "", "aaaa", "é😀"]
+SPILL_CALLS = [SPILL, SPILL[:10] + SPILL[:3], []]
+
+
+class TestBaseRows:
+    """``_hashed_counts`` hashes together the distinct bases of a walk call that it does not hold, and
+    keeps them as an ``lru_cache(64)`` asked for them one by one would; on any key table, including one
+    whose slots the misses of one call overflow."""
+
+    @pytest.mark.parametrize("bits", [classifier_module._KEY_TABLE_BITS, 2])
+    @settings(max_examples=100, deadline=None)
+    @given(base_calls(), st.sampled_from([(1, 2, 3), (2,), (3, 1)]))
+    @example(SPILL_CALLS, (1, 2, 3))
+    def test_rows_match_the_reference_and_counts_an_lru_cache(self, bits, calls, orders):
+        cache, dim = classifier_module._hashed_counts, 4099
+        one_by_one = lru_cache(maxsize=64)(lambda text: None)
+        cache.cache_clear()
+        with mock.patch.multiple(classifier_module, _KEY_TABLE_BITS=bits, _KEY_TABLES={}):
+            for call, bases in enumerate(calls):
+                padded_codes = classifier_module._padded_codes
+                with mock.patch.object(classifier_module, "_padded_codes", wraps=padded_codes) as spy:
+                    rows = cache(bases, orders, dim)
+                hashed = [text for args, _ in spy.call_args_list for text in args[0]]
+                assert len(hashed) == len(set(hashed)) and set(hashed) <= set(bases)  # each miss hashed once
+                assert call or sorted(hashed) == sorted(set(bases))
+                for text in bases:
+                    one_by_one(text)
+                assert tuple(cache.cache_info()) == tuple(one_by_one.cache_info())
+                assert len(rows) == len(bases)
+                for text, row in zip(bases, rows):
+                    ref_idx, ref_val = reference_hashed_counts(text, orders, dim)
+                    assert Counter(row.tolist()) == Counter(dict(zip(ref_idx.tolist(), ref_val.tolist())))
+                    assert not row.flags.writeable
+
+    @pytest.mark.parametrize("bits", [classifier_module._KEY_TABLE_BITS, 2])
+    @settings(max_examples=50, deadline=None)
+    @given(base_calls())
+    @example(SPILL_CALLS)
+    def test_requests_across_calls_score_as_their_sentences(self, clf, bits, calls):
+        oracle = BuiltinOracle(clf)
+        classifier_module._hashed_counts.cache_clear()
+        with mock.patch.multiple(classifier_module, _KEY_TABLE_BITS=bits, _KEY_TABLES={}):
+            for bases in calls:
+                requests, sentences = [], []
+                for i, base in enumerate(bases):  # "x" at a position that moves with i, and a no-op sentinel
+                    positions = np.array([1 + i % (2 * len(base) + 1), 2 * len(base) + 1])
+                    requests.append(EditRequest(base, positions, np.array([ord("x"), 0])))
+                    sentences += [single_edit(base, int(positions[0]), "x"), single_edit(base, int(positions[1]), XI)]
+                rows = oracle._score_requests(requests)
+                assert rows.tobytes() == oracle.score_batch(sentences).tobytes()

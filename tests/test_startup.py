@@ -5,6 +5,8 @@ since loaded scipy (the tests' reference implementations use it). A run
 against a remote oracle, training, saving, loading and scoring the builtin
 classifier, and the CLI's ``train-builtin`` and ``run`` must all finish
 without loading any scipy module, and give the same bits as in this process.
+The CLI's builtin commands must also load neither ``ssl`` nor
+``http.client``, which only the remote oracle needs.
 """
 
 import json
@@ -32,6 +34,9 @@ import sys
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def network_loaded():
+    return sorted({"ssl", "http.client"} & set(sys.modules))
 """
 
 REMOTE_RUN = PRELUDE + """
@@ -62,6 +67,7 @@ from charmer.cli import main
 
 assert main(sys.argv[1:]) == 0
 assert not scipy_loaded(), scipy_loaded()[:5]
+assert not network_loaded(), network_loaded()
 """
 
 
