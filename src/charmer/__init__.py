@@ -13,7 +13,6 @@ from .attack import (
     PjcConstraints,
     charmer_attack,
     exhaustive_k1,
-    preselect_segments,
     random_position_baseline,
     select_positions,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "load_dataset",
     "mixture_loss_and_grad",
     "pga_attack",
-    "preselect_segments",
     "project_simplex",
     "random_position_baseline",
     "run_attack_suite",

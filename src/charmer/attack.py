@@ -4,7 +4,9 @@ Each iteration probes every expanded position with a test character to rank
 positions by loss impact, builds every single-edit candidate at the top
 positions, scores them in one batch and moves to the highest-loss candidate.
 Position importances are recomputed against the current sentence after every
-accepted edit.
+accepted edit. The random-position baseline draws the positions instead, and
+the exhaustive single-edit scan is one step at every position: all three are
+one loop, ``_greedy_attack``, which builds its candidates one way.
 
 Tie-breaking everywhere is lowest index first: positions are ranked stably
 and candidates are generated in canonical order (position ascending, then
@@ -32,7 +34,7 @@ import itertools
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -272,36 +274,17 @@ def _top_segments(spans: list[tuple[int, int]], losses: np.ndarray, m: int) -> s
     return allowed
 
 
-def preselect_segments(
-    oracle: Oracle,
-    s: str,
-    y: int,
-    m: int,
-    test_char: str = " ",
-) -> set[int]:
-    """Expanded positions belonging to the ``m`` most loss-critical segments.
+def _greedy_attack(s: str, y: int, config: AttackConfig, pick: str = "probe"):
+    """The greedy loop as steps: each step builds and scores the candidates at the positions that ``pick`` gives.
 
-    Each maximal non-space segment is masked wholesale (replaced by the test
-    character) and scored; the union of expanded positions touching the top-m
-    segments, including their flanking insertion slots, is returned. With at
-    most ``m`` segments every position is allowed.
+    ``"probe"`` ranks the positions by probe losses, through
+    ``select_positions`` as this module binds it; ``"draw"`` draws them with
+    ``random.Random(config.seed)``; ``"every"`` takes every one. All three
+    pick among the positions of the top segments when ``segment_preselect``
+    is set. A scoring request is made only while the budget allows all of
+    its rows, and the queries are the rows answered.
     """
-    if m < 1:
-        raise ValueError("segment count must be >= 1")
-    spans = word_spans(s)
-    if len(spans) <= m:
-        return set(range(1, 2 * len(s) + 2))
-    return _top_segments(spans, cw_loss(oracle.score_batch(_segment_masks(s, spans, test_char)), y), m)
-
-
-def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
-    """The greedy loop as steps: probe-ranked positions, or positions drawn with ``random.Random(config.seed)``.
-
-    Its ranking goes through ``select_positions`` as this module binds it.
-    A scoring request is made only while the budget allows all of its rows,
-    and the queries are the rows answered.
-    """
-    rng = random.Random(config.seed) if draw else None
+    rng = random.Random(config.seed) if pick == "draw" else None
     test_char = config.alphabet.test_char
     cur = s
     trace: list[TraceStep] = []
@@ -323,10 +306,7 @@ def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
                 losses = yield _segment_masks(cur, spans, test_char)
                 queries += len(losses)
                 allowed = _top_segments(spans, losses, config.segment_preselect)
-        if rng is not None:
-            pool = sorted(allowed) if allowed is not None else list(range(1, 2 * len(cur) + 2))
-            positions = rng.sample(pool, min(config.n, len(pool)))
-        else:
+        if pick == "probe":
             probes = _probe_request(cur, test_char, allowed)
             if not budget_allows(len(probes.positions)):  # one probe per position
                 break
@@ -335,6 +315,10 @@ def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
                 losses = yield probes
                 queries += len(losses)
             positions = select_positions(probes, losses, config.n)
+        else:
+            positions = sorted(allowed) if allowed is not None else list(range(1, 2 * len(cur) + 2))
+            if rng is not None:
+                positions = rng.sample(positions, min(config.n, len(positions)))
         edits = yield build_request(cur, positions, config.alphabet, config.constraints, history)
         if not len(edits) or not budget_allows(len(edits)):
             break
@@ -365,27 +349,9 @@ def _greedy_attack(s: str, y: int, config: AttackConfig, draw: bool = False):
 
 
 def _exhaustive_k1(s: str, y: int, config: AttackConfig):
-    """``exhaustive_k1`` as steps: one request, the whole single-edit neighbourhood, built for this record alone."""
-    # generate_neighbors' sentences in its order, so that the first maximum is the same one
-    edits = distinct_edits([s], [range(1, 2 * len(s) + 2)], config.alphabet.replacement_chars())[:, 1:]
-    if config.budget is not None and len(edits) > config.budget:
-        return AttackOutcome(
-            original=s, adversarial=s, success=False, edits_used=0, final_loss=None, queries=0, elapsed=0.0, trace=[]
-        )
-    losses = yield EditRequest(s, edits[:, 0], edits[:, 1])
-    j = int(np.argmax(losses))  # first maximum on ties
-    loss = float(losses[j])
-    adversarial = single_edit(s, int(edits[j, 0]), chr(edits[j, 1]))
-    return AttackOutcome(
-        original=s,
-        adversarial=adversarial,
-        success=loss >= 0,
-        edits_used=int(adversarial != s),  # every neighbor is within one edit
-        final_loss=loss,
-        queries=len(losses),
-        elapsed=0.0,
-        trace=[TraceStep(position=None, char=None, loss=loss)],
-    )
+    """``exhaustive_k1`` as steps: one greedy step over every position, without constraints or segments."""
+    one_step = replace(config, k=1, constraints=PjcConstraints(), segment_preselect=None)
+    return _greedy_attack(s, y, one_step, pick="every")
 
 
 def answer_requests(oracle: Oracle, alphabet: Alphabet, pending: dict) -> dict:
@@ -526,13 +492,16 @@ def charmer_attack(oracle: Oracle, s: str, y: int, config: AttackConfig) -> Atta
 
 def random_position_baseline(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Same greedy loop with positions drawn uniformly without replacement."""
-    return _alone(oracle, _greedy_attack(s, y, config, draw=True), y, config.alphabet)
+    return _alone(oracle, _greedy_attack(s, y, config, pick="draw"), y, config.alphabet)
 
 
 def exhaustive_k1(oracle: Oracle, s: str, y: int, config: AttackConfig) -> AttackOutcome:
     """Score the full single-edit neighborhood and move to the loss maximizer.
 
-    A neighborhood larger than ``config.budget`` is not scored at all: the
-    outcome is then the unattacked sentence.
+    It is one greedy step at every position, without PJC constraints or
+    segment preselection, and its trace holds that one edit, the no-op
+    included. A neighborhood larger than
+    ``config.budget`` is not scored at all: the outcome is then the
+    unattacked sentence.
     """
     return _alone(oracle, _exhaustive_k1(s, y, config), y, config.alphabet)

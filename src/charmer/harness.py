@@ -232,7 +232,7 @@ def _pga_steps(s: str, y: int, config: AttackConfig, *, classifier, pga_config: 
 STEPS = {
     "charmer": _greedy_attack,
     "charmer-fast": _greedy_attack,  # with n=1, set in run_attack_suite
-    "random": functools.partial(_greedy_attack, draw=True),
+    "random": functools.partial(_greedy_attack, pick="draw"),
     "exhaustive-k1": _exhaustive_k1,
     "pga": _pga_steps,
 }

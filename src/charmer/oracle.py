@@ -198,34 +198,6 @@ class Oracle:
         raise NotImplementedError
 
 
-class CountingOracle(Oracle):
-    """Wrapper that counts scored sentences and edits, for library callers; the attacks count their own rows.
-
-    Every batch must come back as one row of ``num_classes`` scores per
-    sentence or edit (``check_rows``), whatever the inner oracle's scorers.
-    """
-
-    def __init__(self, inner: Oracle):
-        self.inner = inner
-        self.queries = 0
-
-    @property
-    def num_classes(self):
-        return getattr(self.inner, "num_classes", None)
-
-    def score_batch(self, sentences: Sequence[str]) -> np.ndarray:
-        sentences = list(sentences)
-        scores = self.inner.score_batch(sentences)
-        self.queries += len(sentences)  # a batch the inner oracle refuses is not counted
-        return check_rows(scores, len(sentences), self.num_classes)
-
-    def _score_requests(self, requests: Sequence[EditRequest]) -> np.ndarray:
-        scores = self.inner._score_requests(requests)
-        rows = sum(np.size(positions) for _, positions, _ in requests)
-        self.queries += rows  # one per edited sentence; the bases are not scored
-        return check_rows(scores, rows, self.num_classes)
-
-
 def score_together(oracle: Oracle, requests: Sequence) -> np.ndarray:
     """The checked rows of ``requests``, all of one kind, stacked in order, from one call of ``oracle``.
 

@@ -15,13 +15,12 @@ from charmer.attack import (
     charmer_attack,
     exhaustive_k1,
     pjc_violates,
-    preselect_segments,
     random_position_baseline,
     select_positions,
     word_spans,
 )
 from charmer.classifier import BuiltinClassifier, BuiltinOracle
-from charmer.oracle import CountingOracle, Oracle, OracleError, cw_loss
+from charmer.oracle import Oracle, OracleError, cw_loss, score_together
 from charmer.sentence import XI, Alphabet, generate_neighbors, levenshtein, single_edit
 from reference import ReferenceEditHistory, reference_hashed_counts, reference_single_edits
 
@@ -147,9 +146,10 @@ class TestSelectPositions:
         assert positions[0] in (1, 3, 5, 7)
 
     def test_a_score_batch_override_with_one_row_raises(self):
-        # CountingOracle's _score_requests refuses a wrong row count, and so does an attack's scoring call
+        # the scoring call that answers an attack's requests refuses a wrong row count
+        probes = _probe_request("good movie", " ", None)
         with pytest.raises(OracleError, match="expected 21 score rows"):
-            ranked(CountingOracle(OneRowOracle()), "good movie", 1, 5)
+            score_together(OneRowOracle(), [probes])
         with pytest.raises(OracleError):
             charmer_attack(OneRowOracle(), "good movie", 1, AttackConfig(alphabet=ALPHA_AB, n=5, k=2))
 
@@ -310,20 +310,34 @@ class TestEditHistory:
 
 
 class TestPreselect:
-    def test_few_segments_allows_everything(self):
-        allowed = preselect_segments(ConstantOracle(), "hi there", 0, 2)
-        assert allowed == set(range(1, 18))
+    def test_edits_stay_in_the_top_segment(self):
+        class LogsPositions(CharCountOracle):
+            def __init__(self):
+                super().__init__("b")
+                self.positions = []
 
-    def test_top_segment_positions(self):
+            def _score_requests(self, requests):
+                self.positions += [int(i) for _, positions, _ in requests for i in positions]
+                return super()._score_requests(requests)
+
         # label 1: masking "bbb" zeroes the class-1 score, so that segment
         # produces the highest loss and is the one kept
-        allowed = preselect_segments(CharCountOracle("b"), "aa bbb aa", 1, 1)
-        # word "bbb" spans chars 4..6 -> expanded 7..13
-        assert allowed == set(range(7, 14))
+        oracle = LogsPositions()
+        config = AttackConfig(alphabet=ALPHA_AB, n=5, k=3, segment_preselect=1)
+        outcome = charmer_attack(oracle, "aa bbb aa", 1, config)
+        assert outcome.trace
+        # word "bbb" spans chars 4..6 -> expanded 7..13, and it only shrinks; every probe and candidate lies there
+        assert all(7 <= step.position <= 13 for step in outcome.trace)
+        assert oracle.positions and all(7 <= i <= 13 for i in oracle.positions)
 
-    def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            preselect_segments(ConstantOracle(), "a b c", 0, 0)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_few_segments_spend_no_mask_query(self, m):
+        def run(segments):
+            config = AttackConfig(alphabet=ALPHA_AB, n=3, k=2, segment_preselect=segments)
+            return charmer_attack(CharCountOracle("b"), "aa bbb", 1, config)
+
+        preselected, plain = run(m), run(None)
+        assert (preselected.queries, preselected.trace) == (plain.queries, plain.trace)
 
 
 class TestGreedyLoop:
@@ -344,10 +358,12 @@ class TestGreedyLoop:
             assert all(b >= a for a, b in zip(losses, losses[1:]))
             assert levenshtein(record.text, outcome.adversarial) <= len(outcome.trace)
 
-    def test_trace_replays_to_adversarial(self, desk_oracle, desk_alphabet, attackable_records):
+    @pytest.mark.parametrize("attack", [charmer_attack, exhaustive_k1])
+    def test_trace_replays_to_adversarial(self, attack, desk_oracle, desk_alphabet, attackable_records):
         config = AttackConfig(alphabet=desk_alphabet, n=10, k=6)
         record = attackable_records[0]
-        outcome = charmer_attack(desk_oracle, record.text, record.label, config)
+        outcome = attack(desk_oracle, record.text, record.label, config)
+        assert outcome.trace
         cur = record.text
         for step in outcome.trace:
             cur = single_edit(cur, step.position, step.char)

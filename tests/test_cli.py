@@ -227,9 +227,11 @@ class TestRun:
 
 class TestVerifyAndUsage:
     @pytest.mark.parametrize("suite", ["sentence-space", "projection", "equivalence"])
-    def test_verify_suites_pass(self, suite, capsys):
+    def test_verify_suites_pass(self, suite, capsys, caplog):
         assert main(["verify", "--suite", suite]) == 0
         assert "pass" in capsys.readouterr().out.lower()
+        # the equivalence suite's expected record errors stay in its lines, not in the log
+        assert [r.getMessage() for r in caplog.records if r.name == "charmer"] == []
 
     def test_equivalence_names_a_misindexed_gram(self, monkeypatch, capsys):
         # scoring by edits and by sentences share the wrong index, so only the audit sees it

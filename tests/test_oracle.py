@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from charmer.attack import join_premise
-from charmer.oracle import CountingOracle, EditRequest, Oracle, OracleError, cw_loss, is_adversarial
+from charmer.oracle import EditRequest, Oracle, OracleError, cw_loss, is_adversarial
 from charmer.sentence import SentenceError, single_edit
 from reference import reference_cw_loss
 
@@ -31,6 +31,11 @@ class RecordingOracle(Oracle):
     def _score_chunk(self, sentences):
         self.chunks.append(len(sentences))
         return [[float(len(s)), 0.0] + [0.0] * (self.num_classes - 2) for s in sentences]
+
+
+def refuse(n):
+    """A plugin's chunk scorer that refuses every chunk."""
+    raise OracleError("refused")
 
 
 class TestCwLoss:
@@ -191,8 +196,9 @@ class TestBatching:
             lambda n: [["1.0", "0.0"]] * n,  # strings
             lambda n: [[1.0, None]] * n,
             lambda n: [1.0] * n,  # no class axis
+            refuse,
         ],
-        ids=["short", "ragged", "strings", "none", "flat"],
+        ids=["short", "ragged", "strings", "none", "flat", "refused"],
     )
     def test_malformed_chunks_raise_oracle_error(self, rows):
         class Plugin(Oracle):
@@ -211,27 +217,6 @@ class TestBatching:
 
         with pytest.raises(OracleError):
             Widening(batch_limit=1).score_batch(["a", "bb"])
-
-    def test_counting_wrapper(self):
-        inner = RecordingOracle()
-        counting = CountingOracle(inner)
-        counting.score_batch(["a", "bb"])
-        counting.score_batch(["ccc"])
-        assert counting.queries == 3
-
-    def test_counting_skips_batches_the_inner_oracle_refuses(self, desk_oracle):
-        class Refusing(RecordingOracle):
-            def _score_chunk(self, sentences):
-                if "bad" in sentences:
-                    raise OracleError("refused")
-                return super()._score_chunk(sentences)
-
-        for inner, bad in ((Refusing(), "bad"), (desk_oracle, "a\ud800b")):
-            counting = CountingOracle(inner)
-            counting.score_batch(["a"])
-            with pytest.raises(OracleError):
-                counting.score_batch(["ok", bad])
-            assert counting.queries == 1
 
     def test_paired_prefix(self):
         scores = RecordingOracle().score_batch(join_premise("pre", ["xy"]))
@@ -272,26 +257,6 @@ class TestScoreEdits:
         assert oracle.sentences == ["xab", "b", "ab", "ab😀", "ab"]
         assert rows.tobytes() == oracle.score_batch(oracle.sentences[:]).tobytes()
         assert oracle.batches == [5, 5]
-
-    def test_counting_counts_rows(self):
-        inner = EditRecordingOracle()
-        counting = CountingOracle(inner)
-        counting.score_edits("ab", np.array([1, 2]), np.array([ord("x"), 0]))
-        counting.score_edits("ab", np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        counting.score_edits("ab", np.array([1, 3, 5]), np.array([ord("y")] * 3))
-        assert counting.queries == 5
-        assert inner.edits == [("ab", [1, 2], [ord("x"), 0]), ("ab", [], []), ("ab", [1, 3, 5], [ord("y")] * 3)]
-
-    def test_counting_skips_edits_the_inner_oracle_refuses(self, desk_oracle):
-        for inner in (EditRecordingOracle(), desk_oracle):
-            counting = CountingOracle(inner)
-            with pytest.raises(SentenceError, match="out of range"):
-                counting.score_edits("abc", [9], [65])
-            with pytest.raises(SentenceError, match="2 edit positions but 1 codes"):
-                counting.score_edits("abc", [1, 2], [65])
-            assert counting.queries == 0
-            counting.score_edits("abc", [1], [65])
-            assert counting.queries == 1
 
     @pytest.mark.parametrize(
         "positions, codes, message",

@@ -6,7 +6,8 @@ against a remote oracle, training, saving, loading and scoring the builtin
 classifier, and the CLI's ``train-builtin`` and ``run`` must all finish
 without loading any scipy module, and give the same bits as in this process.
 The CLI's builtin commands must also load neither ``ssl`` nor
-``http.client``, which only the remote oracle needs.
+``http.client``, which only the remote oracle needs. Every name the package
+exports resolves.
 """
 
 import json
@@ -146,3 +147,10 @@ def test_a_builtin_cli_run_loads_no_scipy_and_gives_the_same_report(tmp_path):
     reports = [json.loads((tmp_path / f"{where}.json").read_text()) for where in ("here", "there")]
     assert reports[0]["counts"]["attackable"]
     assert report_body(reports[1]) == report_body(reports[0])
+
+
+def test_every_exported_name_resolves():
+    # RemoteOracle resolves through the package's lazy __getattr__; a deleted function must not linger in __all__
+    import charmer
+
+    assert [name for name in charmer.__all__ if not hasattr(charmer, name)] == []
