@@ -309,26 +309,38 @@ class TestEditHistory:
             s = t
 
 
+class PositionLogOracle(CharCountOracle):
+    """Logs the positions of every edit request it scores, one list per request."""
+
+    def __init__(self, target="b"):
+        super().__init__(target)
+        self.requests = []
+
+    def _score_requests(self, requests):
+        self.requests += [[int(i) for i in positions] for _, positions, _ in requests]
+        return super()._score_requests(requests)
+
+
 class TestPreselect:
-    def test_edits_stay_in_the_top_segment(self):
-        class LogsPositions(CharCountOracle):
-            def __init__(self):
-                super().__init__("b")
-                self.positions = []
-
-            def _score_requests(self, requests):
-                self.positions += [int(i) for _, positions, _ in requests for i in positions]
-                return super()._score_requests(requests)
-
+    @pytest.mark.parametrize("attack", [charmer_attack, random_position_baseline])
+    def test_edits_stay_in_the_top_segment(self, attack):
         # label 1: masking "bbb" zeroes the class-1 score, so that segment
         # produces the highest loss and is the one kept
-        oracle = LogsPositions()
+        oracle = PositionLogOracle()
         config = AttackConfig(alphabet=ALPHA_AB, n=5, k=3, segment_preselect=1)
-        outcome = charmer_attack(oracle, "aa bbb aa", 1, config)
+        outcome = attack(oracle, "aa bbb aa", 1, config)
         assert outcome.trace
         # word "bbb" spans chars 4..6 -> expanded 7..13, and it only shrinks; every probe and candidate lies there
         assert all(7 <= step.position <= 13 for step in outcome.trace)
-        assert oracle.positions and all(7 <= i <= 13 for i in oracle.positions)
+        positions = [i for request in oracle.requests for i in request]
+        assert positions and all(7 <= i <= 13 for i in positions)
+
+    def test_few_segments_allows_everything(self):
+        # two words and m = 2: no segment is cut, so the first probes cover all 17 positions of "hi there"
+        oracle = PositionLogOracle()
+        config = AttackConfig(alphabet=ALPHA_AB, n=5, k=1, segment_preselect=2)
+        charmer_attack(oracle, "hi there", 0, config)
+        assert set(oracle.requests[0]) == set(range(1, 18))
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_few_segments_spend_no_mask_query(self, m):
